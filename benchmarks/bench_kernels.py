@@ -1,12 +1,10 @@
-"""Benchmark the jet kernels: numba JIT vs the pure-numpy fallback.
+"""Benchmark the jet engine: truncated-jet composition and RK4 steps.
 
-Times the two hot paths, truncated-jet composition and the RK4 jet
-integrator, on a few representative shapes.  Run from the repo root:
+Times the two hot paths, one composition and a run of RK4 jet steps, on
+a few representative shapes and prints the best of several repeats.
+Run from the repo root:
 
-    python3 benchmarks/bench_kernels.py
-
-Both importable backends are timed regardless of POLYLOEWNER_NO_NUMBA;
-that flag only picks the library default.
+    PYTHONPATH=src python3 benchmarks/bench_kernels.py
 """
 
 from __future__ import annotations
@@ -17,15 +15,9 @@ import time
 import numpy as np
 
 from polyloewner.catalog import catalog_generator
-from polyloewner.kernels import (
-    available_backends,
-    basis_tables,
-    compose_arrays,
-    identity_array,
-    rk4_jet_arrays,
-)
+from polyloewner.kernels import basis_tables, compose_arrays, identity_array, rk4_jet_arrays
 
-SHAPES = ((2, 4), (2, 6), (3, 4), (3, 6))
+SHAPES = ((2, 4), (2, 6), (3, 4), (3, 6), (3, 8))
 
 
 def _best_of(repeats: int, fn) -> float:
@@ -37,56 +29,26 @@ def _best_of(repeats: int, fn) -> float:
     return best
 
 
-def bench_shape(dim: int, degree: int, steps: int, repeats: int) -> list[dict]:
-    tables = basis_tables(dim, degree)
-    gen = catalog_generator("H1", dim=dim, degree=degree).jet_array(degree)
-    state = identity_array(tables)
-    hs = np.full(steps, 1e-2)
-    rows = []
-    for backend in available_backends():
-        # first call pays JIT compilation; keep it out of the timing
-        compose_arrays(gen, state, tables, backend=backend)
-        rk4_jet_arrays(gen, state, hs[:2], tables, backend=backend)
-        rows.append(
-            {
-                "dim": dim,
-                "degree": degree,
-                "backend": backend,
-                "compose_us": 1e6 * _best_of(repeats, lambda: compose_arrays(gen, state, tables, backend=backend)),
-                "rk4_ms": 1e3 * _best_of(repeats, lambda: rk4_jet_arrays(gen, state, hs, tables, backend=backend)),
-            }
-        )
-    return rows
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--steps", type=int, default=500, help="RK4 steps per timing (default 500)")
+    parser.add_argument("--steps", type=int, default=100, help="RK4 steps per timing (default 100)")
     parser.add_argument("--repeats", type=int, default=5, help="timing repeats, best is kept (default 5)")
     args = parser.parse_args()
 
-    backends = available_backends()
-    print(f"backends: {', '.join(backends)}")
-    rows = []
-    for dim, degree in SHAPES:
-        rows.extend(bench_shape(dim, degree, args.steps, args.repeats))
-
-    header = f"{'dim':>3} {'deg':>3} {'backend':>7} {'compose (us)':>13} {f'rk4 x{args.steps} (ms)':>16}"
+    header = f"{'dim':>3} {'deg':>3} {'B':>4} {'pairs':>6} {'compose (us)':>13} {f'rk4 x{args.steps} (ms)':>16}"
     print(header)
     print("-" * len(header))
-    for row in rows:
+    for dim, degree in SHAPES:
+        tables = basis_tables(dim, degree)
+        gen = catalog_generator("H1", dim=dim, degree=degree).jet_array(degree)
+        state = identity_array(tables)
+        hs = np.full(args.steps, 1e-2)
+        compose_us = 1e6 * _best_of(args.repeats, lambda: compose_arrays(gen, state, tables))
+        rk4_ms = 1e3 * _best_of(args.repeats, lambda: rk4_jet_arrays(gen, state, hs, tables))
         print(
-            f"{row['dim']:>3} {row['degree']:>3} {row['backend']:>7} "
-            f"{row['compose_us']:>13.1f} {row['rk4_ms']:>16.2f}"
+            f"{dim:>3} {degree:>3} {tables.size:>4} {tables.mul_k.size:>6} "
+            f"{compose_us:>13.1f} {rk4_ms:>16.2f}"
         )
-
-    if len(backends) == 2:
-        print()
-        for dim, degree in SHAPES:
-            pair = [r for r in rows if (r["dim"], r["degree"]) == (dim, degree)]
-            by = {r["backend"]: r for r in pair}
-            speedup = by["numpy"]["rk4_ms"] / by["numba"]["rk4_ms"]
-            print(f"dim={dim} degree={degree}: numba is {speedup:.1f}x faster on rk4")
 
 
 if __name__ == "__main__":

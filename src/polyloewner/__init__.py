@@ -2,9 +2,8 @@
 
 Truncated-jet arithmetic, infinitesimal generators with grid-certified
 admissibility, piecewise-constant field evolution, sharp coefficient and
-growth bound reports, and a budgeted coefficient search.  Hot kernels
-run under numba when available; set POLYLOEWNER_NO_NUMBA=1 (or pass
-backend="numpy") for the pure-numpy fallback.
+growth bound reports, and a budgeted coefficient search.  Every jet
+product runs through one sparse numpy engine (``kernels``).
 """
 
 __version__ = "0.1.0"
@@ -33,7 +32,7 @@ from .jets import (
     series_in_var,
     variable_jet,
 )
-from .kernels import available_backends, basis_tables, default_backend
+from .kernels import basis_tables, default_backend
 from .fourier import ring_jacobian, torus_coefficients, torus_jet
 from .generators import (
     MEMBERSHIP_TOL,
@@ -109,7 +108,7 @@ __all__ = [
     "map_from_json", "map_to_json", "matrix_solve", "minus_identity_map",
     "multiindices", "rotate_map", "series_in_var", "variable_jet",
     # kernels / fourier
-    "available_backends", "basis_tables", "default_backend",
+    "basis_tables", "default_backend",
     "ring_jacobian", "torus_coefficients", "torus_jet",
     # generators
     "MEMBERSHIP_TOL", "REFERENCE_GRID", "AtomicMeasure", "BisectionSpec",

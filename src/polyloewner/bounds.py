@@ -320,6 +320,8 @@ def koebe_check(
     z = np.asarray(points, dtype=np.complex128)
     if z.ndim == 1:
         z = z[None, :]
+    if z.size == 0:
+        raise DomainError("growth check needs at least one sample point")
     r = np.max(np.abs(z), axis=-1)
     if np.any(r <= 0) or np.any(r >= 1):
         raise DomainError("sample points must be nonzero and strictly inside the polydisc")

@@ -37,7 +37,6 @@ from .descriptions import field_from_json, generator_from_json
 from .evolution import IntegrationError, evolve_report, limit_evaluator, parametric_limit
 from .generators import AtomicMeasure, MembershipError, membership_check
 from .jets import DomainError, JetShapeError, SingularityError, map_to_json
-from .kernels import available_backends
 from .search import FAMILIES, SearchSpace, maximize
 
 SCHEMA = "polyloewner/1"
@@ -76,14 +75,12 @@ _VERB_OPTIONS: dict[str, dict[str, tuple]] = {
         "t": (float, 1.0),
         "step": (float, 1e-2),
         "degree": (int, 4),
-        "backend": (str, None),
     },
     "limit": {
         "field": (str, None),
         "horizon": (float, 15.0),
         "step": (float, 1e-2),
         "degree": (int, 4),
-        "backend": (str, None),
     },
     "bounds": {
         "name": (str, None),
@@ -96,7 +93,6 @@ _VERB_OPTIONS: dict[str, dict[str, tuple]] = {
         "equality_tol": (float, None),
         "growth_points": (int, 50),
         "seed": (int, 0),
-        "backend": (str, None),
     },
     "search": {
         "alpha": (str, None),
@@ -110,7 +106,6 @@ _VERB_OPTIONS: dict[str, dict[str, tuple]] = {
         "degree": (int, 3),
         "step": (float, 1e-2),
         "method": (str, "coordinate-ascent"),
-        "backend": (str, None),
     },
     "caratheodory": {
         "file": (str, None),
@@ -138,7 +133,6 @@ _FLAG_HELP = {
     "step": "integration step",
     "horizon": "time horizon for limits",
     "certify_horizon": "horizon for final re-evaluation",
-    "backend": f"kernel backend ({'/'.join(available_backends())})",
     "alpha": "target multi-index, comma-separated (e.g. 2,0)",
     "dim": "polydisc dimension",
     "family": f"schedule family ({'/'.join(FAMILIES)})",
@@ -319,7 +313,6 @@ def _run_evolve(config):
         config["t"],
         degree=config["degree"],
         step=config["step"],
-        backend=config["backend"],
     )
     return result.to_json(), True, None
 
@@ -331,7 +324,6 @@ def _run_limit(config):
         horizon=config["horizon"],
         degree=config["degree"],
         step=config["step"],
-        backend=config["backend"],
     )
     return result.to_json(), True, None
 
@@ -363,7 +355,6 @@ def _bounds_subject(config) -> tuple[str, BoundReport, Optional[dict]]:
             horizon=config["horizon"],
             degree=config["degree"],
             step=config["step"],
-            backend=config["backend"],
         )
         evaluator = limit_evaluator(field, horizon=config["horizon"], step=config["step"])
         jet, subject = limit.jet, "limit"
@@ -372,6 +363,8 @@ def _bounds_subject(config) -> tuple[str, BoundReport, Optional[dict]]:
     coeff = coeff_bound_report(jet, tol=config["tol"], equality_tol=eq, subject=subject)
     rng = np.random.default_rng(config["seed"])
     count = config["growth_points"]
+    if count < 1:
+        raise CliError("--growth-points must be at least 1")
     dirs = rng.normal(size=(count, jet.dim)) + 1j * rng.normal(size=(count, jet.dim))
     radii = rng.uniform(0.05, 0.9, size=count)
     points = sample_rays(dirs, [1.0]) * radii[:, None]
@@ -402,7 +395,6 @@ def _run_search(config):
         budget=config["budget"],
         seed=config["seed"],
         method=config["method"],
-        backend=config["backend"],
     )
     report = result.to_json()
     passed = True

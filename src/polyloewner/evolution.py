@@ -22,6 +22,7 @@ semigroup identity hold to roundoff rather than to O(step^4).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -42,7 +43,7 @@ from .kernels import (
     basis_tables,
     compose_arrays,
     identity_array,
-    resolve_backend,
+    mul_arrays,
     rk4_jet_arrays,
 )
 
@@ -229,7 +230,6 @@ def _evolve_state(
     state: np.ndarray,
     degree: int,
     step: float,
-    backend: Optional[str],
 ) -> np.ndarray:
     tables = basis_tables(field.dim, degree)
     times = _step_times(s, t, step, field.breakpoints)
@@ -244,9 +244,7 @@ def _evolve_state(
         stop = start + 1
         while stop < len(mids) and field.generator_at(mids[stop]) is gen:
             stop += 1
-        state = rk4_jet_arrays(
-            gen.jet_array(degree), state, hs[start:stop], tables, backend=backend
-        )
+        state = rk4_jet_arrays(gen.jet_array(degree), state, hs[start:stop], tables)
         start = stop
     return state
 
@@ -257,14 +255,15 @@ def evolve_jet(
     t: float,
     degree: int = 4,
     step: float = 1e-2,
-    backend: Optional[str] = None,
 ) -> JetMap:
     """Truncated jet of the transition map phi_{s,t} at the origin."""
     tables = basis_tables(field.dim, degree)
-    state = _evolve_state(field, s, t, identity_array(tables), degree, step, backend)
+    # a step past RK4's stability limit ends in a non-finite state, rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        state = _evolve_state(field, s, t, identity_array(tables), degree, step)
     out = array_to_map(state, tables, Normalization.GENERAL)
     dev = np.max(np.abs(out.linear_part() - math.exp(s - t) * np.eye(field.dim)))
-    if dev > 1e-6:
+    if not (dev <= 1e-6 and np.all(np.isfinite(state))):
         raise IntegrationError(
             f"transition jet lost its linear-part invariant (deviation {dev:.3e})", time=t
         )
@@ -277,10 +276,9 @@ def scaled_transition(
     t: float,
     degree: int = 4,
     step: float = 1e-2,
-    backend: Optional[str] = None,
 ) -> JetMap:
     """e^(t-s) * phi_{s,t}: the normalized transition jet (Df(0) = I)."""
-    raw = evolve_jet(field, s, t, degree=degree, step=step, backend=backend)
+    raw = evolve_jet(field, s, t, degree=degree, step=step)
     scale = math.exp(t - s)
     comps = tuple(scale * c for c in raw.components)
     return JetMap(comps, Normalization.UNIVALENT)
@@ -315,11 +313,6 @@ class LimitResult:
         }
 
 
-def _compose(outer: np.ndarray, inner: np.ndarray, tables: BasisTables) -> np.ndarray:
-    # one fixed backend, so the limit jet does not depend on the caller's backend
-    return compose_arrays(outer, inner, tables, backend="numpy")
-
-
 def _rescaled(f: np.ndarray, tables: BasisTables, s: float) -> np.ndarray:
     """f^[s](z) = e^s f(e^-s z): degree-d coefficients times e^-(d-1)s.
 
@@ -343,11 +336,11 @@ def _koenigs_pair(gen: Generator, tables: BasisTables) -> tuple[np.ndarray, np.n
     K = ident
     for _ in range(tables.degree - 1):
         dK = np.einsum("ib,jbc->jic", K, tables.deriv_matrices)  # dK[j] = dK/dz_j
-        DKg = np.einsum("jib,jc->ibc", dK, g).reshape(len(K), -1) @ tables.mul_matrix
+        DKg = mul_arrays(dK, g[:, None, :], tables).sum(axis=0)
         K = ident + solve * DKg
     L = ident
     for _ in range(tables.degree - 1):
-        L = L + ident - _compose(K, L, tables)
+        L = L + ident - compose_arrays(K, L, tables)
     return K, L
 
 
@@ -370,12 +363,12 @@ def _scaled_flow(
         drift += float(np.max(np.abs(gen.jet.linear_part() + eye))) * (
             min(end, times[-1]) - start
         )
-        inner = _compose(_rescaled(K, tables, start), psi, tables)
+        inner = compose_arrays(_rescaled(K, tables, start), psi, tables)
         while pending and pending[0] <= end:
-            out.append(_compose(_rescaled(L, tables, pending.pop(0)), inner, tables))
+            out.append(compose_arrays(_rescaled(L, tables, pending.pop(0)), inner, tables))
         if not pending:
             break
-        psi = _compose(_rescaled(L, tables, end), inner, tables)
+        psi = compose_arrays(_rescaled(L, tables, end), inner, tables)
         start = end
     return out, drift
 
@@ -385,22 +378,20 @@ def parametric_limit(
     horizon: float = 15.0,
     degree: int = 4,
     step: float = 1e-2,
-    backend: Optional[str] = None,
 ) -> LimitResult:
     """Jet of e^T phi_{0,T} at T = horizon, the field's normalized limit map.
 
     Built exactly from the Koenigs linearization of each constant piece
     (see the module docstring), so its cost does not grow with the
     horizon and e^T is never formed; ``tail_bound`` compares it with the
-    same jet one time unit earlier.  ``step`` and ``backend`` are
-    validated and ``step`` is recorded, but neither changes the result;
-    ``scaled_transition`` is the RK4 route to the same jet.
+    same jet one time unit earlier.  ``step`` is validated and
+    recorded but does not change the result; ``scaled_transition`` is
+    the RK4 route to the same jet.
     """
     if not (math.isfinite(horizon) and horizon > 1.0):
         raise DomainError("horizon must be finite and exceed 1 to estimate the tail")
     if not 0.0 < step < math.inf:
         raise DomainError("step must be positive")
-    resolve_backend(backend)
     tables = basis_tables(field.dim, degree)
     (mid, end), drift = _scaled_flow(field, (horizon - 1.0, horizon), tables)
     jet = array_to_map(end, tables, Normalization.UNIVALENT)
@@ -424,8 +415,8 @@ def limit_evaluator(
     at points deep in the polydisc, where truncation error would swamp
     the growth-bound margins near extremal directions.
     """
-    if horizon <= 0.0:
-        raise DomainError("horizon must be positive")
+    if not 0.0 < horizon < math.log(sys.float_info.max):
+        raise DomainError(f"horizon must be positive with e^horizon finite, got {horizon}")
     scale = math.exp(horizon)
 
     def evaluate(z: np.ndarray) -> np.ndarray:
@@ -481,10 +472,9 @@ def evolve_report(
     points: Optional[np.ndarray] = None,
     degree: int = 4,
     step: float = 1e-2,
-    backend: Optional[str] = None,
 ) -> EvolutionResult:
-    jet = evolve_jet(field, s, t, degree=degree, step=step, backend=backend)
-    finer = evolve_jet(field, s, t, degree=degree, step=0.5 * step, backend=backend)
+    jet = evolve_jet(field, s, t, degree=degree, step=step)
+    finer = evolve_jet(field, s, t, degree=degree, step=0.5 * step)
     est = map_distance(jet, finer)
     pts_in = pts_out = None
     if points is not None:

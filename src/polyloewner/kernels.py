@@ -2,31 +2,26 @@
 
 Jets living on a fixed basis (all multi-indices of total degree <= D,
 graded-lex order) are stored as complex vectors of length B, and a jet
-map as an (n, B) matrix.  Multiplication is a fixed sparse pairing
-table; composition builds the monomial matrix M[k] = inner**alpha_k by
-single-step recursion (each monomial is a parent monomial times one
-inner component) and finishes with a matrix product.
-
-Two interchangeable backends implement the same semantics:
-
-* ``numba``: @njit kernels with explicit loops, used by default when
-  numba is importable;
-* ``numpy``: vectorized layer-at-a-time products, always available.
-
-Set the environment variable ``POLYLOEWNER_NO_NUMBA=1`` to make numpy
-the default; an explicit ``backend=`` argument overrides either way.
-``benchmarks/bench_kernels.py`` times one against the other.
+map as an (n, B) matrix.  Every truncated product runs through one
+sparse pairing table: the pairs (i, j) with basis[i] * basis[j] =
+basis[k] and total degree <= D, sorted by k.  A product gathers
+a[i] * b[j] over the pairs and sums each run of equal k, so it costs
+O(pairs), not O(B^3).  Composition builds the monomial matrix
+M[k] = inner**alpha_k by single-step recursion (each monomial is a
+parent monomial times one inner component) and finishes with a matrix
+product; RK4 steps are four compositions.  The dict-based ``jets``
+module computes the same products independently and serves as the test
+oracle.  ``benchmarks/bench_kernels.py`` times the engine.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .jets import DomainError, JetMap, JetShapeError, MultiJet, Normalization, multiindices
+from .jets import JetMap, JetShapeError, MultiJet, Normalization, multiindices
 
 __all__ = [
     "BasisTables",
@@ -34,26 +29,11 @@ __all__ = [
     "map_to_array",
     "array_to_map",
     "identity_array",
-    "available_backends",
     "default_backend",
-    "resolve_backend",
     "mul_arrays",
     "compose_arrays",
     "rk4_jet_arrays",
 ]
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAVE_NUMBA = False
-
-_ENV_DISABLED = os.environ.get("POLYLOEWNER_NO_NUMBA", "").strip().lower() not in (
-    "",
-    "0",
-    "false",
-)
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,9 +46,10 @@ class BasisTables:
     index: dict
     alpha_matrix: np.ndarray      # (B, dim) exponents
     degrees: np.ndarray           # (B,) total degrees
-    mul_i: np.ndarray             # pairing table: basis[i]*basis[j] -> basis[k]
+    mul_i: np.ndarray             # pairing table, sorted by k: basis[i]*basis[j] -> basis[k]
     mul_j: np.ndarray
     mul_k: np.ndarray
+    mul_start: np.ndarray         # (B,) first pair of each k
     parent: np.ndarray            # monomial recursion: alpha = parent + e_{parent_var}
     parent_var: np.ndarray
     layers: tuple[np.ndarray, ...]  # basis indices grouped by total degree
@@ -76,14 +57,6 @@ class BasisTables:
     @property
     def size(self) -> int:
         return len(self.alphas)
-
-    @cached_property
-    def mul_matrix(self) -> np.ndarray:
-        """(B*B, B) complex 0/1 matrix encoding the pairing table."""
-        B = self.size
-        out = np.zeros((B * B, B), dtype=np.complex128)
-        out[self.mul_i * B + self.mul_j, self.mul_k] = 1.0
-        return out
 
     @cached_property
     def deriv_matrices(self) -> np.ndarray:
@@ -108,15 +81,12 @@ def basis_tables(dim: int, degree: int) -> BasisTables:
     alpha_matrix = np.array(alphas, dtype=np.int64)
     degrees = alpha_matrix.sum(axis=1)
 
-    mi, mj, mk = [], [], []
+    pairs = []
     for i, a in enumerate(alphas):
         for j, b in enumerate(alphas):
-            if degrees[i] + degrees[j] > degree:
-                continue
-            k = index[tuple(x + y for x, y in zip(a, b))]
-            mi.append(i)
-            mj.append(j)
-            mk.append(k)
+            if degrees[i] + degrees[j] <= degree:
+                pairs.append((index[tuple(x + y for x, y in zip(a, b))], i, j))
+    mk, mi, mj = np.array(sorted(pairs), dtype=np.int64).T.copy()
 
     parent = np.full(B, -1, dtype=np.int64)
     parent_var = np.zeros(B, dtype=np.int64)
@@ -139,9 +109,10 @@ def basis_tables(dim: int, degree: int) -> BasisTables:
         index=index,
         alpha_matrix=alpha_matrix,
         degrees=degrees,
-        mul_i=np.array(mi, dtype=np.int64),
-        mul_j=np.array(mj, dtype=np.int64),
-        mul_k=np.array(mk, dtype=np.int64),
+        mul_i=mi,
+        mul_j=mj,
+        mul_k=mk,
+        mul_start=np.searchsorted(mk, np.arange(B)),
         parent=parent,
         parent_var=parent_var,
         layers=layers,
@@ -186,171 +157,48 @@ def identity_array(tables: BasisTables) -> np.ndarray:
     return out
 
 
-# -- numpy backend --------------------------------------------------------
-
-
-def _mul_np(a: np.ndarray, b: np.ndarray, t: BasisTables) -> np.ndarray:
-    B = t.size
-    return (a[:, None] * b[None, :]).reshape(B * B) @ t.mul_matrix
-
-
-def _monomials_np(inner: np.ndarray, t: BasisTables) -> np.ndarray:
-    B = t.size
-    M = np.zeros((B, B), dtype=np.complex128)
-    M[0, 0] = 1.0
-    T2 = t.mul_matrix
-    for idx in t.layers[1:]:
-        P = M[t.parent[idx]]
-        V = inner[t.parent_var[idx]]
-        M[idx] = ((P[:, :, None] * V[:, None, :]).reshape(len(idx), B * B)) @ T2
-    return M
-
-
-def _compose_np(outer: np.ndarray, inner: np.ndarray, t: BasisTables) -> np.ndarray:
-    return outer @ _monomials_np(inner, t)
-
-
-def _rk4_np(gen: np.ndarray, state: np.ndarray, hs: np.ndarray, t: BasisTables) -> np.ndarray:
-    y = state.copy()
-    for h in hs:
-        k1 = _compose_np(gen, y, t)
-        k2 = _compose_np(gen, y + (0.5 * h) * k1, t)
-        k3 = _compose_np(gen, y + (0.5 * h) * k2, t)
-        k4 = _compose_np(gen, y + h * k3, t)
-        y += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return y
-
-
-# -- numba backend --------------------------------------------------------
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _compose_into_nb(outer, inner, mi, mj, mk, parent, pvar, M, out):
-        B = M.shape[0]
-        n = outer.shape[0]
-        M[:, :] = 0.0
-        M[0, 0] = 1.0
-        for k in range(1, B):
-            prow = M[parent[k]]
-            v = inner[pvar[k]]
-            for s in range(mi.size):
-                M[k, mk[s]] += prow[mi[s]] * v[mj[s]]
-        for i in range(n):
-            for k in range(B):
-                acc = 0.0 + 0.0j
-                for j in range(B):
-                    acc += outer[i, j] * M[j, k]
-                out[i, k] = acc
-
-    @njit(cache=True)
-    def _rk4_nb(gen, state, hs, mi, mj, mk, parent, pvar):
-        n, B = state.shape
-        y = state.copy()
-        M = np.zeros((B, B), dtype=np.complex128)
-        k1 = np.zeros((n, B), dtype=np.complex128)
-        k2 = np.zeros((n, B), dtype=np.complex128)
-        k3 = np.zeros((n, B), dtype=np.complex128)
-        k4 = np.zeros((n, B), dtype=np.complex128)
-        tmp = np.zeros((n, B), dtype=np.complex128)
-        for s in range(hs.size):
-            h = hs[s]
-            _compose_into_nb(gen, y, mi, mj, mk, parent, pvar, M, k1)
-            for i in range(n):
-                for k in range(B):
-                    tmp[i, k] = y[i, k] + 0.5 * h * k1[i, k]
-            _compose_into_nb(gen, tmp, mi, mj, mk, parent, pvar, M, k2)
-            for i in range(n):
-                for k in range(B):
-                    tmp[i, k] = y[i, k] + 0.5 * h * k2[i, k]
-            _compose_into_nb(gen, tmp, mi, mj, mk, parent, pvar, M, k3)
-            for i in range(n):
-                for k in range(B):
-                    tmp[i, k] = y[i, k] + h * k3[i, k]
-            _compose_into_nb(gen, tmp, mi, mj, mk, parent, pvar, M, k4)
-            for i in range(n):
-                for k in range(B):
-                    y[i, k] += (h / 6.0) * (
-                        k1[i, k] + 2.0 * k2[i, k] + 2.0 * k3[i, k] + k4[i, k]
-                    )
-        return y
-
-    def _mul_nb_wrap(a, b, t):
-        out = np.zeros(t.size, dtype=np.complex128)
-        _mul_into_nb(a, b, t.mul_i, t.mul_j, t.mul_k, out)
-        return out
-
-    @njit(cache=True)
-    def _mul_into_nb(a, b, mi, mj, mk, out):
-        for s in range(mi.size):
-            out[mk[s]] += a[mi[s]] * b[mj[s]]
-
-    def _compose_nb_wrap(outer, inner, t):
-        B = t.size
-        M = np.zeros((B, B), dtype=np.complex128)
-        out = np.zeros((outer.shape[0], B), dtype=np.complex128)
-        _compose_into_nb(outer, inner, t.mul_i, t.mul_j, t.mul_k, t.parent, t.parent_var, M, out)
-        return out
-
-    def _rk4_nb_wrap(gen, state, hs, t):
-        return _rk4_nb(
-            np.ascontiguousarray(gen),
-            np.ascontiguousarray(state),
-            np.ascontiguousarray(hs, dtype=np.float64),
-            t.mul_i,
-            t.mul_j,
-            t.mul_k,
-            t.parent,
-            t.parent_var,
-        )
-
-
-# -- dispatch -------------------------------------------------------------
-
-
-def available_backends() -> tuple[str, ...]:
-    return ("numba", "numpy") if HAVE_NUMBA else ("numpy",)
+# -- the engine -----------------------------------------------------------
 
 
 def default_backend() -> str:
-    return "numba" if (HAVE_NUMBA and not _ENV_DISABLED) else "numpy"
+    """Name of the one jet engine, kept for run fingerprints."""
+    return "numpy"
 
 
-def resolve_backend(backend: str | None) -> str:
-    """The backend a call runs on; DomainError if unknown or not importable."""
-    b = backend or default_backend()
-    if b not in ("numba", "numpy"):
-        raise DomainError(f"unknown backend {b!r}")
-    if b == "numba" and not HAVE_NUMBA:
-        raise DomainError("numba backend requested but numba is not importable")
-    return b
+def _products(a: np.ndarray, b: np.ndarray, t: BasisTables) -> np.ndarray:
+    """Truncated products over the last axis, broadcast over leading axes."""
+    # every k has the pair (0, k), so no reduceat group is empty
+    return np.add.reduceat(a[..., t.mul_i] * b[..., t.mul_j], t.mul_start, axis=-1)
 
 
-def mul_arrays(a: np.ndarray, b: np.ndarray, tables: BasisTables, backend: str | None = None) -> np.ndarray:
-    if resolve_backend(backend) == "numba":
-        return _mul_nb_wrap(a, b, tables)
-    return _mul_np(a, b, tables)
+def mul_arrays(a: np.ndarray, b: np.ndarray, tables: BasisTables) -> np.ndarray:
+    """Truncated jet products a*b on the last axis; leading axes broadcast."""
+    return _products(a, b, tables)
 
 
-def compose_arrays(
-    outer: np.ndarray, inner: np.ndarray, tables: BasisTables, backend: str | None = None
-) -> np.ndarray:
-    if resolve_backend(backend) == "numba":
-        return _compose_nb_wrap(outer, inner, tables)
-    return _compose_np(outer, inner, tables)
+def _monomials(inner: np.ndarray, t: BasisTables) -> np.ndarray:
+    """(B, B) matrix with row k = inner**alpha_k, one degree layer per product."""
+    M = np.zeros((t.size, t.size), dtype=np.complex128)
+    M[0, 0] = 1.0
+    for idx in t.layers[1:]:
+        M[idx] = _products(M[t.parent[idx]], inner[t.parent_var[idx]], t)
+    return M
+
+
+def compose_arrays(outer: np.ndarray, inner: np.ndarray, tables: BasisTables) -> np.ndarray:
+    """Truncated jet of outer o inner, both (n, B) arrays."""
+    return outer @ _monomials(inner, tables)
 
 
 def rk4_jet_arrays(
-    gen: np.ndarray,
-    state: np.ndarray,
-    hs: np.ndarray,
-    tables: BasisTables,
-    backend: str | None = None,
+    gen: np.ndarray, state: np.ndarray, hs: np.ndarray, tables: BasisTables
 ) -> np.ndarray:
     """Advance the jet ODE state' = gen o state through the given steps."""
-    hs = np.asarray(hs, dtype=np.float64)
-    if hs.size == 0:
-        return state.copy()
-    if resolve_backend(backend) == "numba":
-        return _rk4_nb_wrap(gen, state, hs, tables)
-    return _rk4_np(gen, state, hs, tables)
+    y = state.copy()
+    for h in np.asarray(hs, dtype=np.float64):
+        k1 = gen @ _monomials(y, tables)
+        k2 = gen @ _monomials(y + (0.5 * h) * k1, tables)
+        k3 = gen @ _monomials(y + (0.5 * h) * k2, tables)
+        k4 = gen @ _monomials(y + h * k3, tables)
+        y += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y

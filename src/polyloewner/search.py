@@ -216,7 +216,6 @@ def objective(
     space: SearchSpace,
     params: Params,
     horizon: Optional[float] = None,
-    backend: Optional[str] = None,
 ) -> float:
     """Re A_alpha of component 1 of the limit map for this schedule."""
     limit = parametric_limit(
@@ -224,7 +223,6 @@ def objective(
         horizon=space.horizon if horizon is None else horizon,
         degree=space.degree,
         step=space.step,
-        backend=backend,
     )
     return float(limit.jet.coefficient(0, space.alpha).real)
 
@@ -320,7 +318,6 @@ def maximize(
     budget: int = 500,
     seed: int = 0,
     method: str = "coordinate-ascent",
-    backend: Optional[str] = None,
 ) -> SearchResult:
     """Budgeted coefficient maximization; deterministic for a fixed seed."""
     if method not in _METHODS:
@@ -358,7 +355,7 @@ def maximize(
             raise _BudgetExhausted
         evals += 1
         try:
-            val = objective(space, params, backend=backend)
+            val = objective(space, params)
         except (DomainError, IntegrationError):
             val = -math.inf
         cache[params] = val
@@ -465,7 +462,6 @@ def maximize(
         horizon=space.certify_horizon,
         degree=space.degree,
         step=space.step,
-        backend=backend,
     )
     certified_value = float(certified.jet.coefficient(0, space.alpha).real)
     return SearchResult(
@@ -501,7 +497,6 @@ def bang_bang_probe(
     horizon: float = 15.0,
     degree: int = 3,
     step: float = 1e-2,
-    backend: Optional[str] = None,
 ) -> tuple[ProbeOutcome, ...]:
     """Rank constant schedules by the coefficient they reach in the limit."""
     alpha = tuple(int(a) for a in alpha)
@@ -518,7 +513,6 @@ def bang_bang_probe(
             horizon=horizon,
             degree=degree,
             step=step,
-            backend=backend,
         )
         rows.append(
             ProbeOutcome(

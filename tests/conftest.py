@@ -1,19 +1,6 @@
 import numpy as np
 import pytest
 
-from polyloewner import HerglotzField, catalog_generator, evolve_jet
-from polyloewner.kernels import default_backend
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Compile/cache the jit kernels once so timed tests measure steady state."""
-    if default_backend() != "numba":
-        return
-    for name, degree in (("H1", 3), ("H1", 4), ("H6", 3), ("H6", 4)):
-        field = HerglotzField.constant(catalog_generator(name, degree=degree))
-        evolve_jet(field, 0.0, 0.05, degree=degree)
-
 
 @pytest.fixture
 def rng():

@@ -227,3 +227,6 @@ class TestGrowth:
             koebe_check(F1.evaluator, np.array([[0.0, 0.0]]))
         with pytest.raises(DomainError):
             koebe_check(F1.evaluator, np.array([[1.0 + 0j, 0.0]]))
+        for empty in (np.zeros((0, 2)), np.zeros(0)):
+            with pytest.raises(DomainError):
+                koebe_check(F1.evaluator, empty)

@@ -212,9 +212,26 @@ class TestEvolveAndLimit:
         assert "error" in payload["report"]
         assert payload["report"]["certificate"]["worst_margin"] > 0
 
-    def test_unknown_backend(self, run, field_file):
-        code, _, err = run("evolve", "--field", field_file, "--backend", "quantum")
-        assert code == 2 and "backend" in err
+    def test_unknown_backend(self, run, capsys, field_file, tmp_path):
+        # there is one jet engine, so --backend is no longer an option
+        with pytest.raises(SystemExit) as exc:
+            main(["evolve", "--field", field_file, "--backend", "numpy"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("backend = numpy\n")
+        code, out, err = run("evolve", "--field", field_file, "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err.startswith("polyloewner: error:") and "backend" in err
+        assert len(err.splitlines()) == 1
+
+    def test_runaway_step_is_bad_input(self, run, field_file):
+        # the second run's linear part is NaN, which a plain `dev > tol` lets through
+        for t, step in (("1e9", "1e8"), ("1e12", "1e11")):
+            code, out, err = run("evolve", "--field", field_file, "--t", t, "--step", step)
+            assert code == 2 and out == ""
+            assert err.startswith("polyloewner: error:") and "linear-part" in err
+            assert len(err.splitlines()) == 1
 
 
 class TestBounds:
@@ -258,6 +275,22 @@ class TestBounds:
         )
         assert code == 0
         assert payload["report"]["subject"] == "limit"
+
+    def test_horizon_too_large_for_the_evaluator(self, run, field_file):
+        for horizon in ("800", "inf", "nan"):
+            code, out, err = run("bounds", "--field", field_file, "--horizon", horizon)
+            assert code == 2 and out == ""
+            assert err.startswith("polyloewner: error:") and "horizon" in err
+            assert len(err.splitlines()) == 1
+
+    def test_growth_points_must_be_positive(self, run, field_file):
+        for count in ("0", "-3"):
+            code, out, err = run(
+                "bounds", "--field", field_file, "--horizon", "6.0", "--growth-points", count
+            )
+            assert code == 2 and out == ""
+            assert err.startswith("polyloewner: error:") and "growth-points" in err
+            assert len(err.splitlines()) == 1
 
     def test_exactly_one_subject(self, run, field_file):
         code, _, err = run("bounds")

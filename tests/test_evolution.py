@@ -227,7 +227,7 @@ class TestLimit:
         field = HerglotzField.constant(catalog_generator("H1"))
         with pytest.raises(DomainError):
             parametric_limit(field, horizon=1.0)
-        for kwargs in ({"step": 0.0}, {"step": -1e-2}, {"backend": "quantum"}):
+        for kwargs in ({"step": 0.0}, {"step": -1e-2}):
             with pytest.raises(DomainError):
                 parametric_limit(field, horizon=6.0, **kwargs)
 

@@ -1,14 +1,13 @@
-"""Array kernels: both backends agree with each other and with exact jets."""
+"""Array kernels: the sparse pair-table engine agrees with the dict-jet reference.
 
-import os
-import subprocess
-import sys
+The dict jets (``MultiJet.__mul__``, ``jets.compose``) compute every
+product independently of the pair table, so they are the oracle here.
+"""
 
 import numpy as np
 import pytest
 
 from polyloewner import (
-    DomainError,
     JetMap,
     MultiJet,
     Normalization,
@@ -19,7 +18,6 @@ from polyloewner import (
     variable_jet,
 )
 from polyloewner.kernels import (
-    HAVE_NUMBA,
     array_to_map,
     compose_arrays,
     default_backend,
@@ -28,8 +26,6 @@ from polyloewner.kernels import (
     mul_arrays,
     rk4_jet_arrays,
 )
-
-BACKENDS = ("numba", "numpy") if HAVE_NUMBA else ("numpy",)
 
 
 def random_map_array(rng, tables, zero_constant=False):
@@ -42,12 +38,40 @@ def random_map_array(rng, tables, zero_constant=False):
     return arr
 
 
+def jet_of(vec, tables):
+    return MultiJet(tables.dim, tables.degree, {a: c for a, c in zip(tables.alphas, vec)})
+
+
+def vector_of(jet, tables):
+    return np.array([jet.coefficient(a) for a in tables.alphas])
+
+
 def test_basis_tables_shapes():
     for dim, degree, size in ((2, 3, 10), (3, 3, 20), (2, 4, 15), (3, 4, 35)):
         t = basis_tables(dim, degree)
         assert t.size == size
         assert len(multiindices(dim, degree)) == size
         assert t.alpha_matrix.shape == (size, dim)
+
+
+def test_pair_table_is_sorted_by_k_and_starts_with_the_unit():
+    for dim, degree in ((1, 5), (2, 4), (3, 6)):
+        t = basis_tables(dim, degree)
+        assert np.all(np.diff(t.mul_k) >= 0)
+        # the first pair of every k is (0, k): no group of the reduction is empty
+        assert np.array_equal(t.mul_i[t.mul_start], np.zeros(t.size))
+        assert np.array_equal(t.mul_j[t.mul_start], np.arange(t.size))
+        assert np.array_equal(t.mul_k[t.mul_start], np.arange(t.size))
+        degrees = t.degrees
+        assert np.all(degrees[t.mul_i] + degrees[t.mul_j] == degrees[t.mul_k])
+        assert np.all(degrees[t.mul_k] <= degree)
+        # only arrays of size O(pairs) or O(B^2): no (B^2, B) product table
+        arrays = [v for v in vars(t).values() if isinstance(v, np.ndarray)]
+        assert max(a.size for a in arrays) <= max(t.mul_k.size, t.dim * t.size**2)
+
+
+def test_default_backend_names_the_one_engine():
+    assert default_backend() == "numpy"
 
 
 def test_array_map_round_trip(rng):
@@ -66,17 +90,30 @@ def test_array_map_round_trip(rng):
     assert ident.coefficient(1, (0, 1)) == 1.0
 
 
-@pytest.mark.parametrize("dim,degree", [(2, 3), (2, 4), (3, 3), (3, 4)])
+@pytest.mark.parametrize("dim,degree", [(2, 3), (2, 4), (3, 3), (3, 4), (3, 6)])
 def test_backends_agree_on_mul_and_compose(rng, dim, degree):
+    """Array engine against the dict-jet reference: products and compositions."""
     tables = basis_tables(dim, degree)
     a = random_map_array(rng, tables)
     b = random_map_array(rng, tables, zero_constant=True)
-    results_mul = [mul_arrays(a[0], b[0], tables, backend=bk) for bk in BACKENDS]
-    results_comp = [compose_arrays(a, b, tables, backend=bk) for bk in BACKENDS]
-    for r in results_mul[1:]:
-        assert np.max(np.abs(r - results_mul[0])) < 1e-12
-    for r in results_comp[1:]:
-        assert np.max(np.abs(r - results_comp[0])) < 1e-12
+
+    want_mul = np.array(
+        [vector_of(jet_of(a[i], tables) * jet_of(b[i], tables), tables) for i in range(dim)]
+    )
+    scale = max(1.0, np.max(np.abs(want_mul)))
+    for i in range(dim):
+        assert np.max(np.abs(mul_arrays(a[i], b[i], tables) - want_mul[i])) <= 1e-13 * scale
+    # leading axes broadcast: (dim, B) rows against one (B,) row and row by row
+    assert np.max(np.abs(mul_arrays(a, b, tables) - want_mul)) <= 1e-13 * scale
+    stacked = mul_arrays(a[:, None, :], b[None, :, :], tables)
+    assert stacked.shape == (dim, dim, tables.size)
+    assert np.max(np.abs(np.diagonal(stacked).T - want_mul)) <= 1e-13 * scale
+
+    want = map_to_array(
+        compose(array_to_map(a, tables), array_to_map(b, tables)), tables
+    )
+    got = compose_arrays(a, b, tables)
+    assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
 
 
 def test_compose_arrays_matches_exact_composition(rng):
@@ -96,26 +133,32 @@ def test_compose_arrays_matches_exact_composition(rng):
         Normalization.GENERAL,
     )
     want = compose(outer, inner)
-    for bk in BACKENDS:
-        got_arr = compose_arrays(
-            map_to_array(outer, tables), map_to_array(inner, tables), tables, backend=bk
-        )
-        got = array_to_map(got_arr, tables, Normalization.GENERAL)
-        assert map_distance(got, want) < 1e-13
+    got_arr = compose_arrays(map_to_array(outer, tables), map_to_array(inner, tables), tables)
+    got = array_to_map(got_arr, tables, Normalization.GENERAL)
+    assert map_distance(got, want) < 1e-13
 
 
 @pytest.mark.parametrize("dim,degree", [(2, 3), (3, 4)])
 def test_backends_agree_on_rk4(rng, dim, degree):
+    """Array RK4 against the same scheme with dict-jet compositions."""
     tables = basis_tables(dim, degree)
     gen = random_map_array(rng, tables, zero_constant=True)
     gen[:, 1 : 1 + dim] = -np.eye(dim)  # generator-normalized linear part
     hs = np.full(20, 0.05)
-    runs = [
-        rk4_jet_arrays(gen, identity_array(tables), hs, tables, backend=bk)
-        for bk in BACKENDS
-    ]
-    for r in runs[1:]:
-        assert np.max(np.abs(r - runs[0])) < 1e-11
+    outer = array_to_map(gen, tables)
+
+    def field(y):
+        return map_to_array(compose(outer, array_to_map(y, tables)), tables)
+
+    y = identity_array(tables)
+    for h in hs:
+        k1 = field(y)
+        k2 = field(y + (0.5 * h) * k1)
+        k3 = field(y + (0.5 * h) * k2)
+        k4 = field(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    got = rk4_jet_arrays(gen, identity_array(tables), hs, tables)
+    assert np.max(np.abs(got - y)) < 1e-11
 
 
 def test_rk4_dilation_gives_exponential_contraction():
@@ -123,10 +166,9 @@ def test_rk4_dilation_gives_exponential_contraction():
     tables = basis_tables(2, 3)
     gen = -identity_array(tables)
     hs = np.full(100, 0.01)
-    for bk in BACKENDS:
-        out = rk4_jet_arrays(gen, identity_array(tables), hs, tables, backend=bk)
-        want = np.exp(-1.0) * identity_array(tables)
-        assert np.max(np.abs(out - want)) < 1e-10
+    out = rk4_jet_arrays(gen, identity_array(tables), hs, tables)
+    want = np.exp(-1.0) * identity_array(tables)
+    assert np.max(np.abs(out - want)) < 1e-10
 
 
 def test_rk4_empty_steps_is_identity_copy():
@@ -135,27 +177,3 @@ def test_rk4_empty_steps_is_identity_copy():
     out = rk4_jet_arrays(-state, state, np.array([]), tables)
     assert np.array_equal(out, state)
     assert out is not state
-
-
-def test_unknown_backend_rejected():
-    tables = basis_tables(2, 3)
-    a = identity_array(tables)
-    with pytest.raises(DomainError):
-        mul_arrays(a[0], a[0], tables, backend="fortran")
-
-
-def test_env_flag_switches_default_backend():
-    if not HAVE_NUMBA:
-        assert default_backend() == "numpy"
-        return
-    code = "from polyloewner.kernels import default_backend; print(default_backend())"
-    env = dict(os.environ, POLYLOEWNER_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "numpy"
-    env.pop("POLYLOEWNER_NO_NUMBA")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "numba"
