@@ -38,7 +38,6 @@ from .generators import (
     MEMBERSHIP_TOL,
     REFERENCE_GRID,
     AtomicMeasure,
-    BisectionSpec,
     Generator,
     GridSpec,
     MembershipCertificate,
@@ -111,8 +110,8 @@ __all__ = [
     "basis_tables", "default_backend",
     "ring_jacobian", "torus_coefficients", "torus_jet",
     # generators
-    "MEMBERSHIP_TOL", "REFERENCE_GRID", "AtomicMeasure", "BisectionSpec",
-    "Generator", "GridSpec", "MembershipCertificate", "MembershipError",
+    "MEMBERSHIP_TOL", "REFERENCE_GRID", "AtomicMeasure", "Generator",
+    "GridSpec", "MembershipCertificate", "MembershipError",
     "convex_combination", "dilation_generator", "from_starlike",
     "membership_check", "perturb_starlike_delta", "product_form",
     "rotate_generator", "shear_linear", "shear_quadratic",

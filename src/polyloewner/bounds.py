@@ -133,13 +133,11 @@ def _degree2_bound(component: int, alpha: Sequence[int]) -> float:
 # -- Caratheodory coefficients ---------------------------------------------
 
 
-def caratheodory_check(
-    p: MultiJet,
-    tol: float = 1e-6,
-    equality_tol: float = EQUALITY_TOL_CLOSED_FORM,
-    subject: str = "p",
-) -> BoundReport:
-    """|c_k| <= 2 for one-variable functions with positive real part, p(0)=1."""
+def caratheodory_check(p: MultiJet, tol: float = 1e-6, subject: str = "p") -> BoundReport:
+    """|c_k| <= 2 for one-variable functions with positive real part, p(0)=1.
+
+    Rows are flagged as equalities within ``EQUALITY_TOL_CLOSED_FORM``.
+    """
     if p.dim != 1:
         raise JetShapeError(f"Caratheodory check takes one-variable jets, got dim {p.dim}")
     if abs(p.constant_term() - 1.0) > 1e-12:
@@ -148,7 +146,13 @@ def caratheodory_check(
     for k in range(1, p.degree + 1):
         attained = abs(p.coefficient((k,)))
         checks.append(
-            BoundCheck(f"c{k}", bound=2.0, attained=attained, tol=tol, equality_tol=equality_tol)
+            BoundCheck(
+                f"c{k}",
+                bound=2.0,
+                attained=attained,
+                tol=tol,
+                equality_tol=EQUALITY_TOL_CLOSED_FORM,
+            )
         )
     return BoundReport(subject=subject, checks=tuple(checks))
 
@@ -233,20 +237,14 @@ def generator_coeff_report(
 # -- boundary quadratic part -----------------------------------------------
 
 
-def bieberbach_degree2_check(
-    f: JetMap,
-    tol: float = 1e-6,
-    samples: Optional[int] = None,
-    subject: str = "f",
-) -> BoundReport:
+def bieberbach_degree2_check(f: JetMap, tol: float = 1e-6, subject: str = "f") -> BoundReport:
     """Brute-force boundary maximum of the degree-2 homogeneous part.
 
     Samples max_j |sum_{|alpha|=2} A_alpha w^alpha| over the unit polytorus
-    and checks it against 2.
+    (256 angles per axis in dim <= 2, 64 above) and checks it against 2.
     """
     n = f.dim
-    if samples is None:
-        samples = 256 if n <= 2 else 64
+    samples = 256 if n <= 2 else 64
     theta = 2.0 * np.pi * np.arange(samples) / samples
     axes = np.meshgrid(*([theta] * n), indexing="ij")
     w = np.stack([np.exp(1j * ax) for ax in axes], axis=-1).reshape(-1, n)
@@ -308,14 +306,14 @@ def koebe_check(
     evaluator: Callable[[np.ndarray], np.ndarray],
     points: np.ndarray,
     tol: float = 1e-8,
-    equality_tol: float = EQUALITY_TOL_CLOSED_FORM,
     subject: str = "f",
 ) -> BoundReport:
     """Two-sided growth check at sample points inside the polydisc.
 
     The rows record the worst violation (positive = violation) of the
     upper bound sup|f| <= r/(1-r)^2 and the lower bound
-    sup|f| >= r/(1+r)^2, each against bound 0, with witnesses.
+    sup|f| >= r/(1+r)^2, each against bound 0, with witnesses; they are
+    flagged as equalities within ``EQUALITY_TOL_CLOSED_FORM``.
     """
     z = np.asarray(points, dtype=np.complex128)
     if z.ndim == 1:
@@ -339,7 +337,7 @@ def koebe_check(
             bound=0.0,
             attained=float(excess[ku]),
             tol=tol,
-            equality_tol=equality_tol,
+            equality_tol=EQUALITY_TOL_CLOSED_FORM,
             witness=tuple(complex(c) for c in z[ku]),
         ),
         BoundCheck(
@@ -347,7 +345,7 @@ def koebe_check(
             bound=0.0,
             attained=float(deficit[kl]),
             tol=tol,
-            equality_tol=equality_tol,
+            equality_tol=EQUALITY_TOL_CLOSED_FORM,
             witness=tuple(complex(c) for c in z[kl]),
         ),
     )

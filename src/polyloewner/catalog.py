@@ -24,10 +24,8 @@ import numpy as np
 from .bounds import coeff_bound_report
 from .fourier import torus_jet
 from .generators import (
-    REFERENCE_GRID,
     MEMBERSHIP_TOL,
     Generator,
-    GridSpec,
     MembershipCertificate,
     from_starlike,
     membership_check,
@@ -422,9 +420,8 @@ def _build_generator(name: str, dim: int, degree: int):
     return jet, _vectorized(dim, ev), tuple(deps)
 
 
-@lru_cache(maxsize=None)
-def catalog_get(name: str, dim: Optional[int] = None, degree: int = 4) -> NamedMap:
-    """Fetch a catalog entry at ambient dimension ``dim`` (default minimal)."""
+def _entry_key(name: str, dim: Optional[int], degree: int) -> tuple[str, int, int]:
+    """The one cache key of an entry: upper-case name, ambient dim, int degree."""
     key = str(name).upper()
     if key not in _MINIMAL_DIM:
         raise DomainError(f"unknown catalog name {name!r}; know {', '.join(catalog_names())}")
@@ -432,9 +429,24 @@ def catalog_get(name: str, dim: Optional[int] = None, degree: int = 4) -> NamedM
     n = minimal if dim is None else int(dim)
     if n < minimal:
         raise DomainError(f"{key} needs dim >= {minimal}, got {n}")
+    degree = int(degree)
     if degree < 2:
         raise DomainError(f"catalog jets need degree >= 2, got {degree}")
+    return key, n, degree
 
+
+def catalog_get(name: str, dim: Optional[int] = None, degree: int = 4) -> NamedMap:
+    """Fetch a catalog entry at ambient dimension ``dim`` (default minimal).
+
+    Every call form of the same entry (positional or keyword, any letter
+    case, ``dim=None`` or the minimal dimension) shares one cached object.
+    """
+    return _cached_entry(*_entry_key(name, dim, degree))
+
+
+@lru_cache(maxsize=None)
+def _cached_entry(key: str, n: int, degree: int) -> NamedMap:
+    minimal = _MINIMAL_DIM[key]
     if key.startswith("F"):
         jet, evaluator, jac = _build_starlike(key, n, degree)
         entry = NamedMap(
@@ -468,10 +480,17 @@ def catalog_get(name: str, dim: Optional[int] = None, degree: int = 4) -> NamedM
     return entry
 
 
-@lru_cache(maxsize=None)
 def catalog_generator(name: str, dim: Optional[int] = None, degree: int = 4) -> Generator:
-    """Catalog generator wrapped for the evolution engine (trusted member)."""
-    named = catalog_get(name, dim, degree)
+    """Catalog generator wrapped for the evolution engine (trusted member).
+
+    Cached like ``catalog_get``: every call form returns the same object.
+    """
+    return _cached_generator(*_entry_key(name, dim, degree))
+
+
+@lru_cache(maxsize=None)
+def _cached_generator(key: str, n: int, degree: int) -> Generator:
+    named = _cached_entry(key, n, degree)
     if named.role != "generator":
         raise DomainError(f"{named.name} is a starlike map, not a generator")
     return Generator(
@@ -537,10 +556,12 @@ class CatalogReport:
 def verify_catalog(
     degree: int = 4,
     tol: float = 1e-10,
-    grid: GridSpec = REFERENCE_GRID,
     membership_tol: float = MEMBERSHIP_TOL,
 ) -> CatalogReport:
-    """Check every F/H pair: generator identity, membership, coefficient bounds."""
+    """Check every F/H pair: generator identity, membership, coefficient bounds.
+
+    Membership is scanned on ``REFERENCE_GRID`` at ``membership_tol``.
+    """
     checks = []
     for j in range(1, 8):
         fname, hname = f"F{j}", f"H{j}"
@@ -549,7 +570,7 @@ def verify_catalog(
         hmap = catalog_get(hname, n, degree)
         derived = from_starlike(fmap)
         err = map_distance(derived.jet, hmap.jet)
-        cert = membership_check(catalog_generator(hname, n, degree), grid, membership_tol)
+        cert = membership_check(catalog_generator(hname, n, degree), tol=membership_tol)
         breport = coeff_bound_report(fmap.jet, subject=fname)
         checks.append(
             CatalogCheck(

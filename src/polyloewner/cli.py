@@ -25,6 +25,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import (
+    CSV_HEADER,
     BoundReport,
     caratheodory_check,
     coeff_bound_report,
@@ -104,7 +105,6 @@ _VERB_OPTIONS: dict[str, dict[str, tuple]] = {
         "horizon": (float, 12.0),
         "certify_horizon": (float, 15.0),
         "degree": (int, 3),
-        "step": (float, 1e-2),
         "method": (str, "coordinate-ascent"),
     },
     "caratheodory": {
@@ -328,7 +328,7 @@ def _run_limit(config):
     return result.to_json(), True, None
 
 
-def _bounds_subject(config) -> tuple[str, BoundReport, Optional[dict]]:
+def _bounds_subject(config) -> BoundReport:
     from .bounds import EQUALITY_TOL_CLOSED_FORM, EQUALITY_TOL_EVOLVED
 
     chosen = [k for k in ("name", "generator", "field") if config.get(k)]
@@ -340,14 +340,14 @@ def _bounds_subject(config) -> tuple[str, BoundReport, Optional[dict]]:
             _load_json(config["generator"]), default_degree=config["degree"]
         )
         eq = config["equality_tol"] or EQUALITY_TOL_CLOSED_FORM
-        return "generator", generator_coeff_report(gen, tol=config["tol"], equality_tol=eq), None
+        return generator_coeff_report(gen, tol=config["tol"], equality_tol=eq)
 
     if mode == "name":
         entry = catalog_get(config["name"], degree=max(config["degree"], 2))
         jet, evaluator, subject = entry.jet, entry.evaluator, entry.name
         eq = config["equality_tol"] or EQUALITY_TOL_CLOSED_FORM
         if entry.role == "generator":
-            return "generator", generator_coeff_report(jet, tol=config["tol"], equality_tol=eq, subject=subject), None
+            return generator_coeff_report(jet, tol=config["tol"], equality_tol=eq, subject=subject)
     else:
         field = _load_field_for(config, "bounds")
         limit = parametric_limit(
@@ -369,12 +369,11 @@ def _bounds_subject(config) -> tuple[str, BoundReport, Optional[dict]]:
     radii = rng.uniform(0.05, 0.9, size=count)
     points = sample_rays(dirs, [1.0]) * radii[:, None]
     growth = koebe_check(evaluator, points, tol=config["tol"], subject=subject)
-    report = BoundReport(subject=subject, checks=coeff.checks + growth.checks)
-    return "map", report, None
+    return BoundReport(subject=subject, checks=coeff.checks + growth.checks)
 
 
 def _run_bounds(config):
-    _kind, report, _extra = _bounds_subject(config)
+    report = _bounds_subject(config)
     return report.to_json(), report.passed, ("bounds", report.csv_rows())
 
 
@@ -388,7 +387,6 @@ def _run_search(config):
         horizon=config["horizon"],
         certify_horizon=config["certify_horizon"],
         degree=config["degree"],
-        step=config["step"],
     )
     result = maximize(
         space,
@@ -447,7 +445,7 @@ _RUNNERS = {
 }
 
 _CSV_HEADERS = {
-    "bounds": ("subject", "check", "bound", "attained", "margin", "passed", "equality"),
+    "bounds": CSV_HEADER,
     "search": ("evaluation", "value"),
 }
 

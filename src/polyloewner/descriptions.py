@@ -19,11 +19,8 @@ from typing import Union
 from .catalog import catalog_generator, catalog_get
 from .evolution import HerglotzField
 from .generators import (
-    MEMBERSHIP_TOL,
-    REFERENCE_GRID,
     AtomicMeasure,
     Generator,
-    GridSpec,
     convex_combination,
     dilation_generator,
     from_starlike,
@@ -124,10 +121,12 @@ def field_from_json(
     *,
     default_degree: int = 4,
     verify_membership: bool = True,
-    grid: GridSpec = REFERENCE_GRID,
-    tol: float = MEMBERSHIP_TOL,
 ) -> HerglotzField:
-    """Build a piecewise field from a schedule description."""
+    """Build a piecewise field from a schedule description.
+
+    With ``verify_membership``, admissibility is checked as in
+    ``HerglotzField.build``: on ``REFERENCE_GRID`` at ``MEMBERSHIP_TOL``.
+    """
     if isinstance(obj, str):
         obj = json.loads(obj)
     schedule = obj.get("schedule") if isinstance(obj, dict) else obj
@@ -145,9 +144,7 @@ def field_from_json(
             raise DomainError("only the final schedule entry may omit 'until'")
     if len(breaks) == len(gens):
         gens.append(dilation_generator(gens[0].dim, degree=max(default_degree, gens[0].degree)))
-    return HerglotzField.build(
-        gens, breaks, verify_membership=verify_membership, grid=grid, tol=tol
-    )
+    return HerglotzField.build(gens, breaks, verify_membership=verify_membership)
 
 
 def load_generator(path: str, **kwargs) -> Generator:

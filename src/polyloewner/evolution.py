@@ -28,14 +28,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .generators import (
-    MEMBERSHIP_TOL,
-    REFERENCE_GRID,
-    Generator,
-    GridSpec,
-    MembershipError,
-    membership_check,
-)
+from .generators import Generator, MembershipError, membership_check
 from .jets import DomainError, JetMap, Normalization, map_distance
 from .kernels import (
     BasisTables,
@@ -100,14 +93,13 @@ class HerglotzField:
         breakpoints: Sequence[float] = (),
         *,
         verify_membership: bool = True,
-        grid: GridSpec = REFERENCE_GRID,
-        tol: float = MEMBERSHIP_TOL,
     ) -> "HerglotzField":
         """Field from m generators and m-1 increasing breakpoints.
 
         Untrusted generators without a passing certificate get a full
-        membership check here; a failure raises MembershipError so that
-        no evolution ever runs on a non-admissible field.
+        membership check here, on ``REFERENCE_GRID`` at ``MEMBERSHIP_TOL``;
+        a failure raises MembershipError so that no evolution ever runs on
+        a non-admissible field.
         """
         gens = list(generators)
         brk = [float(b) for b in breakpoints]
@@ -128,7 +120,7 @@ class HerglotzField:
                 cert = g.certificate
                 if cert is not None and cert.passed:
                     continue
-                cert = membership_check(g, grid=grid, tol=tol)
+                cert = membership_check(g)
                 if not cert.passed:
                     raise MembershipError(
                         "field rejected: generator fails the admissibility inequality", cert

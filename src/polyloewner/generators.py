@@ -63,7 +63,6 @@ __all__ = [
     "convex_combination",
     "shear_linear",
     "shear_quadratic",
-    "BisectionSpec",
     "perturb_starlike_delta",
 ]
 
@@ -192,7 +191,9 @@ class Generator:
     indices that Re(h_j(z)/z_j) actually depends on; ``None`` means scan
     everything.  ``trusted`` marks membership as guaranteed by the
     construction (catalog formulas, rotations, products, convex sums),
-    which lets the evolution engine skip grid re-checks.
+    which lets the evolution engine skip grid re-checks.  With ``check``,
+    the jet read off the evaluator on the torus of radius 0.4 (32 samples
+    per axis) must match ``jet`` to ``check_tol``.
     """
 
     def __init__(
@@ -207,8 +208,6 @@ class Generator:
         certificate: Optional[MembershipCertificate] = None,
         check: bool = True,
         check_tol: float = 1e-8,
-        check_radius: float = 0.4,
-        check_samples: int = 32,
     ):
         assert_normalization(
             JetMap(jet.components, Normalization.GENERATOR), tol=max(check_tol, 1e-8)
@@ -226,9 +225,7 @@ class Generator:
         self.certificate = certificate
         self._array_cache: dict[int, np.ndarray] = {}
         if check:
-            probe = torus_jet(
-                self.evaluate, self.dim, self.degree, radius=check_radius, samples=check_samples
-            )
+            probe = torus_jet(self.evaluate, self.dim, self.degree, radius=0.4, samples=32)
             err = map_distance(probe, self.jet)
             if err > check_tol:
                 raise DomainError(
@@ -376,13 +373,7 @@ def _polynomial_jacobian_fn(f: JetMap) -> Callable[[np.ndarray], np.ndarray]:
     return jac
 
 
-def from_starlike(
-    f,
-    *,
-    degree: Optional[int] = None,
-    check: bool = True,
-    check_tol: float = 1e-8,
-) -> Generator:
+def from_starlike(f, *, degree: Optional[int] = None, check: bool = True) -> Generator:
     """Generator -Df(z)^{-1} f(z) of a normalized starlike map.
 
     ``f`` is either an object exposing ``jet`` / ``evaluator`` /
@@ -430,7 +421,6 @@ def from_starlike(
         evaluator,
         {"kind": "from-starlike", "source": source},
         check=check,
-        check_tol=check_tol,
     )
 
 
@@ -591,9 +581,7 @@ def convex_combination(parts: Sequence[Generator], weights: Sequence[float]) -> 
 # -- coordinate shears ----------------------------------------------------
 
 
-def _sheared_profile_fn(
-    g: Generator, avg_radius: float = 0.5, avg_samples: int = 64
-) -> Callable[[np.ndarray], np.ndarray]:
+def _sheared_profile_fn(g: Generator) -> Callable[[np.ndarray], np.ndarray]:
     """p(w) = 1 - sum_k c_{(1,k)} w^k as an exact pointwise function.
 
     Averaging h_1(x e^{i t}, w)/(x e^{i t}) over the full circle kills
@@ -601,11 +589,12 @@ def _sheared_profile_fn(
     out), leaving -1 + sum_k c_{(1,k)} w^k; the trapezoid rule on the
     circle evaluates that average to roundoff.
     """
-    ring = avg_radius * np.exp(2j * np.pi * np.arange(avg_samples) / avg_samples)
+    samples = 64
+    ring = 0.5 * np.exp(2j * np.pi * np.arange(samples) / samples)
 
     def profile(w: np.ndarray) -> np.ndarray:
         w = np.asarray(w, dtype=np.complex128)
-        pts = np.empty(w.shape + (avg_samples, 2), dtype=np.complex128)
+        pts = np.empty(w.shape + (samples, 2), dtype=np.complex128)
         pts[..., 0] = ring
         pts[..., 1] = w[..., None]
         vals = g.component(pts, 0) / ring
@@ -619,15 +608,14 @@ def _shear_common(g: Generator) -> None:
         raise DomainError("coordinate shears are defined for dim 2 generators")
 
 
-def shear_linear(
-    g: Generator, grid: GridSpec = REFERENCE_GRID, tol: float = MEMBERSHIP_TOL
-) -> Generator:
+def shear_linear(g: Generator) -> Generator:
     """Replace h_1 by -z_1 (1 - sum_k c_{(1,k)} z_2^k), keep h_2.
 
     The jet extracts the coefficients c_{(1,k)}, k <= degree-1, from g;
     the evaluator realizes the full series by circle averaging, so the
     output is again a generator whenever g is.  The membership scan runs
-    and its certificate is attached.
+    on ``REFERENCE_GRID`` at ``MEMBERSHIP_TOL`` and its certificate is
+    attached.
     """
     _shear_common(g)
     D = g.degree
@@ -659,16 +647,18 @@ def shear_linear(
         trusted=False,
         check=True,
     )
-    cert = membership_check(out, grid, tol)
+    cert = membership_check(out)
     out.certificate = cert
     out.trusted = cert.passed
     return out
 
 
-def shear_quadratic(
-    g: Generator, grid: GridSpec = REFERENCE_GRID, tol: float = MEMBERSHIP_TOL
-) -> Generator:
-    """Replace h_1 by -z_1 + c_{(0,2)} z_2^2, keep h_2; certificate attached."""
+def shear_quadratic(g: Generator) -> Generator:
+    """Replace h_1 by -z_1 + c_{(0,2)} z_2^2, keep h_2.
+
+    The membership scan runs on ``REFERENCE_GRID`` at ``MEMBERSHIP_TOL``
+    and its certificate is attached.
+    """
     _shear_common(g)
     D = g.degree
     c = g.jet.coefficient(0, (0, 2))
@@ -693,7 +683,7 @@ def shear_quadratic(
         trusted=False,
         check=True,
     )
-    cert = membership_check(out, grid, tol)
+    cert = membership_check(out)
     out.certificate = cert
     out.trusted = cert.passed
     return out
@@ -702,30 +692,15 @@ def shear_quadratic(
 # -- perturbation threshold -----------------------------------------------
 
 
-@dataclass(frozen=True)
-class BisectionSpec:
-    """Search control for the largest passing perturbation size."""
-
-    lower: float = 0.0
-    upper: float = 2.0
-    resolution: float = 1e-3
-    grid: GridSpec = REFERENCE_GRID
-    tol: float = MEMBERSHIP_TOL
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.lower < self.upper:
-            raise DomainError("need 0 <= lower < upper")
-        if self.resolution <= 0:
-            raise DomainError("resolution must be positive")
-
-
-def perturb_starlike_delta(P: JetMap, search: BisectionSpec = BisectionSpec()) -> float:
-    """Largest eps (to bisection resolution) with z + eps*P(z) grid-starlike.
+def perturb_starlike_delta(P: JetMap) -> float:
+    """Largest eps in [0, 2], to within 1e-3, with z + eps*P(z) grid-starlike.
 
     ``P`` must vanish to second order at 0 so that the perturbed map stays
     normalized.  Each candidate map is inverted through ``from_starlike``
-    and membership-scanned; bisection maintains a passing lower end and a
-    failing upper end.  If even the upper end passes it is returned as-is.
+    and membership-scanned on ``REFERENCE_GRID`` at ``MEMBERSHIP_TOL``;
+    bisection of the fixed bracket [0, 2] keeps a passing lower end and a
+    failing upper end until they are at most 1e-3 apart.  If even eps = 2
+    passes it is returned as-is.
     """
     n = P.dim
     if np.max(np.abs(P.constant_terms())) > 1e-14 or np.max(np.abs(P.linear_part())) > 1e-14:
@@ -737,18 +712,18 @@ def perturb_starlike_delta(P: JetMap, search: BisectionSpec = BisectionSpec()) -
         fmap = JetMap(comps, Normalization.UNIVALENT)
         g = from_starlike(fmap, check=False)
         try:
-            return membership_check(g, search.grid, search.tol).passed
+            return membership_check(g).passed
         except SingularityError:
             # Df singular inside the scanned region: not even locally
             # univalent there, so certainly not starlike.
             return False
 
-    lo, hi = search.lower, search.upper
+    lo, hi = 0.0, 2.0
     if not passes(lo):
         raise DomainError(f"perturbation fails membership already at eps={lo}")
     if passes(hi):
         return hi
-    while hi - lo > search.resolution:
+    while hi - lo > 1e-3:
         mid = 0.5 * (lo + hi)
         if passes(mid):
             lo = mid

@@ -62,7 +62,6 @@ class SearchSpace:
     horizon: float = 12.0
     certify_horizon: float = 15.0
     degree: int = 3
-    step: float = 1e-2
 
     def __post_init__(self):
         if self.dim < 2:
@@ -83,8 +82,6 @@ class SearchSpace:
             raise DomainError("need 1 < horizon <= certify_horizon")
         if self.degree < 2:
             raise DomainError("jet degree must be at least 2")
-        if self.step <= 0:
-            raise DomainError("step must be positive")
         names = tuple(self.names) or tuple(
             n for n in catalog_names() if n.startswith("H") and minimal_dimension(n) <= self.dim
         )
@@ -222,7 +219,6 @@ def objective(
         decode_field(space, params),
         horizon=space.horizon if horizon is None else horizon,
         degree=space.degree,
-        step=space.step,
     )
     return float(limit.jet.coefficient(0, space.alpha).real)
 
@@ -461,7 +457,6 @@ def maximize(
         decode_field(space, best_params),
         horizon=space.certify_horizon,
         degree=space.degree,
-        step=space.step,
     )
     certified_value = float(certified.jet.coefficient(0, space.alpha).real)
     return SearchResult(
@@ -496,7 +491,6 @@ def bang_bang_probe(
     candidates: Sequence[Union[Generator, tuple[str, Generator]]],
     horizon: float = 15.0,
     degree: int = 3,
-    step: float = 1e-2,
 ) -> tuple[ProbeOutcome, ...]:
     """Rank constant schedules by the coefficient they reach in the limit."""
     alpha = tuple(int(a) for a in alpha)
@@ -508,12 +502,7 @@ def bang_bang_probe(
             gen = item
             prov = gen.provenance or {}
             label = prov.get("name", prov.get("kind", f"candidate-{i}"))
-        limit = parametric_limit(
-            HerglotzField.constant(gen),
-            horizon=horizon,
-            degree=degree,
-            step=step,
-        )
+        limit = parametric_limit(HerglotzField.constant(gen), horizon=horizon, degree=degree)
         rows.append(
             ProbeOutcome(
                 label=str(label),

@@ -119,8 +119,14 @@ def test_catalog_generator_role_check():
 
 
 def test_lookup_is_cached():
-    assert catalog_get("F3") is catalog_get("F3")
-    assert catalog_generator("H1") is catalog_generator("H1")
+    # every call form of one entry shares one cached object
+    for lookup, name in ((catalog_get, "F1"), (catalog_generator, "H1")):
+        first = lookup(name, 2, 4)
+        assert lookup(name, 2, 4) is first
+        assert lookup(name, degree=4) is first
+        assert lookup(name, dim=2, degree=4) is first
+        assert lookup(name) is first
+        assert lookup(name.lower(), None, 4.0) is first
 
 
 def test_margin_dependency_sets():

@@ -300,6 +300,20 @@ class TestBounds:
 
 
 class TestSearchVerb:
+    def test_step_is_not_a_search_option(self, run, capsys, tmp_path):
+        # limits are built from Koenigs maps, so search has no RK4 step to set;
+        # `limit --step` stays (test_limit_at_extreme_horizon)
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--alpha", "1,1", "--step", "0.01"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --step" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("step = 0.01\n")
+        code, out, err = run("search", "--alpha", "1,1", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err.startswith("polyloewner: error:") and "step" in err
+        assert len(err.splitlines()) == 1
+
     def test_small_search_is_sound(self, run_json, tmp_path):
         dest = tmp_path / "trace.csv"
         code, payload, _ = run_json(

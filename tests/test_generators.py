@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from polyloewner import (
     AtomicMeasure,
-    BisectionSpec,
     DomainError,
     Generator,
     GridSpec,
@@ -227,12 +226,6 @@ class TestPerturbation:
         P = JetMap((MultiJet(1, 2, {(1,): 1.0}),), Normalization.GENERAL)
         with pytest.raises(DomainError):
             perturb_starlike_delta(P)
-
-    def test_bisection_spec_validation(self):
-        with pytest.raises(DomainError):
-            BisectionSpec(lower=1.0, upper=0.5)
-        with pytest.raises(DomainError):
-            BisectionSpec(resolution=0.0)
 
 
 class TestFromStarlike:
