@@ -37,6 +37,7 @@ from .fourier import ring_jacobian, torus_coefficients, torus_jet
 from .generators import (
     MEMBERSHIP_TOL,
     REFERENCE_GRID,
+    SHELL_GRID,
     AtomicMeasure,
     Generator,
     GridSpec,
@@ -110,7 +111,7 @@ __all__ = [
     "basis_tables", "default_backend",
     "ring_jacobian", "torus_coefficients", "torus_jet",
     # generators
-    "MEMBERSHIP_TOL", "REFERENCE_GRID", "AtomicMeasure", "Generator",
+    "MEMBERSHIP_TOL", "REFERENCE_GRID", "SHELL_GRID", "AtomicMeasure", "Generator",
     "GridSpec", "MembershipCertificate", "MembershipError",
     "convex_combination", "dilation_generator", "from_starlike",
     "membership_check", "perturb_starlike_delta", "product_form",

@@ -14,6 +14,7 @@ has a breakpoint the pure dilation tail is appended automatically.
 from __future__ import annotations
 
 import json
+import math
 from typing import Union
 
 from .catalog import catalog_generator, catalog_get
@@ -57,6 +58,29 @@ def _require(obj: dict, key: str, kind: str):
     return obj[key]
 
 
+def _int(value, what: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"{what} must be an integer, got {value!r}") from exc
+
+
+def _floats(values, what: str) -> list[float]:
+    """Finite floats from a description list; NaN and infinities are refused."""
+    try:
+        out = [float(v) for v in values]
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{what} must be numbers: {exc}") from exc
+    if not all(math.isfinite(v) for v in out):
+        raise DomainError(f"{what} must be finite, got {out}")
+    return out
+
+
+def _optional_dim(obj: dict):
+    dim = obj.get("dim")
+    return None if dim is None else _int(dim, "'dim'")
+
+
 def _polynomial_map(obj: dict, normalization: Normalization) -> JetMap:
     comps = tuple(jet_from_json(c) for c in _require(obj, "components", "polynomial"))
     return JetMap(comps, normalization)
@@ -66,7 +90,9 @@ def _starlike_source(obj: dict):
     kind = _require(obj, "kind", "from-starlike map")
     if kind == "catalog":
         return catalog_get(
-            _require(obj, "name", kind), dim=obj.get("dim"), degree=int(obj.get("degree", 4))
+            _require(obj, "name", kind),
+            dim=_optional_dim(obj),
+            degree=_int(obj.get("degree", 4), "'degree'"),
         )
     if kind == "polynomial":
         return _polynomial_map(obj, Normalization.UNIVALENT)
@@ -82,19 +108,17 @@ def generator_from_json(obj: Union[dict, str], *, default_degree: int = 4) -> Ge
     if "provenance" in obj and "kind" not in obj:
         obj = obj["provenance"]
     kind = _require(obj, "kind", "generator")
-    degree = int(obj.get("degree", default_degree))
+    degree = _int(obj.get("degree", default_degree), "'degree'")
 
     if kind == "catalog":
-        return catalog_generator(
-            _require(obj, "name", kind), dim=obj.get("dim"), degree=degree
-        )
+        return catalog_generator(_require(obj, "name", kind), dim=_optional_dim(obj), degree=degree)
     if kind == "dilation":
-        return dilation_generator(int(_require(obj, "dim", kind)), degree=degree)
+        return dilation_generator(_int(_require(obj, "dim", kind), "'dim'"), degree=degree)
     if kind == "rotation":
         base = generator_from_json(_require(obj, "base", kind), default_degree=default_degree)
-        return rotate_generator(base, [float(a) for a in _require(obj, "angles", kind)])
+        return rotate_generator(base, _floats(_require(obj, "angles", kind), "rotation angles"))
     if kind == "product-form":
-        selectors = [int(s) for s in _require(obj, "selectors", kind)]
+        selectors = [_int(s, "selectors") for s in _require(obj, "selectors", kind)]
         raw = _require(obj, "measures", kind)
         measures = [None if m is None else AtomicMeasure.from_json(m) for m in raw]
         return product_form(selectors, measures, degree=degree)
@@ -103,7 +127,7 @@ def generator_from_json(obj: Union[dict, str], *, default_degree: int = 4) -> Ge
             generator_from_json(p, default_degree=default_degree)
             for p in _require(obj, "parts", kind)
         ]
-        return convex_combination(parts, [float(w) for w in _require(obj, "weights", kind)])
+        return convex_combination(parts, _floats(_require(obj, "weights", kind), "weights"))
     if kind == "polynomial":
         jet = _polynomial_map(obj, Normalization.GENERATOR)
         return Generator(jet, jet, {"kind": "polynomial", "components": obj["components"]})
@@ -139,7 +163,7 @@ def field_from_json(
             raise DomainError(f"schedule entry {i} must be an object with a 'generator'")
         gens.append(generator_from_json(entry["generator"], default_degree=default_degree))
         if "until" in entry:
-            breaks.append(float(entry["until"]))
+            breaks.extend(_floats([entry["until"]], f"schedule entry {i} 'until'"))
         elif i != len(schedule) - 1:
             raise DomainError("only the final schedule entry may omit 'until'")
     if len(breaks) == len(gens):

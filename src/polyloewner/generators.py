@@ -1,20 +1,37 @@
 """Infinitesimal generators on the unit polydisc and membership testing.
 
 A generator is a holomorphic map h with h(0) = 0, Dh(0) = -identity, and
-Re(h_j(z)/z_j) <= 0 whenever the sup-norm of z is attained at |z_j| > 0.
-Generators here carry both a pointwise evaluator and a truncated jet,
-checked against each other spectrally at construction, plus provenance
-describing how they were built.
+Re(h_j(z)/z_j) <= 0 whenever the sup-norm of z is attained at |z_j| > 0
+(the class M of Graham & Kohr, *Geometric Function Theory in One and
+Higher Dimensions*, 2003).  Generators here carry both a pointwise
+evaluator and a truncated jet, checked against each other spectrally at
+construction, plus provenance describing how they were built.
 
-Membership is certified on a deterministic reference grid: for each
-coordinate j and radius r, the margin Re(h_j(z)/z_j) is scanned over
-points whose j-th coordinate has modulus r and whose other coordinates
-have modulus at most r.  Constructions whose margins provably depend on
-only a few coordinates declare those dependency sets, and the scan then
-meshes only the declared axes (the remaining coordinates are pinned),
-which is an exact reduction, not a heuristic.  A passing certificate
-means no violation was found on the stated grid; a failing one carries a
-concrete witness point.
+Membership is certified by sampling the margin Re(h_j(z)/z_j) on a
+deterministic grid, and for h holomorphic on the closed polydisc
+0.95*D^n one torus is enough, by the maximum principle.  Take z with
+|z_j| = r = ||z||_inf <= 0.95 and put w = (0.95/r) z.  Since h_j(0) = 0,
+mu -> h_j(mu w)/(mu w_j) is holomorphic on the closed unit disc, so its
+real part at mu = r/0.95 is at most its maximum on |mu| = 1.  With z_j
+fixed, Re(h_j/z_j) is pluriharmonic in the other coordinates, so its
+maximum lies where they all have modulus 0.95.  The supremum over every
+sup-norm shell of 0.95*D^n is therefore the supremum over the torus
+0.95*T^n, and ``REFERENCE_GRID`` samples that torus only.
+
+The premise fails for ``from_starlike``: -Df^{-1} f has a pole wherever
+det Df vanishes inside the polydisc, and the torus can miss it (for
+f(z) = z + 2z^3 the pole sits at |z| = 1/sqrt(6) while every torus margin
+is negative).  Generators built by ``from_starlike``, and rotations,
+convex combinations and shears of them, carry ``may_have_poles`` and are
+scanned on ``SHELL_GRID`` instead: ten sup-norm shells from 0.1 to 0.95,
+the other coordinates at moduli 0, r/2 and r.
+
+Constructions whose margins provably depend on only a few coordinates
+declare those dependency sets, and the scan then meshes only the
+declared axes (the remaining coordinates are pinned), which is an exact
+reduction, not a heuristic.  A passing certificate means no violation
+was found on the grid it records; a failing one carries a concrete
+witness point; a margin that is not finite raises ``SingularityError``.
 """
 
 from __future__ import annotations
@@ -50,6 +67,7 @@ from .jets import (
 __all__ = [
     "GridSpec",
     "REFERENCE_GRID",
+    "SHELL_GRID",
     "MEMBERSHIP_TOL",
     "MembershipCertificate",
     "MembershipError",
@@ -76,7 +94,10 @@ class GridSpec:
     ``radii`` are the tested sup-norm levels; the distinguished coordinate
     sweeps ``angle_count`` equispaced angles at each radius, and every
     other scanned coordinate takes moduli ``factor * r`` over the same
-    angles (modulus zero collapses to the single point 0).
+    angles (modulus zero collapses to the single point 0).  The defaults
+    are ``SHELL_GRID``, for evaluators that may have poles inside the
+    polydisc; ``REFERENCE_GRID`` keeps only the torus of radius 0.95,
+    which bounds the margin of every generator holomorphic on 0.95*D^n.
     """
 
     radii: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95)
@@ -101,12 +122,16 @@ class GridSpec:
         }
 
 
-REFERENCE_GRID = GridSpec()
+REFERENCE_GRID = GridSpec(radii=(0.95,), companion_factors=(1.0,))
+SHELL_GRID = GridSpec()
 
 
 @dataclass(frozen=True)
 class MembershipCertificate:
-    """Outcome of a grid membership scan (one-sided: pass = none found)."""
+    """Outcome of a grid membership scan (one-sided: pass = none found).
+
+    ``grid`` is the grid actually scanned.
+    """
 
     passed: bool
     worst_margin: float
@@ -144,6 +169,8 @@ class AtomicMeasure:
         atoms = tuple((float(a), float(w)) for a, w in self.atoms)
         if not atoms:
             raise DomainError("atomic measure needs at least one atom")
+        if not all(math.isfinite(a) and math.isfinite(w) for a, w in atoms):
+            raise DomainError(f"atom angles and weights must be finite, got {atoms}")
         if any(w < 0 for _, w in atoms):
             raise DomainError("atom weights must be nonnegative")
         total = sum(w for _, w in atoms)
@@ -191,9 +218,13 @@ class Generator:
     indices that Re(h_j(z)/z_j) actually depends on; ``None`` means scan
     everything.  ``trusted`` marks membership as guaranteed by the
     construction (catalog formulas, rotations, products, convex sums),
-    which lets the evolution engine skip grid re-checks.  With ``check``,
-    the jet read off the evaluator on the torus of radius 0.4 (32 samples
-    per axis) must match ``jet`` to ``check_tol``.
+    which lets the evolution engine skip grid re-checks.
+    ``may_have_poles`` marks an evaluator not known to be holomorphic on
+    the closed polydisc 0.95*D^n (``from_starlike`` inverts Df, which may
+    vanish inside); ``membership_check`` scans such generators on
+    ``SHELL_GRID`` instead of the torus.  With ``check``, the jet read off
+    the evaluator on the torus of radius 0.4 (32 samples per axis) must
+    match ``jet`` to ``check_tol``.
     """
 
     def __init__(
@@ -205,6 +236,7 @@ class Generator:
         component_fn: Optional[Callable[[np.ndarray, int], np.ndarray]] = None,
         margin_deps: Optional[Sequence[Iterable[int]]] = None,
         trusted: bool = False,
+        may_have_poles: bool = False,
         certificate: Optional[MembershipCertificate] = None,
         check: bool = True,
         check_tol: float = 1e-8,
@@ -222,12 +254,13 @@ class Generator:
                 raise JetShapeError("margin_deps needs one entry per component")
         self.margin_deps = margin_deps
         self.trusted = bool(trusted)
+        self.may_have_poles = bool(may_have_poles)
         self.certificate = certificate
         self._array_cache: dict[int, np.ndarray] = {}
         if check:
             probe = torus_jet(self.evaluate, self.dim, self.degree, radius=0.4, samples=32)
             err = map_distance(probe, self.jet)
-            if err > check_tol:
+            if not err <= check_tol:
                 raise DomainError(
                     f"generator evaluator and jet disagree: coefficient error {err:.3e}"
                 )
@@ -310,9 +343,19 @@ def membership_check(
 ) -> MembershipCertificate:
     """Scan Re(h_j(z)/z_j) over the grid; certify if it stays <= tol.
 
+    The default grid is the torus 0.95*T^n, whose maximum is the maximum
+    over the whole closed polydisc 0.95*D^n when h is holomorphic there
+    (see the module docstring).  A generator with ``may_have_poles`` is
+    scanned on ``SHELL_GRID`` whenever ``REFERENCE_GRID`` is asked for;
+    any other grid is scanned as given.  The certificate records the grid
+    scanned.
+
     The scan is deterministic; the witness is the first grid point (in
-    coordinate, radius, mesh order) attaining the worst margin.
+    coordinate, radius, mesh order) attaining the worst margin.  A margin
+    that is not finite raises ``SingularityError`` naming its point.
     """
+    if g.may_have_poles and grid == REFERENCE_GRID:
+        grid = SHELL_GRID
     n = g.dim
     worst = -math.inf
     wit_point: tuple[complex, ...] = (0j,) * n
@@ -322,6 +365,12 @@ def membership_check(
         for r in grid.radii:
             pts = _membership_mesh(n, j, deps, r, grid)
             margins = np.real(g.component(pts, j) / pts[:, j])
+            finite = np.isfinite(margins)
+            if not finite.all():
+                where = [complex(c) for c in pts[int(np.argmin(finite))]]
+                raise SingularityError(
+                    f"membership margin of component {j} is not finite at z = {where}"
+                )
             k = int(np.argmax(margins))
             m = float(margins[k])
             if m > worst:
@@ -381,7 +430,8 @@ def from_starlike(f, *, degree: Optional[int] = None, check: bool = True) -> Gen
     in which case the jet doubles as a polynomial evaluator and its
     derivative jets as the Jacobian.  The jet of the result comes from the
     order-by-order solve Df * x = f, the evaluator from pointwise linear
-    solves; a singular Jacobian raises ``SingularityError``.
+    solves; a singular Jacobian raises ``SingularityError``.  Df may vanish
+    inside the polydisc, so the result has ``may_have_poles``.
     """
     if isinstance(f, JetMap):
         fjet, fev, fjac = f, None, None
@@ -420,6 +470,7 @@ def from_starlike(f, *, degree: Optional[int] = None, check: bool = True) -> Gen
         hjet,
         evaluator,
         {"kind": "from-starlike", "source": source},
+        may_have_poles=True,
         check=check,
     )
 
@@ -459,6 +510,7 @@ def rotate_generator(g: Generator, angles: Sequence[float]) -> Generator:
         component_fn=component_fn,
         margin_deps=base.margin_deps,
         trusted=base.trusted,
+        may_have_poles=base.may_have_poles,
         check=False,
     )
     out._rotation_base = base  # type: ignore[attr-defined]
@@ -529,7 +581,7 @@ def convex_combination(parts: Sequence[Generator], weights: Sequence[float]) -> 
     w = [float(x) for x in weights]
     if any(x < 0 for x in w):
         raise DomainError("weights must be nonnegative")
-    if abs(sum(w) - 1.0) > 1e-12:
+    if not abs(sum(w) - 1.0) <= 1e-12:
         raise DomainError(f"weights must sum to 1, got {sum(w)!r}")
     n = parts[0].dim
     if any(p.dim != n for p in parts):
@@ -574,6 +626,7 @@ def convex_combination(parts: Sequence[Generator], weights: Sequence[float]) -> 
         component_fn=component_fn,
         margin_deps=margin_deps,
         trusted=all(p.trusted for p in parts),
+        may_have_poles=any(p.may_have_poles for p in parts),
         check=False,
     )
 
@@ -645,6 +698,7 @@ def shear_linear(g: Generator) -> Generator:
         component_fn=component_fn,
         margin_deps=[frozenset({1}), base_deps],
         trusted=False,
+        may_have_poles=g.may_have_poles,
         check=True,
     )
     cert = membership_check(out)
@@ -681,6 +735,7 @@ def shear_quadratic(g: Generator) -> Generator:
         component_fn=component_fn,
         margin_deps=[frozenset({0, 1}), base_deps],
         trusted=False,
+        may_have_poles=g.may_have_poles,
         check=True,
     )
     cert = membership_check(out)
@@ -697,10 +752,11 @@ def perturb_starlike_delta(P: JetMap) -> float:
 
     ``P`` must vanish to second order at 0 so that the perturbed map stays
     normalized.  Each candidate map is inverted through ``from_starlike``
-    and membership-scanned on ``REFERENCE_GRID`` at ``MEMBERSHIP_TOL``;
-    bisection of the fixed bracket [0, 2] keeps a passing lower end and a
-    failing upper end until they are at most 1e-3 apart.  If even eps = 2
-    passes it is returned as-is.
+    and membership-scanned at ``MEMBERSHIP_TOL`` (on ``SHELL_GRID``, since
+    the inverse may have poles); a singular Jacobian or a non-finite
+    margin counts as a failure.  Bisection of the fixed bracket [0, 2]
+    keeps a passing lower end and a failing upper end until they are at
+    most 1e-3 apart.  If even eps = 2 passes it is returned as-is.
     """
     n = P.dim
     if np.max(np.abs(P.constant_terms())) > 1e-14 or np.max(np.abs(P.linear_part())) > 1e-14:
@@ -714,8 +770,9 @@ def perturb_starlike_delta(P: JetMap) -> float:
         try:
             return membership_check(g).passed
         except SingularityError:
-            # Df singular inside the scanned region: not even locally
-            # univalent there, so certainly not starlike.
+            # Df singular inside the scanned region (or a margin blown up
+            # to a non-finite value): not even locally univalent there, so
+            # certainly not starlike.
             return False
 
     lo, hi = 0.0, 2.0

@@ -16,6 +16,7 @@ in ``kernels`` mirror its semantics for the hot evolution loops.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass, field
@@ -535,8 +536,11 @@ def jet_from_json(obj: Mapping) -> MultiJet:
             tuple(int(x) for x in e["alpha"]): complex(float(e["re"]), float(e.get("im", 0.0)))
             for e in entries
         }
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"malformed jet object: {exc}") from exc
+    for alpha, c in coeffs.items():
+        if not cmath.isfinite(c):
+            raise DomainError(f"jet coefficient of {alpha} is not finite: {c}")
     return MultiJet(dim, degree, coeffs)
 
 

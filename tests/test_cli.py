@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import subprocess
 import sys
 
@@ -165,6 +166,17 @@ class TestCheckGenerator:
         assert cert["worst_margin"] > 0
         assert cert["witness_coordinate"] == 0
         assert len(cert["witness_point"]) == 2
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coefficient_is_bad_input(self, run, tmp_path, value):
+        desc = json.loads(json.dumps(VIOLATOR_GEN))
+        desc["components"][0]["coeffs"][1]["re"] = value
+        gen = tmp_path / "gen.json"
+        gen.write_text(json.dumps(desc))  # NaN, Infinity or -Infinity, as Python writes them
+        code, out, err = run("check-generator", "--file", str(gen))
+        assert code == 2 and out == ""
+        assert err.startswith("polyloewner: error:") and "not finite" in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_missing_file_flag(self, run):
         code, _, err = run("check-generator")

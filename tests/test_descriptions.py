@@ -101,6 +101,26 @@ class TestGeneratorDescriptions:
                 {"kind": "from-starlike", "map": {"kind": "dilation", "dim": 2}}
             )
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_numbers_are_refused(self, value):
+        h1 = {"kind": "catalog", "name": "H1"}
+        atom = {"angle": 0.0, "weight": 1.0}
+        bad = [
+            {"kind": "rotation", "angles": [value, 0.0], "base": h1},
+            {"kind": "convex-combination", "weights": [value, 1.0], "parts": [h1, h1]},
+            {"kind": "product-form", "selectors": [0, 1],
+             "measures": [{"atoms": [dict(atom, angle=value)]}, None]},
+            {"kind": "product-form", "selectors": [0, 1],
+             "measures": [{"atoms": [dict(atom, weight=value)]}, None]},
+            {"kind": "catalog", "name": "H1", "degree": value},
+            {"kind": "dilation", "dim": value},
+        ]
+        for obj in bad:
+            with pytest.raises(DomainError):
+                generator_from_json(obj)
+        with pytest.raises(DomainError):
+            field_from_json({"schedule": [{"until": value, "generator": h1}, {"generator": h1}]})
+
 
 class TestFieldDescriptions:
     def test_schedule_with_tail(self):
