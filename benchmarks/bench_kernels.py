@@ -1,7 +1,9 @@
-"""Benchmark the jet engine: truncated-jet composition and RK4 steps.
+"""Benchmark the jet engine: composition, RK4 steps and Koenigs pairs.
 
-Times the two hot paths, one composition and a run of RK4 jet steps, on
-a few representative shapes and prints the best of several repeats.
+Times the hot paths on a few representative shapes and prints the best
+of several repeats: one composition, a run of RK4 jet steps, one series
+solve of a Koenigs pair (K, L), and the pair of a fresh rotation of the
+same generator, which is the cached base pair times the rotation phases.
 Run from the repo root:
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py
@@ -15,6 +17,8 @@ import time
 import numpy as np
 
 from polyloewner.catalog import catalog_generator
+from polyloewner.evolution import _koenigs_pair, _solve_koenigs_pair
+from polyloewner.generators import rotate_generator
 from polyloewner.kernels import basis_tables, compose_arrays, identity_array, rk4_jet_arrays
 
 SHAPES = ((2, 4), (2, 6), (3, 4), (3, 6), (3, 8))
@@ -35,19 +39,29 @@ def main() -> None:
     parser.add_argument("--repeats", type=int, default=5, help="timing repeats, best is kept (default 5)")
     args = parser.parse_args()
 
-    header = f"{'dim':>3} {'deg':>3} {'B':>4} {'pairs':>6} {'compose (us)':>13} {f'rk4 x{args.steps} (ms)':>16}"
+    header = (
+        f"{'dim':>3} {'deg':>3} {'B':>4} {'pairs':>6} {'compose (us)':>13} "
+        f"{f'rk4 x{args.steps} (ms)':>16} {'K,L solve (us)':>15} {'K,L rotate (us)':>16}"
+    )
     print(header)
     print("-" * len(header))
+    angles = np.random.default_rng(0).uniform(0.0, 2.0 * np.pi, size=max(d for d, _ in SHAPES))
     for dim, degree in SHAPES:
         tables = basis_tables(dim, degree)
-        gen = catalog_generator("H1", dim=dim, degree=degree).jet_array(degree)
+        base = catalog_generator("H1", dim=dim, degree=degree)
+        gen = base.jet_array(degree)
         state = identity_array(tables)
         hs = np.full(args.steps, 1e-2)
         compose_us = 1e6 * _best_of(args.repeats, lambda: compose_arrays(gen, state, tables))
         rk4_ms = 1e3 * _best_of(args.repeats, lambda: rk4_jet_arrays(gen, state, hs, tables))
+        solve_us = 1e6 * _best_of(args.repeats, lambda: _solve_koenigs_pair(base, tables))
+        _koenigs_pair(base, tables)  # cache the base pair
+        rotate_us = 1e6 * _best_of(
+            args.repeats, lambda: _koenigs_pair(rotate_generator(base, angles[:dim]), tables)
+        )
         print(
             f"{dim:>3} {degree:>3} {tables.size:>4} {tables.mul_k.size:>6} "
-            f"{compose_us:>13.1f} {rk4_ms:>16.2f}"
+            f"{compose_us:>13.1f} {rk4_ms:>16.2f} {solve_us:>15.1f} {rotate_us:>16.1f}"
         )
 
 

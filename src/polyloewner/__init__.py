@@ -9,6 +9,7 @@ product runs through one sparse numpy engine (``kernels``).
 __version__ = "0.1.0"
 
 from .jets import (
+    MAX_BASIS_SIZE,
     DomainError,
     JetMap,
     JetShapeError,
@@ -16,6 +17,7 @@ from .jets import (
     Normalization,
     SingularityError,
     analytic_jet,
+    check_jet_shape,
     compose,
     identity_map,
     jacobian,
@@ -102,8 +104,8 @@ from .descriptions import field_from_json, generator_from_json, load_field, load
 __all__ = [
     "__version__",
     # jets
-    "DomainError", "JetMap", "JetShapeError", "MultiJet", "Normalization",
-    "SingularityError", "analytic_jet", "compose", "identity_map", "jacobian",
+    "MAX_BASIS_SIZE", "DomainError", "JetMap", "JetShapeError", "MultiJet", "Normalization",
+    "SingularityError", "analytic_jet", "check_jet_shape", "compose", "identity_map", "jacobian",
     "jet_distance", "jet_from_json", "jet_to_json", "map_distance",
     "map_from_json", "map_to_json", "matrix_solve", "minus_identity_map",
     "multiindices", "rotate_map", "series_in_var", "variable_jet",

@@ -38,6 +38,7 @@ from .jets import (
     Normalization,
     analytic_jet,
     assert_normalization,
+    check_jet_shape,
     map_distance,
     series_in_var,
     variable_jet,
@@ -432,6 +433,7 @@ def _entry_key(name: str, dim: Optional[int], degree: int) -> tuple[str, int, in
     degree = int(degree)
     if degree < 2:
         raise DomainError(f"catalog jets need degree >= 2, got {degree}")
+    check_jet_shape(n, degree)
     return key, n, degree
 
 

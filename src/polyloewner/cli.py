@@ -37,7 +37,7 @@ from .catalog import catalog_get, catalog_names, verify_catalog
 from .descriptions import field_from_json, generator_from_json
 from .evolution import IntegrationError, evolve_report, limit_evaluator, parametric_limit
 from .generators import AtomicMeasure, MembershipError, membership_check
-from .jets import DomainError, JetShapeError, SingularityError, map_to_json
+from .jets import DomainError, JetShapeError, SingularityError, check_jet_shape, map_to_json
 from .search import FAMILIES, SearchSpace, maximize
 
 SCHEMA = "polyloewner/1"
@@ -405,6 +405,7 @@ def _run_search(config):
 
 
 def _run_caratheodory(config):
+    check_jet_shape(1, config["degree"])
     if config.get("file"):
         measure = _load_measure_file(config["file"])
     else:

@@ -30,7 +30,7 @@ from .generators import (
     shear_linear,
     shear_quadratic,
 )
-from .jets import DomainError, JetMap, Normalization, jet_from_json
+from .jets import DomainError, JetMap, Normalization, check_jet_shape, jet_from_json
 
 __all__ = [
     "generator_from_json",
@@ -113,12 +113,15 @@ def generator_from_json(obj: Union[dict, str], *, default_degree: int = 4) -> Ge
     if kind == "catalog":
         return catalog_generator(_require(obj, "name", kind), dim=_optional_dim(obj), degree=degree)
     if kind == "dilation":
-        return dilation_generator(_int(_require(obj, "dim", kind), "'dim'"), degree=degree)
+        dim = _int(_require(obj, "dim", kind), "'dim'")
+        check_jet_shape(dim, degree)
+        return dilation_generator(dim, degree=degree)
     if kind == "rotation":
         base = generator_from_json(_require(obj, "base", kind), default_degree=default_degree)
         return rotate_generator(base, _floats(_require(obj, "angles", kind), "rotation angles"))
     if kind == "product-form":
         selectors = [_int(s, "selectors") for s in _require(obj, "selectors", kind)]
+        check_jet_shape(len(selectors), degree)
         raw = _require(obj, "measures", kind)
         measures = [None if m is None else AtomicMeasure.from_json(m) for m in raw]
         return product_form(selectors, measures, degree=degree)

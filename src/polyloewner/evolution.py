@@ -10,7 +10,13 @@ has Dh(0) = -I, so on each constant piece the flow is conjugate to the
 dilation z -> e^-t z through the Koenigs map K of h (DK.h = -K,
 K = z + ...), and e^t phi_{0,t} is a short chain of jet compositions,
 exact in the truncated jet ring.  The RK4 jet path stays as its test
-oracle.
+oracle.  Each generator keeps its pair (K, L) per degree.  Koenigs maps
+are equivariant under torus rotations R: K of R h R^-1 is R K R^-1, so
+the pair of ``rotate_generator(g, angles)`` is g's pair times the phase
+array exp(i(<alpha, angles> - angles_j)), and a whole search over
+rotated catalog generators solves one pair per catalog entry.  Limits
+and their normalization checks stay on (n, B) arrays; a rotation's dict
+jet is never built here, only ``LimitResult.jet`` is.
 
 Step placement: every integration between s and t uses the nodes
 {k * step} intersected with (s, t), plus the field's breakpoints, plus
@@ -29,7 +35,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .generators import Generator, MembershipError, membership_check
-from .jets import DomainError, JetMap, Normalization, map_distance
+from .jets import DomainError, JetMap, Normalization, map_distance, rotation_phases
 from .kernels import (
     BasisTables,
     array_to_map,
@@ -253,13 +259,12 @@ def evolve_jet(
     # a step past RK4's stability limit ends in a non-finite state, rejected below
     with np.errstate(over="ignore", invalid="ignore"):
         state = _evolve_state(field, s, t, identity_array(tables), degree, step)
-    out = array_to_map(state, tables, Normalization.GENERAL)
-    dev = np.max(np.abs(out.linear_part() - math.exp(s - t) * np.eye(field.dim)))
+    dev = np.max(np.abs(state[:, tables.linear] - math.exp(s - t) * np.eye(field.dim)))
     if not (dev <= 1e-6 and np.all(np.isfinite(state))):
         raise IntegrationError(
             f"transition jet lost its linear-part invariant (deviation {dev:.3e})", time=t
         )
-    return out
+    return array_to_map(state, tables, Normalization.GENERAL)
 
 
 def scaled_transition(
@@ -316,6 +321,26 @@ def _rescaled(f: np.ndarray, tables: BasisTables, s: float) -> np.ndarray:
 def _koenigs_pair(gen: Generator, tables: BasisTables) -> tuple[np.ndarray, np.ndarray]:
     """Koenigs map K of a generator and its inverse L, as (n, B) arrays.
 
+    The pair is kept on the generator, one per degree.  A rotation's pair
+    is its base's pair times the rotation phases (K of R h R^-1 is
+    R K R^-1), never a solve of its own, so cold and warm calls agree to
+    the bit.
+    """
+    pair = gen._koenigs_cache.get(tables.degree)
+    if pair is None:
+        if gen.rotation is None:
+            pair = _solve_koenigs_pair(gen, tables)
+        else:
+            base, angles = gen.rotation
+            phases = rotation_phases(tables.alpha_matrix, angles)
+            pair = tuple(f * phases for f in _koenigs_pair(base, tables))
+        gen._koenigs_cache[tables.degree] = pair
+    return pair
+
+
+def _solve_koenigs_pair(gen: Generator, tables: BasisTables) -> tuple[np.ndarray, np.ndarray]:
+    """K and L by series: the solve behind ``_koenigs_pair``.
+
     With h = -z + g, DK.h = -K reads (d-1) K_d = [DK.g]_d on the degree-d
     layer, and [DK.g]_d involves only layers below d: each pass of the
     loop settles one more degree.  The reversion L <- L + z - K o L
@@ -352,9 +377,8 @@ def _scaled_flow(
     start, drift, out = 0.0, 0.0, []
     for end, gen in field.pieces + ((math.inf, field.tail),):
         K, L = _koenigs_pair(gen, tables)
-        drift += float(np.max(np.abs(gen.jet.linear_part() + eye))) * (
-            min(end, times[-1]) - start
-        )
+        linear = gen.jet_array(tables.degree)[:, tables.linear]
+        drift += float(np.max(np.abs(linear + eye))) * (min(end, times[-1]) - start)
         inner = compose_arrays(_rescaled(K, tables, start), psi, tables)
         while pending and pending[0] <= end:
             out.append(compose_arrays(_rescaled(L, tables, pending.pop(0)), inner, tables))
@@ -386,13 +410,13 @@ def parametric_limit(
         raise DomainError("step must be positive")
     tables = basis_tables(field.dim, degree)
     (mid, end), drift = _scaled_flow(field, (horizon - 1.0, horizon), tables)
-    jet = array_to_map(end, tables, Normalization.UNIVALENT)
-    dev = float(np.max(np.abs(jet.linear_part() - np.eye(field.dim)))) + drift
+    dev = float(np.max(np.abs(end[:, tables.linear] - np.eye(field.dim)))) + drift
     if not (dev <= 1e-6 and np.all(np.isfinite(end))):
         raise IntegrationError(
             f"scaled limit lost normalization (deviation {dev:.3e})", time=horizon
         )
     tail = float(np.max(np.abs(end - mid)))
+    jet = array_to_map(end, tables, Normalization.UNIVALENT)
     return LimitResult(jet=jet, tail_bound=tail, horizon=horizon, degree=degree, step=step)
 
 

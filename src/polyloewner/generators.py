@@ -61,6 +61,7 @@ from .jets import (
     matrix_solve,
     minus_identity_map,
     rotate_map,
+    rotation_phases,
     variable_jet,
 )
 
@@ -224,12 +225,23 @@ class Generator:
     vanish inside); ``membership_check`` scans such generators on
     ``SHELL_GRID`` instead of the torus.  With ``check``, the jet read off
     the evaluator on the torus of radius 0.4 (32 samples per axis) must
-    match ``jet`` to ``check_tol``.
+    match ``jet`` to ``check_tol``; where the generator may have poles and
+    they disagree, the evaluator is scanned on ``SHELL_GRID`` first, and a
+    violation found there raises ``MembershipError`` with its witness (a
+    pole just outside radius 0.4 aliases the probe).
+
+    ``rotation`` is (base, angles) for ``rotate_generator(base, angles)``
+    and None otherwise.  A rotation is built without ``jet``: it has the
+    base's shape, its ``jet_array`` is the base's array times the phases
+    of ``rotation_phases``, and its dict ``jet`` is
+    ``rotate_map(base.jet, angles)``, built on first read.  Rotating
+    multiplies the diagonal of Dh(0) by exactly 1 and keeps the modulus
+    of every coefficient, so the base's normalization check covers it.
     """
 
     def __init__(
         self,
-        jet: JetMap,
+        jet: Optional[JetMap],
         evaluator: Callable[[np.ndarray], np.ndarray],
         provenance: dict,
         *,
@@ -240,38 +252,50 @@ class Generator:
         certificate: Optional[MembershipCertificate] = None,
         check: bool = True,
         check_tol: float = 1e-8,
+        rotation: Optional[tuple["Generator", tuple[float, ...]]] = None,
     ):
-        assert_normalization(
-            JetMap(jet.components, Normalization.GENERATOR), tol=max(check_tol, 1e-8)
-        )
-        self.jet = JetMap(jet.components, Normalization.GENERATOR)
+        self.rotation = rotation
+        if rotation is None:
+            assert_normalization(
+                JetMap(jet.components, Normalization.GENERATOR), tol=max(check_tol, 1e-8)
+            )
+            self._jet: Optional[JetMap] = JetMap(jet.components, Normalization.GENERATOR)
+            self.dim, self.degree = jet.dim, jet.degree
+        else:
+            self._jet = None
+            self.dim, self.degree = rotation[0].dim, rotation[0].degree
         self._evaluator = evaluator
         self.provenance = dict(provenance)
         self._component_fn = component_fn
         if margin_deps is not None:
             margin_deps = tuple(frozenset(int(i) for i in d) for d in margin_deps)
-            if len(margin_deps) != self.jet.dim:
+            if len(margin_deps) != self.dim:
                 raise JetShapeError("margin_deps needs one entry per component")
         self.margin_deps = margin_deps
         self.trusted = bool(trusted)
         self.may_have_poles = bool(may_have_poles)
         self.certificate = certificate
         self._array_cache: dict[int, np.ndarray] = {}
+        # Koenigs pairs (K, L) per degree, filled by ``evolution``
+        self._koenigs_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         if check:
             probe = torus_jet(self.evaluate, self.dim, self.degree, radius=0.4, samples=32)
             err = map_distance(probe, self.jet)
             if not err <= check_tol:
-                raise DomainError(
-                    f"generator evaluator and jet disagree: coefficient error {err:.3e}"
-                )
+                message = f"generator evaluator and jet disagree: coefficient error {err:.3e}"
+                if self.may_have_poles:
+                    cert = membership_check(self)
+                    if not cert.passed:
+                        raise MembershipError(f"{message}; the shell scan finds a pole", cert)
+                raise DomainError(message)
 
     @property
-    def dim(self) -> int:
-        return self.jet.dim
-
-    @property
-    def degree(self) -> int:
-        return self.jet.degree
+    def jet(self) -> JetMap:
+        """The truncated jet as a dict ``JetMap``; a rotation builds it here."""
+        if self._jet is None:
+            base, angles = self.rotation
+            self._jet = rotate_map(base.jet, angles)
+        return self._jet
 
     def evaluate(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=np.complex128)
@@ -286,7 +310,12 @@ class Generator:
         return self.evaluate(z)[..., j]
 
     def jet_array(self, degree: int) -> np.ndarray:
-        """Dense (dim, basis) coefficient array at the requested degree."""
+        """Dense (dim, basis) coefficient array at the requested degree.
+
+        A rotation multiplies its base's array by the rotation phases and
+        never reads the dict jet; the result equals ``map_to_array`` of
+        that jet exactly.
+        """
         if degree > self.degree:
             raise JetShapeError(
                 f"generator jet holds degree {self.degree}, cannot serve degree {degree}"
@@ -294,7 +323,11 @@ class Generator:
         arr = self._array_cache.get(degree)
         if arr is None:
             tables = kernels.basis_tables(self.dim, degree)
-            arr = kernels.map_to_array(self.jet.truncated(degree), tables)
+            if self.rotation is None:
+                arr = kernels.map_to_array(self.jet.truncated(degree), tables)
+            else:
+                base, angles = self.rotation
+                arr = base.jet_array(degree) * rotation_phases(tables.alpha_matrix, angles)
             self._array_cache[degree] = arr
         return arr
 
@@ -483,14 +516,21 @@ def rotate_generator(g: Generator, angles: Sequence[float]) -> Generator:
     to a single rotation of the original base with summed angles, so a
     rotation by angles followed by its negation returns the base object
     itself, coefficient-for-coefficient identical.
+
+    The result keeps its base and angles as ``rotation``: its
+    ``jet_array`` is the base's array times the phases, and its dict
+    ``jet`` is built only when read (``to_json``, convex combinations,
+    shears).  Conjugation carries over to the Koenigs map, K of R h R^-1
+    is R K R^-1, so ``evolution`` rotates the base's Koenigs pair the
+    same way instead of solving it again.
     """
     th = np.asarray(angles, dtype=np.float64)
     if th.shape != (g.dim,):
         raise JetShapeError(f"need {g.dim} angles, got shape {th.shape}")
     base = g
-    if g.provenance.get("kind") == "rotation":
-        base = g._rotation_base  # type: ignore[attr-defined]
-        th = th + np.asarray(g._rotation_angles)  # type: ignore[attr-defined]
+    if g.rotation is not None:
+        base = g.rotation[0]
+        th = th + np.asarray(g.rotation[1])
     if not np.any(th):
         return base
 
@@ -503,19 +543,18 @@ def rotate_generator(g: Generator, angles: Sequence[float]) -> Generator:
     def component_fn(z: np.ndarray, j: int) -> np.ndarray:
         return inv_phases[j] * base.component(phases * z, j)
 
-    out = Generator(
-        rotate_map(base.jet, th),
+    angles_out = tuple(float(a) for a in th)
+    return Generator(
+        None,
         evaluator,
-        {"kind": "rotation", "angles": [float(a) for a in th], "base": base.provenance},
+        {"kind": "rotation", "angles": list(angles_out), "base": base.provenance},
         component_fn=component_fn,
         margin_deps=base.margin_deps,
         trusted=base.trusted,
         may_have_poles=base.may_have_poles,
         check=False,
+        rotation=(base, angles_out),
     )
-    out._rotation_base = base  # type: ignore[attr-defined]
-    out._rotation_angles = tuple(float(a) for a in th)  # type: ignore[attr-defined]
-    return out
 
 
 def product_form(

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
@@ -44,6 +45,7 @@ __all__ = [
     "matrix_solve",
     "identity_map",
     "minus_identity_map",
+    "rotation_phases",
     "rotate_map",
     "assert_normalization",
     "jet_distance",
@@ -52,7 +54,13 @@ __all__ = [
     "jet_from_json",
     "map_to_json",
     "map_from_json",
+    "MAX_BASIS_SIZE",
+    "check_jet_shape",
 ]
+
+# Largest jet basis C(dim + degree, dim) accepted from outside: it admits
+# (3, 16) with 969 monomials and (4, 10) with 1001.
+MAX_BASIS_SIZE = 1001
 
 
 class JetShapeError(ValueError):
@@ -75,20 +83,33 @@ def grlex_key(alpha: Sequence[int]) -> tuple:
 def multiindices(dim: int, degree: int) -> list[tuple[int, ...]]:
     """All multi-indices with ``|alpha| <= degree``, graded-lex sorted."""
     out: list[tuple[int, ...]] = []
-
-    def build(prefix: tuple[int, ...], remaining: int, slots: int) -> None:
-        if slots == 0:
-            out.append(prefix)
-            return
-        for a in range(remaining + 1):
-            build(prefix + (a,), remaining - a, slots - 1)
-
     for total in range(degree + 1):
-        start = len(out)
-        build((), total, dim)
-        out[start:] = [a for a in out[start:] if sum(a) == total]
+        # a multi-index of total degree d is a multiset of d variables
+        for combo in itertools.combinations_with_replacement(range(dim), total):
+            alpha = [0] * dim
+            for v in combo:
+                alpha[v] += 1
+            out.append(tuple(alpha))
     out.sort(key=grlex_key)
     return out
+
+
+def check_jet_shape(dim: int, degree: int) -> None:
+    """Refuse a jet shape whose basis has more than ``MAX_BASIS_SIZE`` monomials.
+
+    The basis of (dim, degree) has C(dim + degree, dim) monomials.  The
+    count is built as a product of binomials and stops at the first
+    partial count past the cap, so a huge request costs a few steps.
+    Shapes with dim < 1 or degree < 0 are left to the callers' own checks.
+    """
+    size, big, small = 1, max(dim, degree), min(dim, degree)
+    for k in range(1, small + 1):
+        size = size * (big + k) // k  # C(big + k, k)
+        if size > MAX_BASIS_SIZE:
+            raise JetShapeError(
+                f"jet shape (dim {dim}, degree {degree}) has more than "
+                f"{MAX_BASIS_SIZE} monomials"
+            )
 
 
 def _validate_alpha(alpha: Sequence[int], dim: int, degree: int) -> tuple[int, ...]:
@@ -479,22 +500,40 @@ def matrix_solve(
 # -- rotations ------------------------------------------------------------
 
 
+def rotation_phases(alphas: np.ndarray, angles: Sequence[float]) -> np.ndarray:
+    """Unit phases exp(i*(<alpha, angles> - angles[j])) of a torus rotation.
+
+    ``alphas`` is an (m, n) array of exponents; entry [j, k] of the (n, m)
+    result multiplies the coefficient of z^alphas[k] in component j.  The
+    sum <alpha, angles> runs over the coordinates left to right, so the
+    dict jets here and the arrays of ``kernels`` get the same bits.  The
+    diagonal phase of the linear part, alpha = e_j in component j, is
+    exactly 1.
+    """
+    th = np.asarray(angles, dtype=np.float64)
+    total = np.zeros(len(alphas))
+    for v in range(th.size):
+        total = total + alphas[:, v] * th[v]
+    return np.exp(1j * (total[None, :] - th[:, None]))
+
+
 def rotate_map(f: JetMap, angles: Sequence[float]) -> JetMap:
     """Conjugate by the torus rotation with the given coordinate angles.
 
     Component j of the result is exp(-i*angles[j]) * f_j(exp(i*angles) * z),
     which multiplies the coefficient of z^alpha in component j by
-    exp(i*(<alpha, angles> - angles[j])).  Normalization tags survive.
+    exp(i*(<alpha, angles> - angles[j])) (see ``rotation_phases``).
+    Normalization tags survive.
     """
     th = np.asarray(angles, dtype=np.float64)
     if th.shape != (f.dim,):
         raise JetShapeError(f"need {f.dim} angles, got shape {th.shape}")
     comps = []
     for j, comp in enumerate(f.components):
-        out: dict[tuple[int, ...], complex] = {}
-        for alpha, c in comp.coeffs.items():
-            phase = float(np.dot(alpha, th)) - float(th[j])
-            out[alpha] = c * complex(np.exp(1j * phase))
+        alphas = list(comp.coeffs)
+        exps = np.array(alphas, dtype=np.int64).reshape(len(alphas), f.dim)
+        phases = rotation_phases(exps, th)[j]
+        out = {a: c * complex(p) for a, c, p in zip(alphas, comp.coeffs.values(), phases)}
         comps.append(MultiJet(f.dim, f.degree, out))
     return JetMap(tuple(comps), f.normalization)
 
@@ -538,6 +577,7 @@ def jet_from_json(obj: Mapping) -> MultiJet:
         }
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"malformed jet object: {exc}") from exc
+    check_jet_shape(dim, degree)
     for alpha, c in coeffs.items():
         if not cmath.isfinite(c):
             raise DomainError(f"jet coefficient of {alpha} is not finite: {c}")

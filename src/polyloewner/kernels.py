@@ -21,7 +21,14 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .jets import JetMap, JetShapeError, MultiJet, Normalization, multiindices
+from .jets import (
+    JetMap,
+    JetShapeError,
+    MultiJet,
+    Normalization,
+    check_jet_shape,
+    multiindices,
+)
 
 __all__ = [
     "BasisTables",
@@ -53,6 +60,7 @@ class BasisTables:
     parent: np.ndarray            # monomial recursion: alpha = parent + e_{parent_var}
     parent_var: np.ndarray
     layers: tuple[np.ndarray, ...]  # basis indices grouped by total degree
+    linear: np.ndarray            # (dim,) column of z_j: arr[:, linear] is the linear part
 
     @property
     def size(self) -> int:
@@ -73,20 +81,26 @@ class BasisTables:
 
 @lru_cache(maxsize=None)
 def basis_tables(dim: int, degree: int) -> BasisTables:
+    """Index tables of the (dim, degree) basis, at most ``MAX_BASIS_SIZE`` long."""
     if dim < 1 or degree < 1:
         raise JetShapeError(f"need dim >= 1 and degree >= 1, got ({dim}, {degree})")
+    check_jet_shape(dim, degree)
     alphas = tuple(multiindices(dim, degree))
     index = {a: k for k, a in enumerate(alphas)}
     B = len(alphas)
     alpha_matrix = np.array(alphas, dtype=np.int64)
     degrees = alpha_matrix.sum(axis=1)
 
-    pairs = []
-    for i, a in enumerate(alphas):
-        for j, b in enumerate(alphas):
-            if degrees[i] + degrees[j] <= degree:
-                pairs.append((index[tuple(x + y for x, y in zip(a, b))], i, j))
-    mk, mi, mj = np.array(sorted(pairs), dtype=np.int64).T.copy()
+    # pairs (k, i, j) with basis[i] * basis[j] = basis[k], sorted by k, i, j;
+    # k is found by matching the summed exponent rows against the basis rows
+    mi, mj = np.nonzero(degrees[:, None] + degrees[None, :] <= degree)
+    rows = np.concatenate([alpha_matrix, alpha_matrix[mi] + alpha_matrix[mj]])
+    group = np.unique(rows, axis=0, return_inverse=True)[1].reshape(-1)
+    basis_of_group = np.empty(B, dtype=np.int64)
+    basis_of_group[group[:B]] = np.arange(B)
+    mk = basis_of_group[group[B:]]
+    order = np.lexsort((mj, mi, mk))
+    mk, mi, mj = mk[order], mi[order], mj[order]
 
     parent = np.full(B, -1, dtype=np.int64)
     parent_var = np.zeros(B, dtype=np.int64)
@@ -116,6 +130,7 @@ def basis_tables(dim: int, degree: int) -> BasisTables:
         parent=parent,
         parent_var=parent_var,
         layers=layers,
+        linear=np.array([index[tuple(int(v == j) for v in range(dim))] for j in range(dim)]),
     )
 
 

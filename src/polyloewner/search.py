@@ -25,7 +25,7 @@ import numpy as np
 from .catalog import catalog_generator, catalog_names, minimal_dimension
 from .evolution import HerglotzField, IntegrationError, parametric_limit
 from .generators import AtomicMeasure, Generator, convex_combination, product_form, rotate_generator
-from .jets import DomainError
+from .jets import DomainError, check_jet_shape
 
 __all__ = [
     "FAMILIES",
@@ -66,6 +66,7 @@ class SearchSpace:
     def __post_init__(self):
         if self.dim < 2:
             raise DomainError("search needs dim >= 2")
+        check_jet_shape(self.dim, self.degree)
         alpha = tuple(int(a) for a in self.alpha)
         if len(alpha) != self.dim or any(a < 0 for a in alpha):
             raise DomainError(f"alpha must be {self.dim} nonnegative integers")

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from polyloewner import SHELL_GRID
 from polyloewner.cli import main
 
 VIOLATOR_GEN = {
@@ -178,6 +179,32 @@ class TestCheckGenerator:
         assert err.startswith("polyloewner: error:") and "not finite" in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_pole_behind_the_self_check_fails_with_its_witness(self, run_json, tmp_path):
+        # z + 2z^3 has det Df = 0 at |z_1| = 1/sqrt(6), which aliases the
+        # evaluator/jet probe at radius 0.4; the shell scan finds the pole
+        cubic = {
+            "kind": "polynomial",
+            "components": [
+                {
+                    "dim": 2,
+                    "degree": 3,
+                    "coeffs": [{"alpha": [1, 0], "re": 1.0}, {"alpha": [3, 0], "re": 2.0}],
+                },
+                {"dim": 2, "degree": 3, "coeffs": [{"alpha": [0, 1], "re": 1.0}]},
+            ],
+        }
+        gen = tmp_path / "pole.json"
+        gen.write_text(json.dumps({"kind": "from-starlike", "map": cubic}))
+        code, payload, err = run_json("check-generator", "--file", str(gen))
+        assert code == 1 and err == ""
+        assert payload["passed"] is False and "disagree" in payload["report"]["error"]
+        cert = payload["report"]["certificate"]
+        assert cert["passed"] is False and cert["witness_coordinate"] == 0
+        assert cert["grid"]["radii"] == list(SHELL_GRID.radii)
+        first = cert["witness_point"][0]
+        assert first["re"] == pytest.approx(0.0, abs=1e-12)
+        assert first["im"] == pytest.approx(0.5, abs=1e-12)
+
     def test_missing_file_flag(self, run):
         code, _, err = run("check-generator")
         assert code == 2 and "--file" in err
@@ -309,6 +336,48 @@ class TestBounds:
         assert code == 2 and "exactly one" in err
         code, _, err = run("bounds", "--name", "F1", "--field", field_file)
         assert code == 2
+
+
+class TestJetShapeCap:
+    """Shapes above MAX_BASIS_SIZE monomials exit 2 before any table is built."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("search", "--alpha", "1,1", "--dim", "4", "--degree", "30"),
+            ("search", "--alpha", "1,1", "--dim", "44", "--degree", "2"),
+            ("catalog", "--dump", "F1", "--degree", "50"),
+            ("bounds", "--name", "H1", "--degree", "10000"),
+            ("verify-catalog", "--degree", "50"),
+            ("caratheodory", "--degree", "1001"),
+        ],
+    )
+    def test_flags_above_the_cap(self, run, argv):
+        code, out, err = run(*argv, "--deterministic")
+        assert code == 2 and out == ""
+        assert err.startswith("polyloewner: error:") and "monomials" in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "desc",
+        [
+            {"kind": "dilation", "dim": 4, "degree": 30},
+            {"kind": "catalog", "name": "H1", "degree": 100},
+            {"kind": "product-form", "selectors": [0] * 8, "measures": [None] * 8, "degree": 9},
+            {"kind": "polynomial", "components": [{"dim": 2, "degree": 50, "coeffs": []}] * 2},
+        ],
+    )
+    def test_descriptions_above_the_cap(self, run, tmp_path, desc):
+        gen = tmp_path / "gen.json"
+        gen.write_text(json.dumps(desc))
+        code, out, err = run("check-generator", "--file", str(gen))
+        assert code == 2 and out == ""
+        assert err.startswith("polyloewner: error:") and "monomials" in err
+        assert len(err.splitlines()) == 1
+
+    def test_field_degree_above_the_cap(self, run, field_file):
+        code, out, err = run("limit", "--field", field_file, "--degree", "60")
+        assert code == 2 and out == "" and "monomials" in err
 
 
 class TestSearchVerb:

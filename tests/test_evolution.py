@@ -27,9 +27,13 @@ from polyloewner import (
     map_distance,
     parametric_limit,
     product_form,
+    minimal_dimension,
     rotate_generator,
+    rotate_map,
     scaled_transition,
 )
+from polyloewner.evolution import _koenigs_pair
+from polyloewner.kernels import basis_tables, map_to_array
 
 
 def koebe(z):
@@ -318,6 +322,74 @@ class TestLimit:
         assert payload["step"] == pytest.approx(1e-2)
         assert payload["tail_bound"] == res.tail_bound
         assert "jet" in payload
+
+
+def _unrotated_copy(g):
+    """The same generator as a fresh object: not a rotation, nothing cached."""
+    return Generator(
+        g.jet, g.evaluate, dict(g.provenance), margin_deps=g.margin_deps, trusted=True, check=False
+    )
+
+
+class TestRotatedKoenigsPairs:
+    """A rotation's Koenigs pair is its base's pair times the rotation phases."""
+
+    def _assert_phase_pair_is_the_solved_pair(self, base, rng, degree):
+        tables = basis_tables(base.dim, degree)
+        theta = rng.uniform(0.0, 2.0 * np.pi, size=base.dim)
+        rotated = rotate_generator(base, theta)
+        # an independent solve: a plain generator holding the dict-rotated jet
+        solved = _unrotated_copy(rotated)
+        assert solved.rotation is None and rotated.rotation is not None
+        for derived, direct in zip(_koenigs_pair(rotated, tables), _koenigs_pair(solved, tables)):
+            assert np.max(np.abs(derived - direct)) <= 1e-13 * np.max(np.abs(direct))
+
+    @pytest.mark.parametrize("dim,degree", [(2, 3), (3, 4), (3, 6)])
+    def test_phase_pair_equals_a_direct_solve(self, rng, dim, degree):
+        for k in range(1, 8):
+            name = f"H{k}"
+            if minimal_dimension(name) <= dim:
+                base = catalog_generator(name, dim=dim, degree=degree)
+                self._assert_phase_pair_is_the_solved_pair(base, rng, degree)
+
+    def test_phase_pair_of_a_product_form(self, rng):
+        measures = [
+            AtomicMeasure(((0.4, 0.3), (2.1, 0.7))),
+            AtomicMeasure(((1.3, 0.5), (-0.8, 0.5))),
+            None,
+        ]
+        base = product_form([1, 2, 0], measures, degree=4)
+        self._assert_phase_pair_is_the_solved_pair(base, rng, 4)
+
+    def test_limit_of_a_rotation_is_the_rotated_limit(self, rng):
+        for name, degree in (("H1", 4), ("H4", 4), ("H5", 5), ("H6", 3), ("H7", 4)):
+            base = catalog_generator(name, degree=degree)
+            theta = rng.uniform(0.0, 2.0 * np.pi, size=base.dim)
+            plain = parametric_limit(HerglotzField.constant(base), horizon=8.0, degree=degree)
+            rotated = parametric_limit(
+                HerglotzField.constant(rotate_generator(base, theta)), horizon=8.0, degree=degree
+            )
+            assert map_distance(rotated.jet, rotate_map(plain.jet, theta)) <= 1e-13
+            assert rotated.tail_bound == pytest.approx(plain.tail_bound, rel=1e-9, abs=1e-15)
+
+    def test_cold_and_warm_limits_agree_to_the_bit(self):
+        base = _unrotated_copy(catalog_generator("H2", degree=4))
+        tables = basis_tables(2, 4)
+        pieces = [(0.7, -1.9), (2.3, 0.4), (-0.6, 1.1)]
+
+        def new_field():
+            return HerglotzField.build([rotate_generator(base, th) for th in pieces], [1.2, 3.5])
+
+        def limit_array(field):
+            return map_to_array(parametric_limit(field, horizon=6.0, degree=4).jet, tables)
+
+        field = new_field()
+        assert not base._koenigs_cache
+        cold = limit_array(field)
+        assert set(base._koenigs_cache) == {4}
+        # warm base with fresh rotations, then everything warm
+        assert np.array_equal(cold, limit_array(new_field()))
+        assert np.array_equal(cold, limit_array(field))
 
 
 class TestReport:

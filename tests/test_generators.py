@@ -14,6 +14,7 @@ from polyloewner import (
     GridSpec,
     JetMap,
     JetShapeError,
+    MembershipError,
     MultiJet,
     Normalization,
     REFERENCE_GRID,
@@ -29,9 +30,12 @@ from polyloewner import (
     perturb_starlike_delta,
     product_form,
     rotate_generator,
+    rotate_map,
     shear_linear,
     shear_quadratic,
+    torus_jet,
 )
+from polyloewner.kernels import basis_tables, map_to_array
 from test_acceptance import random_generator, violator
 
 
@@ -46,15 +50,20 @@ def violator_generator():
     return Generator(jet, jet, {"kind": "polynomial"})
 
 
-def cubic_starlike_inverse(dim):
-    """from_starlike of z + 2z^3: the generator has a pole at |z_1| = 1/sqrt(6)."""
+def cubic_starlike_map(dim):
+    """The polynomial map z + 2z^3 in the first coordinate, identity in the rest."""
     def unit(k, power=1):
         return tuple(power * int(i == k) for i in range(dim))
 
     first = MultiJet(dim, 3, {unit(0): 1.0, unit(0, 3): 2.0})
     rest = tuple(MultiJet(dim, 3, {unit(k): 1.0}) for k in range(1, dim))
+    return JetMap((first,) + rest, Normalization.UNIVALENT)
+
+
+def cubic_starlike_inverse(dim):
+    """from_starlike of z + 2z^3: the generator has a pole at |z_1| = 1/sqrt(6)."""
     # the jet check would fail: the pole lies just outside its torus of radius 0.4
-    return from_starlike(JetMap((first,) + rest, Normalization.UNIVALENT), check=False)
+    return from_starlike(cubic_starlike_map(dim), check=False)
 
 
 class TestMembership:
@@ -198,6 +207,20 @@ class TestRotation:
         h1 = catalog_generator("H1")
         assert rotate_generator(h1, (1.0, 2.0)).trusted
 
+    def test_rotated_arrays_and_the_lazy_dict_jet(self, rng):
+        for k in range(1, 8):
+            base = catalog_generator(f"H{k}", degree=4)
+            theta = rng.uniform(0.0, 2.0 * np.pi, size=base.dim)
+            rot = rotate_generator(base, theta)
+            arrays = {d: rot.jet_array(d) for d in range(1, 5)}
+            assert rot._jet is None  # the arrays never read the dict jet
+            assert rot.jet == rotate_map(base.jet, theta)
+            for d, arr in arrays.items():
+                assert np.array_equal(arr, map_to_array(rot.jet.truncated(d), basis_tables(base.dim, d)))
+            # the rotation's own evaluator is the independent oracle of the phases
+            probe = torus_jet(rot.evaluate, base.dim, 4, radius=0.4, samples=32)
+            assert map_distance(probe, rot.jet) <= 1e-8
+
 
 class TestProductForm:
     def test_coefficients_match_direct_herglotz_sums(self):
@@ -326,6 +349,24 @@ class TestFromStarlike:
         )
         g = from_starlike(f)
         assert map_distance(g.jet, catalog_generator("H4").jet) < 1e-12
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_pole_behind_the_self_check_is_a_membership_failure(self, dim):
+        # the pole at |z_1| = 1/sqrt(6) aliases the radius-0.4 probe; the
+        # shell scan run behind the failed probe finds it
+        with pytest.raises(MembershipError, match="disagree") as exc:
+            from_starlike(cubic_starlike_map(dim))
+        cert = exc.value.certificate
+        assert cert.grid == SHELL_GRID and not cert.passed
+        assert cert.witness_point[0] == pytest.approx(0.5j, abs=1e-12)
+
+    def test_failed_self_check_with_a_passing_scan_is_bad_input(self):
+        # an admissible evaluator that is not the jet's: the scan passes, so
+        # the disagreement stays a malformed-input error
+        h4 = catalog_generator("H4")
+        with pytest.raises(DomainError, match="disagree") as exc:
+            Generator(h4.jet, lambda z: -z, {"kind": "test"}, may_have_poles=True)
+        assert not isinstance(exc.value, MembershipError)
 
     def test_rejects_unnormalized_maps(self):
         f = JetMap(

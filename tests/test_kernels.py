@@ -4,11 +4,14 @@ The dict jets (``MultiJet.__mul__``, ``jets.compose``) compute every
 product independently of the pair table, so they are the oracle here.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from polyloewner import (
     JetMap,
+    JetShapeError,
     MultiJet,
     Normalization,
     basis_tables,
@@ -17,6 +20,8 @@ from polyloewner import (
     multiindices,
     variable_jet,
 )
+from polyloewner import kernels
+from polyloewner.jets import MAX_BASIS_SIZE, check_jet_shape
 from polyloewner.kernels import (
     array_to_map,
     compose_arrays,
@@ -68,6 +73,48 @@ def test_pair_table_is_sorted_by_k_and_starts_with_the_unit():
         # only arrays of size O(pairs) or O(B^2): no (B^2, B) product table
         arrays = [v for v in vars(t).values() if isinstance(v, np.ndarray)]
         assert max(a.size for a in arrays) <= max(t.mul_k.size, t.dim * t.size**2)
+
+
+def test_pair_build_matches_the_loop():
+    # the vectorized build against the pair loop it replaced, in the same (k, i, j) order
+    for dim, degree in ((1, 5), (2, 4), (3, 6), (4, 3), (5, 2)):
+        t = basis_tables(dim, degree)
+        pairs = []
+        for i, a in enumerate(t.alphas):
+            for j, b in enumerate(t.alphas):
+                if sum(a) + sum(b) <= degree:
+                    pairs.append((t.index[tuple(x + y for x, y in zip(a, b))], i, j))
+        mk, mi, mj = np.array(sorted(pairs)).T
+        assert np.array_equal(t.mul_k, mk)
+        assert np.array_equal(t.mul_i, mi)
+        assert np.array_equal(t.mul_j, mj)
+        assert [t.alphas[k] for k in t.linear] == [
+            tuple(int(v == j) for v in range(dim)) for j in range(dim)
+        ]
+
+
+def test_basis_cap_is_checked_before_building(monkeypatch):
+    # the cap is C(dim + degree, dim) <= MAX_BASIS_SIZE, and it admits (3, 16) and (4, 10)
+    for dim in range(1, 8):
+        for degree in range(0, 40):
+            over = math.comb(dim + degree, dim) > MAX_BASIS_SIZE
+            if over:
+                with pytest.raises(JetShapeError, match="monomials"):
+                    check_jet_shape(dim, degree)
+            else:
+                check_jet_shape(dim, degree)
+    assert math.comb(19, 3) <= MAX_BASIS_SIZE and math.comb(14, 4) <= MAX_BASIS_SIZE
+
+    def no_build(*args):
+        raise AssertionError("tables were built")
+
+    # the largest dimension the cap admits enumerates without deep recursion
+    assert len(multiindices(1000, 1)) == 1001
+
+    monkeypatch.setattr(kernels, "multiindices", no_build)
+    for dim, degree in ((4, 30), (10**9, 10**9), (1000, 2)):
+        with pytest.raises(JetShapeError, match="monomials"):
+            basis_tables(dim, degree)
 
 
 def test_default_backend_names_the_one_engine():
