@@ -4,6 +4,9 @@ Times the hot paths on a few representative shapes and prints the best
 of several repeats: one composition, a run of RK4 jet steps, one series
 solve of a Koenigs pair (K, L), and the pair of a fresh rotation of the
 same generator, which is the cached base pair times the rotation phases.
+Then, for a rotated constant field and a 2-piece rotated field (pairs
+cached), ``parametric_limit`` at horizon 12 against the exact T = inf
+limit that a search objective reads.
 Run from the repo root:
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py
@@ -12,12 +15,19 @@ Run from the repo root:
 from __future__ import annotations
 
 import argparse
+import math
 import time
 
 import numpy as np
 
 from polyloewner.catalog import catalog_generator
-from polyloewner.evolution import _koenigs_pair, _solve_koenigs_pair
+from polyloewner.evolution import (
+    HerglotzField,
+    _koenigs_pair,
+    _scaled_flow,
+    _solve_koenigs_pair,
+    parametric_limit,
+)
 from polyloewner.generators import rotate_generator
 from polyloewner.kernels import basis_tables, compose_arrays, identity_array, rk4_jet_arrays
 
@@ -41,7 +51,8 @@ def main() -> None:
 
     header = (
         f"{'dim':>3} {'deg':>3} {'B':>4} {'pairs':>6} {'compose (us)':>13} "
-        f"{f'rk4 x{args.steps} (ms)':>16} {'K,L solve (us)':>15} {'K,L rotate (us)':>16}"
+        f"{f'rk4 x{args.steps} (ms)':>16} {'K,L solve (us)':>15} {'K,L rotate (us)':>16} "
+        f"{'1pc T=12 (us)':>14} {'1pc T=inf (us)':>15} {'2pc T=12 (us)':>14} {'2pc T=inf (us)':>15}"
     )
     print(header)
     print("-" * len(header))
@@ -59,9 +70,24 @@ def main() -> None:
         rotate_us = 1e6 * _best_of(
             args.repeats, lambda: _koenigs_pair(rotate_generator(base, angles[:dim]), tables)
         )
+        limits_us = []
+        for field in (
+            HerglotzField.constant(rotate_generator(base, angles[:dim])),
+            HerglotzField.build(
+                [rotate_generator(base, angles[:dim]), rotate_generator(base, angles[::-1][:dim])],
+                [4.0],
+            ),
+        ):
+            _scaled_flow(field, (math.inf,), tables, 12.0)  # cache the rotations' pairs
+            for limit in (
+                lambda: parametric_limit(field, horizon=12.0, degree=degree),
+                lambda: _scaled_flow(field, (math.inf,), tables, 12.0),
+            ):
+                limits_us.append(1e6 * _best_of(args.repeats, limit))
         print(
             f"{dim:>3} {degree:>3} {tables.size:>4} {tables.mul_k.size:>6} "
-            f"{compose_us:>13.1f} {rk4_ms:>16.2f} {solve_us:>15.1f} {rotate_us:>16.1f}"
+            f"{compose_us:>13.1f} {rk4_ms:>16.2f} {solve_us:>15.1f} {rotate_us:>16.1f} "
+            + " ".join(f"{us:>{w}.1f}" for us, w in zip(limits_us, (14, 15, 14, 15)))
         )
 
 

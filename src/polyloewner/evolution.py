@@ -9,14 +9,16 @@ Limit jets (``parametric_limit``) need no integration.  Every generator
 has Dh(0) = -I, so on each constant piece the flow is conjugate to the
 dilation z -> e^-t z through the Koenigs map K of h (DK.h = -K,
 K = z + ...), and e^t phi_{0,t} is a short chain of jet compositions,
-exact in the truncated jet ring.  The RK4 jet path stays as its test
-oracle.  Each generator keeps its pair (K, L) per degree.  Koenigs maps
-are equivariant under torus rotations R: K of R h R^-1 is R K R^-1, so
-the pair of ``rotate_generator(g, angles)`` is g's pair times the phase
-array exp(i(<alpha, angles> - angles_j)), and a whole search over
-rotated catalog generators solves one pair per catalog entry.  Limits
-and their normalization checks stay on (n, B) arrays; a rotation's dict
-jet is never built here, only ``LimitResult.jet`` is.
+exact in the truncated jet ring.  The limit itself, T = inf, is the
+same chain up to the tail's K (``search.objective`` reads it).  The RK4
+jet path stays as the test oracle.  Each generator keeps its pair
+(K, L) per degree.  Koenigs maps are equivariant under torus rotations
+R: K of R h R^-1 is R K R^-1, so the pair of ``rotate_generator(g,
+angles)`` is g's pair times the phase array exp(i(<alpha, angles> -
+angles_j)), and a whole search over rotated catalog generators solves
+one pair per catalog entry.  Limits and their normalization checks stay
+on (n, B) arrays; a rotation's dict jet is never built here, only
+``LimitResult.jet`` is.
 
 Step placement: every integration between s and t uses the nodes
 {k * step} intersected with (s, t), plus the field's breakpoints, plus
@@ -61,6 +63,8 @@ __all__ = [
 
 # tolerated uphill drift of the sup-norm before flagging divergence
 _NORM_SLACK = 1e-9
+# RK4 steps one integration may take; past it the node list alone would exhaust memory
+_MAX_STEPS = 10**6
 
 
 class IntegrationError(RuntimeError):
@@ -166,8 +170,14 @@ class HerglotzField:
 
 
 def _step_times(s: float, t: float, step: float, breakpoints: Sequence[float]) -> np.ndarray:
-    if step <= 0:
-        raise DomainError("step must be positive")
+    if not 0.0 < step < math.inf:
+        raise DomainError("step must be positive and finite")
+    if not (math.isfinite(s) and math.isfinite(t)):
+        raise DomainError(f"evolution times must be finite, got s={s}, t={t}")
+    if (t - s) / step > _MAX_STEPS:
+        raise DomainError(
+            f"evolving from {s} to {t} at step {step} takes more than {_MAX_STEPS} steps"
+        )
     if t < s:
         raise DomainError("backward evolution is not defined (need t >= s)")
     if t == s:
@@ -334,6 +344,8 @@ def _koenigs_pair(gen: Generator, tables: BasisTables) -> tuple[np.ndarray, np.n
             base, angles = gen.rotation
             phases = rotation_phases(tables.alpha_matrix, angles)
             pair = tuple(f * phases for f in _koenigs_pair(base, tables))
+        for f in pair:
+            f.flags.writeable = False
         gen._koenigs_cache[tables.degree] = pair
     return pair
 
@@ -362,31 +374,50 @@ def _solve_koenigs_pair(gen: Generator, tables: BasisTables) -> tuple[np.ndarray
 
 
 def _scaled_flow(
-    field: HerglotzField, times: Sequence[float], tables: BasisTables
-) -> tuple[list[np.ndarray], float]:
+    field: HerglotzField, times: Sequence[float], tables: BasisTables, drift_until: float
+) -> list[np.ndarray]:
     """Psi_t = e^t phi_{0,t} at increasing times, piece by piece.
 
     On a piece [a, b) driven by h, phi_{a,t} = L(e^-(t-a) K), hence
-    Psi_t = L^[t] o K^[a] o Psi_a.  Also returns the sum over pieces of
-    |Dh(0) + I| times the time each acts before the last requested time:
-    the first-order linear drift that taking Dh(0) = -I leaves out.
+    Psi_t = L^[t] o K^[a] o Psi_a.  The first piece starts from the
+    identity, so its inner map is K itself, with no composition.  A time
+    of ``math.inf`` asks for the limit lim e^t phi_{0,t}: L^[t] tends to
+    the identity, so it is the tail piece's K_tail^[T_last] o Psi_T_last,
+    exact in the truncated jet ring (L^[inf] is never formed, since its
+    rescaling would read 0 * inf).  The returned arrays may be a
+    generator's cached K: read them, never write to them.
+
+    Raises IntegrationError when the last jet lost its normalization:
+    its linear part is off I, or the first-order linear drift that
+    taking Dh(0) = -I leaves out, the sum over pieces of |Dh(0) + I|
+    times the time each acts before the finite ``drift_until``, exceeds
+    1e-6, or a coefficient is not finite.
     """
     pending = list(times)
     eye = np.eye(field.dim)
-    psi = identity_array(tables)
+    psi: Optional[np.ndarray] = None  # None is the identity
     start, drift, out = 0.0, 0.0, []
     for end, gen in field.pieces + ((math.inf, field.tail),):
         K, L = _koenigs_pair(gen, tables)
         linear = gen.jet_array(tables.degree)[:, tables.linear]
-        drift += float(np.max(np.abs(linear + eye))) * (min(end, times[-1]) - start)
-        inner = compose_arrays(_rescaled(K, tables, start), psi, tables)
+        drift += float(np.max(np.abs(linear + eye))) * max(0.0, min(end, drift_until) - start)
+        inner = K if psi is None else compose_arrays(_rescaled(K, tables, start), psi, tables)
         while pending and pending[0] <= end:
-            out.append(compose_arrays(_rescaled(L, tables, pending.pop(0)), inner, tables))
+            t = pending.pop(0)
+            out.append(
+                inner if t == math.inf else compose_arrays(_rescaled(L, tables, t), inner, tables)
+            )
         if not pending:
             break
         psi = compose_arrays(_rescaled(L, tables, end), inner, tables)
         start = end
-    return out, drift
+    last = out[-1]
+    dev = float(np.max(np.abs(last[:, tables.linear] - eye))) + drift
+    if not (dev <= 1e-6 and np.all(np.isfinite(last))):
+        raise IntegrationError(
+            f"scaled limit lost normalization (deviation {dev:.3e})", time=drift_until
+        )
+    return out
 
 
 def parametric_limit(
@@ -409,12 +440,7 @@ def parametric_limit(
     if not 0.0 < step < math.inf:
         raise DomainError("step must be positive")
     tables = basis_tables(field.dim, degree)
-    (mid, end), drift = _scaled_flow(field, (horizon - 1.0, horizon), tables)
-    dev = float(np.max(np.abs(end[:, tables.linear] - np.eye(field.dim)))) + drift
-    if not (dev <= 1e-6 and np.all(np.isfinite(end))):
-        raise IntegrationError(
-            f"scaled limit lost normalization (deviation {dev:.3e})", time=horizon
-        )
+    mid, end = _scaled_flow(field, (horizon - 1.0, horizon), tables, horizon)
     tail = float(np.max(np.abs(end - mid)))
     jet = array_to_map(end, tables, Normalization.UNIVALENT)
     return LimitResult(jet=jet, tail_bound=tail, horizon=horizon, degree=degree, step=step)

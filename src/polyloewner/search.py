@@ -7,6 +7,13 @@ parameter values (catalog rotations, product forms, convex combinations),
 so every objective evaluation is a certified lower bound for the
 coefficient maximum over the whole class.
 
+The objective is the exact T = inf limit lim e^T phi_{0,T}, read from
+the Koenigs chain of the schedule, so ``best_value`` carries no horizon
+error.  ``horizon`` only bounds where breakpoints may fall and the window
+of the linear-drift check; ``certified_value`` re-evaluates the best
+field with ``parametric_limit`` at ``certify_horizon``, a finite-horizon
+cross-check whose ``certified_tail`` is its tail estimate.
+
 The optimizer is deterministic for a fixed seed: a canonical sweep over
 catalog entries first, then seeded random restarts refined by coordinate
 ascent with shrinking steps, optionally finished by a Nelder-Mead polish
@@ -23,9 +30,10 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .catalog import catalog_generator, catalog_names, minimal_dimension
-from .evolution import HerglotzField, IntegrationError, parametric_limit
+from .evolution import HerglotzField, IntegrationError, _scaled_flow, parametric_limit
 from .generators import AtomicMeasure, Generator, convex_combination, product_form, rotate_generator
 from .jets import DomainError, check_jet_shape
+from .kernels import basis_tables
 
 __all__ = [
     "FAMILIES",
@@ -50,7 +58,14 @@ Params = tuple[tuple[int, ...], tuple[float, ...]]
 
 @dataclass(frozen=True)
 class SearchSpace:
-    """What to optimize: target coefficient, field family, schedule shape."""
+    """What to optimize: target coefficient, field family, schedule shape.
+
+    ``horizon`` bounds the breakpoints and the window of the objective's
+    linear-drift check; the objective itself is the T = inf limit.
+    ``certify_horizon`` is where ``maximize`` cross-checks its best field
+    with ``parametric_limit``.  Both must be finite, 1 < horizon <=
+    certify_horizon.
+    """
 
     dim: int
     alpha: tuple[int, ...]
@@ -79,6 +94,9 @@ class SearchSpace:
             raise DomainError("need at least one schedule piece")
         if self.atoms < 1 or self.combo_size < 1:
             raise DomainError("atoms and combo_size must be positive")
+        for name in ("horizon", "certify_horizon"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         if not (1.0 < self.horizon <= self.certify_horizon):
             raise DomainError("need 1 < horizon <= certify_horizon")
         if self.degree < 2:
@@ -215,13 +233,20 @@ def objective(
     params: Params,
     horizon: Optional[float] = None,
 ) -> float:
-    """Re A_alpha of component 1 of the limit map for this schedule."""
-    limit = parametric_limit(
-        decode_field(space, params),
-        horizon=space.horizon if horizon is None else horizon,
-        degree=space.degree,
-    )
-    return float(limit.jet.coefficient(0, space.alpha).real)
+    """Re A_alpha of component 1 of the limit map lim e^T phi_{0,T}, T = inf.
+
+    The limit is exact: the Koenigs chain of the schedule up to its tail
+    generator, with no horizon.  ``horizon`` (default ``space.horizon``)
+    is only the window of the linear-drift normalization check, which
+    fails with IntegrationError as ``parametric_limit`` does at that
+    horizon; it must be finite and exceed 1.
+    """
+    horizon = space.horizon if horizon is None else horizon
+    if not (math.isfinite(horizon) and horizon > 1.0):
+        raise DomainError(f"horizon must be finite and exceed 1, got {horizon}")
+    tables = basis_tables(space.dim, space.degree)
+    (end,) = _scaled_flow(decode_field(space, params), (math.inf,), tables, horizon)
+    return float(end[0, tables.index[space.alpha]].real)
 
 
 # -- optimizer ----------------------------------------------------------------
@@ -325,6 +350,7 @@ def maximize(
     rng = np.random.default_rng(seed)
     cache: dict[Params, float] = {}
     evals = 0
+    last_error: Optional[Exception] = None
     best_val = -math.inf
     best_params: Optional[Params] = None
     best_key: Optional[tuple] = None
@@ -345,7 +371,7 @@ def maximize(
             history.append((evals, best_val))
 
     def run(params: Params) -> float:
-        nonlocal evals
+        nonlocal evals, last_error
         if params in cache:
             return cache[params]
         if evals >= budget:
@@ -353,8 +379,9 @@ def maximize(
         evals += 1
         try:
             val = objective(space, params)
-        except (DomainError, IntegrationError):
+        except (DomainError, IntegrationError) as exc:
             val = -math.inf
+            last_error = exc
         cache[params] = val
         consider(params, val)
         return val
@@ -453,7 +480,8 @@ def maximize(
         pass
 
     if best_params is None:
-        raise DomainError("budget too small: no parameter vector was evaluated")
+        # only a failed evaluation leaves best_params unset
+        raise DomainError(f"all {evals} evaluations failed, the last with: {last_error}")
     certified = parametric_limit(
         decode_field(space, best_params),
         horizon=space.certify_horizon,

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from polyloewner import SHELL_GRID
+from polyloewner import SHELL_GRID, search
 from polyloewner.cli import main
 
 VIOLATOR_GEN = {
@@ -393,6 +393,27 @@ class TestSearchVerb:
         code, out, err = run("search", "--alpha", "1,1", "--config", str(cfg))
         assert code == 2 and out == ""
         assert err.startswith("polyloewner: error:") and "step" in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "horizons,named",
+        [
+            (("inf", "inf"), "horizon"),
+            (("12", "inf"), "certify_horizon"),
+            (("nan", "15"), "horizon"),
+        ],
+    )
+    def test_non_finite_horizons_exit_before_the_search(self, run, monkeypatch, horizons, named):
+        def never(*args, **kwargs):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(search, "objective", never)
+        code, out, err = run(
+            "search", "--alpha", "1,1", "--budget", "5",
+            f"--horizon={horizons[0]}", f"--certify-horizon={horizons[1]}",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith(f"polyloewner: error: {named} must be finite")
         assert len(err.splitlines()) == 1
 
     def test_small_search_is_sound(self, run_json, tmp_path):

@@ -32,8 +32,9 @@ from polyloewner import (
     rotate_map,
     scaled_transition,
 )
-from polyloewner.evolution import _koenigs_pair
-from polyloewner.kernels import basis_tables, map_to_array
+from polyloewner import evolution
+from polyloewner.evolution import _koenigs_pair, _rescaled
+from polyloewner.kernels import basis_tables, compose_arrays, identity_array, map_to_array
 
 
 def koebe(z):
@@ -129,12 +130,23 @@ class TestPointFlow:
         out = evolve_point(field, 0.0, 0.7, z)
         assert out.shape == (2,)
 
-    def test_point_validation(self):
+    def test_point_validation(self, monkeypatch):
         field = HerglotzField.constant(catalog_generator("H1"))
         with pytest.raises(DomainError):
             evolve_point(field, 0.0, 1.0, np.array([1.0 + 0j, 0.0]))
         with pytest.raises(DomainError):
             evolve_point(field, 0.0, 1.0, np.array([0.1, 0.2, 0.3], dtype=complex))
+        # non-finite times and steps, and more steps than the cap (lowered
+        # here to 50, so a missing check costs 100 steps, not the memory a
+        # node list of 10^300 would take), are refused before any step
+        monkeypatch.setattr(evolution, "_MAX_STEPS", 50)
+        z = np.array([0.1, 0.2], dtype=complex)
+        for t, step in ((math.inf, 0.1), (math.nan, 0.1), (1.0, math.nan), (0.0, math.inf),
+                        (1.0, 0.01)):
+            with pytest.raises(DomainError):
+                evolve_point(field, 0.0, t, z, step=step)
+            with pytest.raises(DomainError):
+                evolve_jet(field, 0.0, t, degree=2, step=step)
 
     def test_diverging_flow_raises(self):
         field = HerglotzField.constant(expander_generator(), verify_membership=False)
@@ -287,6 +299,29 @@ class TestLimit:
         for breaks in ([1.3, horizon - 0.4], [horizon - 0.6], [2.0, horizon + 1.5]):
             gens = [rotated(name) for name in ("H2", "H4", "H1")[: len(breaks) + 1]]
             check(HerglotzField.build(gens, breaks), 4)
+
+    def test_first_piece_skips_the_identity_composition(self, rng):
+        # the first piece's inner map is K itself; composing it with the
+        # identity, as the chain reads, changes no bit
+        tables = basis_tables(2, 4)
+        ident = identity_array(tables)
+        T = 6.0
+        gens = [
+            rotate_generator(catalog_generator(name), rng.uniform(0.0, 2.0 * np.pi, size=2))
+            for name in ("H2", "H4")
+        ]
+        for pieces, breaks in ((gens[:1], []), (gens, [1.7])):
+            field = HerglotzField.build(pieces, breaks)
+            got = map_to_array(parametric_limit(field, horizon=T, degree=4).jet, tables)
+            K, L = _koenigs_pair(pieces[0], tables)
+            psi = compose_arrays(K, ident, tables)
+            assert np.array_equal(psi, K)
+            for b, gen in zip(breaks, pieces[1:]):
+                psi = compose_arrays(_rescaled(L, tables, b), psi, tables)
+                K, L = _koenigs_pair(gen, tables)
+                psi = compose_arrays(_rescaled(K, tables, b), psi, tables)
+            want = compose_arrays(_rescaled(L, tables, T), psi, tables)
+            assert np.array_equal(got, want)
 
     def test_long_horizon_reaches_the_koenigs_map(self):
         # e^T is far outside float range; the limit is the starlike map itself

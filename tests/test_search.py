@@ -6,16 +6,21 @@ import numpy as np
 import pytest
 
 from polyloewner import (
+    FAMILIES,
     DomainError,
     HerglotzField,
+    IntegrationError,
     SearchSpace,
     bang_bang_probe,
     catalog_generator,
     decode_field,
     maximize,
     objective,
+    parametric_limit,
     rotate_generator,
 )
+from polyloewner import search
+from polyloewner.search import _canonical_params, _sample_params
 
 
 class TestSpace:
@@ -44,6 +49,15 @@ class TestSpace:
             SearchSpace(dim=2, alpha=(1, 1), horizon=20.0, certify_horizon=15.0)
         with pytest.raises(DomainError):
             SearchSpace(dim=2, alpha=(0, 4), degree=3)
+
+    @pytest.mark.parametrize("field", ["horizon", "certify_horizon"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_horizons_are_named(self, field, value):
+        kwargs = {"horizon": 12.0, "certify_horizon": 15.0, field: value}
+        if field == "horizon" and value == math.inf:
+            kwargs["certify_horizon"] = math.inf
+        with pytest.raises(DomainError, match=f"^{field} must be finite"):
+            SearchSpace(dim=2, alpha=(1, 1), **kwargs)
 
 
 class TestDecode:
@@ -84,7 +98,50 @@ class TestDecode:
         assert field.dim == 2
 
 
+class TestExactObjective:
+    """The objective is the T = inf limit, read from the Koenigs chain."""
+
+    @pytest.mark.parametrize("pieces", [1, 2, 3])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_matches_the_limit_at_a_long_horizon(self, rng, family, pieces):
+        # at T = 40 the scaled flow is within e^-40 of its limit
+        spaces = [SearchSpace(dim=2, alpha=(1, 1), family=family, pieces=pieces)]
+        if family == "catalog-rotation":
+            spaces.append(SearchSpace(dim=3, alpha=(0, 1, 1), pieces=pieces))
+        for space in spaces:
+            for _ in range(3):
+                params = _sample_params(space, rng)
+                field = decode_field(space, params)
+                limit = parametric_limit(field, horizon=40.0, degree=space.degree)
+                want = limit.jet.coefficient(0, space.alpha).real
+                assert abs(objective(space, params) - want) <= 1e-12
+
+    @pytest.mark.parametrize("horizon", [0.5, 1.0, math.nan, math.inf, -math.inf])
+    def test_horizon_must_be_finite_and_exceed_one(self, horizon):
+        space = SearchSpace(dim=2, alpha=(1, 1))
+        with pytest.raises(DomainError):
+            objective(space, _canonical_params(space)[0], horizon=horizon)
+
+
 class TestMaximize:
+    @pytest.mark.parametrize(
+        "alpha,dim,bound",
+        [((2, 0), 2, 2.0), ((1, 1), 2, 2.0), ((0, 2), 2, 1.0), ((0, 1, 1), 3, 1.0)],
+    )
+    def test_criterion_9_reaches_the_sharp_constants_exactly(self, alpha, dim, bound):
+        res = maximize(SearchSpace(dim=dim, alpha=alpha), budget=500, seed=0)
+        assert abs(res.best_value - bound) <= 1e-12
+        # the finite-horizon cross-check sits below the limit, within its tail
+        assert 0.0 <= res.best_value - res.certified_value <= res.certified_tail
+
+    def test_all_failed_evaluations_are_counted(self, monkeypatch):
+        def failing(space, params, horizon=None):
+            raise IntegrationError("scaled limit lost normalization")
+
+        monkeypatch.setattr(search, "objective", failing)
+        with pytest.raises(DomainError, match="^all 5 evaluations failed.*normalization"):
+            maximize(SearchSpace(dim=2, alpha=(1, 1)), budget=5)
+
     def test_rotation_search_is_sound_and_reaches_known_value(self):
         space = SearchSpace(
             dim=2, alpha=(1, 1), horizon=8.0, certify_horizon=10.0, degree=3
