@@ -6,7 +6,10 @@ solve of a Koenigs pair (K, L), and the pair of a fresh rotation of the
 same generator, which is the cached base pair times the rotation phases.
 Then, for a rotated constant field and a 2-piece rotated field (pairs
 cached), ``parametric_limit`` at horizon 12 against the exact T = inf
-limit that a search objective reads.
+limit that a search objective reads.  Last, per shape, the torus check of
+the ``Generator`` constructor on H1: the full-FFT oracle (one exp per mesh
+point, ``np.fft.fftn``, dict jets and ``map_distance``) against the array
+route ``fourier.torus_error`` (points from a cached ring, truncated DFT).
 Run from the repo root:
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py
@@ -28,10 +31,13 @@ from polyloewner.evolution import (
     _solve_koenigs_pair,
     parametric_limit,
 )
+from polyloewner.fourier import torus_error, torus_grid
 from polyloewner.generators import rotate_generator
+from polyloewner.jets import JetMap, MultiJet, map_distance, multiindices
 from polyloewner.kernels import basis_tables, compose_arrays, identity_array, rk4_jet_arrays
 
 SHAPES = ((2, 4), (2, 6), (3, 4), (3, 6), (3, 8))
+TORUS_SHAPES = ((2, 4), (3, 6), (3, 8), (2, 16))
 
 
 def _best_of(repeats: int, fn) -> float:
@@ -41,6 +47,22 @@ def _best_of(repeats: int, fn) -> float:
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def _fft_torus_check(gen, radius: float, samples: int) -> float:
+    """The oracle route: coefficients by the full FFT, compared as dict jets."""
+    dim, degree = gen.dim, gen.degree
+    theta = 2.0 * np.pi * np.arange(samples) / samples
+    axes = np.meshgrid(*([theta] * dim), indexing="ij")
+    pts = np.stack([radius * np.exp(1j * ax) for ax in axes], axis=-1)
+    vals = gen.evaluate(pts.reshape(-1, dim)).reshape(pts.shape)
+    hat = np.fft.fftn(vals, axes=tuple(range(dim))) / samples**dim
+    coeffs = [{} for _ in range(dim)]
+    for alpha in multiindices(dim, degree):
+        for i, c in enumerate(hat[alpha] / radius ** sum(alpha)):
+            coeffs[i][alpha] = complex(c)
+    probe = JetMap(tuple(MultiJet(dim, degree, c) for c in coeffs), gen.jet.normalization)
+    return map_distance(probe, gen.jet)
 
 
 def main() -> None:
@@ -89,6 +111,19 @@ def main() -> None:
             f"{compose_us:>13.1f} {rk4_ms:>16.2f} {solve_us:>15.1f} {rotate_us:>16.1f} "
             + " ".join(f"{us:>{w}.1f}" for us, w in zip(limits_us, (14, 15, 14, 15)))
         )
+
+    header = f"{'dim':>3} {'deg':>3} {'radius':>6} {'N':>4} {'FFT oracle (ms)':>16} {'array route (ms)':>17}"
+    print()
+    print(header)
+    print("-" * len(header))
+    for dim, degree in TORUS_SHAPES:
+        tables = basis_tables(dim, degree)
+        gen = catalog_generator("H1", dim=dim, degree=degree)
+        arr = gen.jet_array(degree)
+        radius, samples = torus_grid(degree)
+        fft_ms = 1e3 * _best_of(args.repeats, lambda: _fft_torus_check(gen, radius, samples))
+        array_ms = 1e3 * _best_of(args.repeats, lambda: torus_error(gen.evaluate, arr, tables))
+        print(f"{dim:>3} {degree:>3} {radius:>6} {samples:>4} {fft_ms:>16.2f} {array_ms:>17.2f}")
 
 
 if __name__ == "__main__":

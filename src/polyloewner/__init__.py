@@ -35,7 +35,7 @@ from .jets import (
     variable_jet,
 )
 from .kernels import basis_tables, default_backend
-from .fourier import ring_jacobian, torus_coefficients, torus_jet
+from .fourier import ring_jacobian, torus_array, torus_coefficients, torus_grid, torus_jet
 from .generators import (
     MEMBERSHIP_TOL,
     REFERENCE_GRID,
@@ -111,7 +111,7 @@ __all__ = [
     "multiindices", "rotate_map", "series_in_var", "variable_jet",
     # kernels / fourier
     "basis_tables", "default_backend",
-    "ring_jacobian", "torus_coefficients", "torus_jet",
+    "ring_jacobian", "torus_array", "torus_coefficients", "torus_grid", "torus_jet",
     # generators
     "MEMBERSHIP_TOL", "REFERENCE_GRID", "SHELL_GRID", "AtomicMeasure", "Generator",
     "GridSpec", "MembershipCertificate", "MembershipError",

@@ -7,7 +7,8 @@ closed-form evaluator (with the rational forms falling back to the jet
 within 1e-6 of their polar sets), a closed-form Jacobian for the maps,
 and, for the generators, the coordinate dependency sets of their
 membership margins.  Entries are consistency-checked (evaluator against
-jet, spectrally, at 1e-10) once per (name, dim, degree) and cached.
+jet on the torus of ``fourier.torus_grid``, at 1e-10) once per
+(name, dim, degree) and cached.
 
 F/H pairs extend to larger dimensions by appending identity (maps) or
 negated-identity (generators) coordinates.
@@ -21,8 +22,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import kernels
 from .bounds import coeff_bound_report
-from .fourier import torus_jet
+from .fourier import torus_error
 from .generators import (
     MEMBERSHIP_TOL,
     Generator,
@@ -39,7 +41,6 @@ from .jets import (
     analytic_jet,
     assert_normalization,
     check_jet_shape,
-    map_distance,
     series_in_var,
     variable_jet,
 )
@@ -476,8 +477,9 @@ def _cached_entry(key: str, n: int, degree: int) -> NamedMap:
         )
         assert_normalization(jet, tol=1e-12)
 
-    err = map_distance(torus_jet(entry.evaluator, n, degree), entry.jet)
-    if err > 1e-10:
+    tables = kernels.basis_tables(n, degree)
+    err = torus_error(entry.evaluator, kernels.map_to_array(entry.jet, tables), tables)
+    if not err <= 1e-10:
         raise DomainError(f"catalog entry {key} failed its consistency check: {err:.3e}")
     return entry
 
@@ -569,10 +571,10 @@ def verify_catalog(
         fname, hname = f"F{j}", f"H{j}"
         n = _MINIMAL_DIM[fname]
         fmap = catalog_get(fname, n, degree)
-        hmap = catalog_get(hname, n, degree)
+        hgen = catalog_generator(hname, n, degree)
         derived = from_starlike(fmap)
-        err = map_distance(derived.jet, hmap.jet)
-        cert = membership_check(catalog_generator(hname, n, degree), tol=membership_tol)
+        err = float(np.max(np.abs(derived.jet_array(degree) - hgen.jet_array(degree))))
+        cert = membership_check(hgen, tol=membership_tol)
         breport = coeff_bound_report(fmap.jet, subject=fname)
         checks.append(
             CatalogCheck(

@@ -86,13 +86,18 @@ def _polynomial_map(obj: dict, normalization: Normalization) -> JetMap:
     return JetMap(comps, normalization)
 
 
-def _starlike_source(obj: dict):
+def _starlike_source(obj: dict, degree: int):
+    """The map of a from-starlike description.
+
+    A catalog map without its own ``degree`` is built at the generator's
+    degree (at least 2, the catalog's least), so its jet is not cut short.
+    """
     kind = _require(obj, "kind", "from-starlike map")
     if kind == "catalog":
         return catalog_get(
             _require(obj, "name", kind),
             dim=_optional_dim(obj),
-            degree=_int(obj.get("degree", 4), "'degree'"),
+            degree=_int(obj.get("degree", max(degree, 2)), "'degree'"),
         )
     if kind == "polynomial":
         return _polynomial_map(obj, Normalization.UNIVALENT)
@@ -135,7 +140,9 @@ def generator_from_json(obj: Union[dict, str], *, default_degree: int = 4) -> Ge
         jet = _polynomial_map(obj, Normalization.GENERATOR)
         return Generator(jet, jet, {"kind": "polynomial", "components": obj["components"]})
     if kind == "from-starlike":
-        return from_starlike(_starlike_source(_require(obj, "map", kind)), degree=degree)
+        source = _starlike_source(_require(obj, "map", kind), degree)
+        check_jet_shape(source.dim, degree)
+        return from_starlike(source, degree=degree)
     if kind in ("shear-linear", "shear-quadratic"):
         base = generator_from_json(_require(obj, "base", kind), default_degree=default_degree)
         fn = shear_linear if kind == "shear-linear" else shear_quadratic

@@ -43,7 +43,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from . import kernels
-from .fourier import ring_jacobian, torus_jet
+from .fourier import ring_jacobian, torus_error
 from .jets import (
     DomainError,
     JetMap,
@@ -56,7 +56,6 @@ from .jets import (
     constant_jet,
     identity_map,
     jacobian,
-    map_distance,
     map_to_json,
     matrix_solve,
     minus_identity_map,
@@ -223,12 +222,15 @@ class Generator:
     ``may_have_poles`` marks an evaluator not known to be holomorphic on
     the closed polydisc 0.95*D^n (``from_starlike`` inverts Df, which may
     vanish inside); ``membership_check`` scans such generators on
-    ``SHELL_GRID`` instead of the torus.  With ``check``, the jet read off
-    the evaluator on the torus of radius 0.4 (32 samples per axis) must
-    match ``jet`` to ``check_tol``; where the generator may have poles and
+    ``SHELL_GRID`` instead of the torus.  With ``check``, the coefficients
+    read off the evaluator on a torus (``fourier.torus_array``) must match
+    ``jet_array(degree)`` to ``check_tol``.  The torus follows the degree
+    (``fourier.torus_grid``): radius 0.4 with 32 samples per axis up to
+    degree 12, 0.6 with 64 up to 16, 0.8 with 160 up to 43, and higher
+    degrees raise ``DomainError``.  Where the generator may have poles and
     they disagree, the evaluator is scanned on ``SHELL_GRID`` first, and a
     violation found there raises ``MembershipError`` with its witness (a
-    pole just outside radius 0.4 aliases the probe).
+    pole just outside the torus radius aliases the probe).
 
     ``rotation`` is (base, angles) for ``rotate_generator(base, angles)``
     and None otherwise.  A rotation is built without ``jet``: it has the
@@ -279,8 +281,8 @@ class Generator:
         # Koenigs pairs (K, L) per degree, filled by ``evolution``
         self._koenigs_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         if check:
-            probe = torus_jet(self.evaluate, self.dim, self.degree, radius=0.4, samples=32)
-            err = map_distance(probe, self.jet)
+            tables = kernels.basis_tables(self.dim, self.degree)
+            err = torus_error(self.evaluate, self.jet_array(self.degree), tables)
             if not err <= check_tol:
                 message = f"generator evaluator and jet disagree: coefficient error {err:.3e}"
                 if self.may_have_poles:
@@ -324,7 +326,7 @@ class Generator:
         if arr is None:
             tables = kernels.basis_tables(self.dim, degree)
             if self.rotation is None:
-                arr = kernels.map_to_array(self.jet.truncated(degree), tables)
+                arr = kernels.map_to_array(self.jet, tables)  # drops terms above degree
             else:
                 base, angles = self.rotation
                 arr = base.jet_array(degree) * rotation_phases(tables.alpha_matrix, angles)

@@ -5,6 +5,8 @@ import pytest
 
 from polyloewner import (
     DomainError,
+    JetMap,
+    MultiJet,
     catalog_generator,
     catalog_get,
     catalog_names,
@@ -14,6 +16,7 @@ from polyloewner import (
     ring_jacobian,
     verify_catalog,
 )
+from polyloewner import catalog
 
 PAIRS = [(f"F{j}", f"H{j}") for j in range(1, 8)]
 
@@ -142,3 +145,42 @@ def test_margin_dependency_sets():
     for name, deps in expected.items():
         g = catalog_generator(name)
         assert tuple(set(d) for d in g.margin_deps) == deps
+
+
+HIGH_DEGREE_SHAPES = [(2, d) for d in (13, 14, 15, 16, 17, 24, 32, 43)] + [
+    (3, d) for d in (13, 14, 15, 16)
+]
+
+
+@pytest.mark.parametrize("dim,degree", HIGH_DEGREE_SHAPES)
+def test_every_entry_passes_its_check_at_high_degrees(dim, degree):
+    # degrees past 12 once failed the check (17) or were refused (32 and up)
+    names = [n for n in catalog_names() if minimal_dimension(n) == dim]
+    for name in names:
+        entry = catalog_get(name, dim, degree)
+        assert (entry.dim, entry.degree) == (dim, degree)
+
+
+def _moved_top_coefficient(jet: JetMap, by: complex) -> JetMap:
+    """``jet`` with the coefficient of z_0**degree in component 0 moved by ``by``."""
+    comp = jet.components[0]
+    top = (comp.degree,) + (0,) * (comp.dim - 1)
+    coeffs = dict(comp.coeffs)
+    coeffs[top] = coeffs.get(top, 0j) + by
+    return JetMap((MultiJet(comp.dim, comp.degree, coeffs),) + jet.components[1:], jet.normalization)
+
+
+@pytest.mark.parametrize("dim,degree", [(2, 4), (3, 8), (2, 20)])
+@pytest.mark.parametrize("name", ["F2", "H4"])
+def test_check_catches_a_top_coefficient_moved_by_1e_8(monkeypatch, name, dim, degree):
+    build = catalog._build_starlike if name[0] == "F" else catalog._build_generator
+    build_entry = catalog._cached_entry.__wrapped__  # uncached, so every call checks
+    assert build_entry(name, dim, degree).degree == degree
+
+    def moved(*args):
+        jet, *rest = build(*args)
+        return (_moved_top_coefficient(jet, 1e-8), *rest)
+
+    monkeypatch.setattr(catalog, build.__name__, moved)
+    with pytest.raises(DomainError, match="consistency check"):
+        build_entry(name, dim, degree)

@@ -5,7 +5,10 @@ Drives ``cli.main`` in-process over ``search``, ``limit``, ``evolve`` and
 and certify horizons drawn from extreme values (0, -1, 0.5, NaN, +-inf,
 1e300) and ordinary ones.  Ordinary values are kept small (times <= 8,
 steps >= 0.05) so that every run is quick; the extreme ones must be
-refused or handled without a traceback.
+refused or handled without a traceback.  ``catalog --dump``, ``bounds
+--name`` and ``check-generator`` run at the edge degrees: below the
+catalog's least degree (-1, 0, 1) and at it (2), at each step of the
+torus grids (12, 13, 17, 43, 44), and far past the basis cap (10**9).
 """
 
 import contextlib
@@ -81,6 +84,20 @@ def _run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _assert_contract(argv):
+    code, out, err = _run(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in out + err, argv
+    if code == 2:
+        assert out == "", argv
+        assert err.startswith("polyloewner: error:") and len(err.splitlines()) == 1, (argv, err)
+    else:
+        assert err == "", (argv, err)
+        envelope = json.loads(out)
+        assert envelope["command"] == argv[0] and envelope["passed"] is (code == 0), argv
+    return code
+
+
 @settings(
     max_examples=400,
     deadline=None,
@@ -95,14 +112,42 @@ def _run(argv):
 @example(argv=["evolve", "--field", FIELD, "--t=0.5", "--step=nan", "--degree", "2"])
 @example(argv=["evolve", "--field", FIELD, "--t=0.0", "--step=inf", "--degree", "2"])
 def test_every_input_gets_an_envelope_or_one_error_line(field_file, argv):
-    argv = [field_file if a == FIELD else a for a in argv]
-    code, out, err = _run(argv)
-    assert code in (0, 1, 2), argv
-    assert "Traceback" not in out + err, argv
-    if code == 2:
-        assert out == "", argv
-        assert err.startswith("polyloewner: error:") and len(err.splitlines()) == 1, (argv, err)
-    else:
-        assert err == "", (argv, err)
-        envelope = json.loads(out)
-        assert envelope["command"] == argv[0] and envelope["passed"] is (code == 0), argv
+    _assert_contract([field_file if a == FIELD else a for a in argv])
+
+
+GENERATORS = {
+    "product-form": {
+        "kind": "product-form",
+        "selectors": [1, 0],
+        "measures": [{"atoms": [{"angle": 0.3, "weight": 0.6}, {"angle": 2.0, "weight": 0.4}]}, None],
+    },
+    "from-starlike": {"kind": "from-starlike", "map": {"kind": "catalog", "name": "F1"}},
+    "rotation": {"kind": "rotation", "angles": [0.4, -1.0], "base": {"kind": "catalog", "name": "H4"}},
+}
+
+
+@pytest.fixture(scope="module")
+def generator_files(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("generators")
+    paths = []
+    for kind, desc in GENERATORS.items():
+        path = folder / f"{kind}.json"
+        path.write_text(json.dumps(desc))
+        paths.append(str(path))
+    return paths
+
+
+@pytest.mark.parametrize("degree", [-1, 0, 1, 2, 12, 13, 17, 32, 43, 44, 10**9])
+def test_catalog_and_generator_verbs_at_every_edge_degree(generator_files, degree):
+    # degree 17 once failed the catalog's torus check, 32..43 were refused,
+    # and a from-starlike description at 10**9 ran without end
+    argvs = [["catalog", "--dump", name] for name in ("F1", "H3", "F7", "H6")]
+    argvs += [["bounds", "--name", name] for name in ("F2", "H7")]
+    argvs += [["check-generator", "--file", path] for path in generator_files]
+    codes = [_assert_contract(argv + ["--degree", str(degree)]) for argv in argvs]
+    if 2 <= degree <= 12:
+        assert codes == [0] * len(argvs)
+    if degree in (13, 17, 32, 43):
+        # every dim-2 call passes; dim 3 stops at the basis cap past degree 16
+        dim3 = 2 if degree > 16 else 0
+        assert codes == [0, 0, dim3, dim3, 0, dim3, 0, 0, 0]

@@ -82,6 +82,13 @@ class TestGeneratorDescriptions:
             {"kind": "from-starlike", "map": {"kind": "catalog", "name": "F1"}}
         )
         assert map_distance(s.jet, catalog_generator("H1").jet) <= 1e-10
+        # the catalog map follows the generator's degree (it once stayed at 4,
+        # and the zero-padded jet failed the torus check at degree 8)
+        s8 = generator_from_json(
+            {"kind": "from-starlike", "map": {"kind": "catalog", "name": "F1"}}, default_degree=8
+        )
+        assert s8.degree == 8
+        assert map_distance(s8.jet, catalog_generator("H1", degree=8).jet) <= 1e-10
 
     def test_json_text_accepted(self):
         g = generator_from_json(json.dumps({"kind": "catalog", "name": "H1"}))

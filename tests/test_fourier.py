@@ -7,10 +7,15 @@ from polyloewner import (
     DomainError,
     MultiJet,
     Normalization,
+    basis_tables,
     catalog_get,
+    catalog_names,
     map_distance,
+    minimal_dimension,
     ring_jacobian,
+    torus_array,
     torus_coefficients,
+    torus_grid,
     torus_jet,
 )
 
@@ -62,3 +67,48 @@ def test_ring_jacobian_single_point():
     got = ring_jacobian(koebe_pair, z)
     assert got.shape == (2, 2)
     assert got[1, 1] == pytest.approx(1.0, abs=1e-10)
+
+
+def fft_torus_array(evaluator, tables, radius, samples):
+    """The oracle: full ``np.fft.fftn`` over the mesh, one exp per point."""
+    dim = tables.dim
+    theta = 2.0 * np.pi * np.arange(samples) / samples
+    axes = np.meshgrid(*([theta] * dim), indexing="ij")
+    pts = np.stack([radius * np.exp(1j * ax) for ax in axes], axis=-1)
+    vals = np.asarray(evaluator(pts.reshape(-1, dim))).reshape(pts.shape)
+    hat = np.fft.fftn(vals, axes=tuple(range(dim))) / samples**dim
+    out = np.empty((dim, tables.size), dtype=np.complex128)
+    for k, alpha in enumerate(tables.alphas):
+        out[:, k] = hat[alpha] / radius ** sum(alpha)
+    return out
+
+
+@pytest.mark.parametrize("dim,degree", [(2, 4), (3, 6), (2, 16), (3, 12)])
+def test_array_route_matches_the_fft_oracle(dim, degree):
+    tables = basis_tables(dim, degree)
+    radius, samples = torus_grid(degree)
+    names = [n for n in catalog_names() if minimal_dimension(n) <= dim]
+    assert len(names) == (10 if dim == 2 else 14)
+    for name in names:
+        evaluator = catalog_get(name, dim, degree).evaluator
+        got = torus_array(evaluator, tables)
+        want = fft_torus_array(evaluator, tables, radius, samples)
+        assert np.max(np.abs(got - want)) < 2e-11, name
+
+
+def test_torus_grid_follows_the_degree():
+    assert [torus_grid(d) for d in (0, 12)] == [(0.4, 32)] * 2
+    assert [torus_grid(d) for d in (13, 16)] == [(0.6, 64)] * 2
+    assert [torus_grid(d) for d in (17, 43)] == [(0.8, 160)] * 2
+    with pytest.raises(DomainError, match="up to 43"):
+        torus_grid(44)
+    # degree 44 fits the basis cap only in dim 1, where the check refuses it
+    with pytest.raises(DomainError, match="up to 43"):
+        torus_array(lambda z: z, basis_tables(1, 44))
+
+
+def test_torus_array_matches_explicit_grid_arguments():
+    tables = basis_tables(2, 5)
+    default = torus_array(koebe_pair, tables)
+    assert np.array_equal(default, torus_array(koebe_pair, tables, radius=0.4, samples=32))
+    assert np.max(np.abs(default[0, tables.index[(5, 0)]] - 5.0)) < 1e-9

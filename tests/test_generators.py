@@ -392,6 +392,25 @@ class TestGeneratorObject:
         with pytest.raises(DomainError):
             Generator(h4.jet, wrong, {"kind": "test"}, check=True)
 
+    @pytest.mark.parametrize("dim,degree", [(2, 4), (3, 8), (2, 20)])
+    def test_check_catches_a_product_form_jet_moved_by_1e_6(self, dim, degree):
+        measures = [
+            AtomicMeasure(((0.3, 0.6), (2.0, 0.4))),
+            AtomicMeasure(((-1.1, 1.0),)),
+            None,
+        ][:dim]
+        base = product_form([(k + 1) % dim for k in range(dim)], measures, degree=degree)
+        jet = base.jet
+        comp = jet.components[0]
+        top = (1, degree - 1) + (0,) * (dim - 2)
+        assert comp.coefficient(top) != 0
+        coeffs = dict(comp.coeffs)
+        coeffs[top] += 1e-6
+        moved = JetMap((MultiJet(dim, degree, coeffs),) + jet.components[1:], jet.normalization)
+        Generator(jet, base.evaluate, {"kind": "test"}, check=True)
+        with pytest.raises(DomainError, match="disagree"):
+            Generator(moved, base.evaluate, {"kind": "test"}, check=True)
+
     def test_jet_array_degree_cap(self):
         h4 = catalog_generator("H4", degree=3)
         with pytest.raises(JetShapeError):
