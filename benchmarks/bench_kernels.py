@@ -1,12 +1,15 @@
 """Benchmark the jet engine: composition, RK4 steps and Koenigs pairs.
 
 Times the hot paths on a few representative shapes and prints the best
-of several repeats: one composition, a run of RK4 jet steps, one series
+of several repeats, with the bytes of index arrays the shape's monomial
+layers hold: one composition, a run of RK4 jet steps, one series
 solve of a Koenigs pair (K, L), and the pair of a fresh rotation of the
 same generator, which is the cached base pair times the rotation phases.
 Then, for a rotated constant field and a 2-piece rotated field (pairs
 cached), ``parametric_limit`` at horizon 12 against the exact T = inf
-limit that a search objective reads.  Last, per shape, the torus check of
+limit that a search objective reads.  Then one Koenigs solve of H1 at
+(4, 10), the largest dim-4 shape the basis cap admits.  Last, per shape,
+the torus check of
 the ``Generator`` constructor on H1: the full-FFT oracle (one exp per mesh
 point, ``np.fft.fftn``, dict jets and ``map_distance``) against the array
 route ``fourier.torus_error`` (points from a cached ring, truncated DFT).
@@ -37,6 +40,7 @@ from polyloewner.jets import JetMap, MultiJet, map_distance, multiindices
 from polyloewner.kernels import basis_tables, compose_arrays, identity_array, rk4_jet_arrays
 
 SHAPES = ((2, 4), (2, 6), (3, 4), (3, 6), (3, 8))
+LARGE_SHAPE = (4, 10)
 TORUS_SHAPES = ((2, 4), (3, 6), (3, 8), (2, 16))
 
 
@@ -47,6 +51,14 @@ def _best_of(repeats: int, fn) -> float:
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def _layer_kb(tables) -> float:
+    """Kilobytes of the index arrays in the shape's monomial layer tables."""
+    layers = tables.monomial_layers
+    arrays = [a for layer in layers for a in layer if isinstance(a, np.ndarray)]
+    arrays += [a for layer in layers for block in layer.blocks for a in block[2:]]
+    return sum(a.nbytes for a in arrays) / 1024
 
 
 def _fft_torus_check(gen, radius: float, samples: int) -> float:
@@ -72,7 +84,7 @@ def main() -> None:
     args = parser.parse_args()
 
     header = (
-        f"{'dim':>3} {'deg':>3} {'B':>4} {'pairs':>6} {'compose (us)':>13} "
+        f"{'dim':>3} {'deg':>3} {'B':>4} {'pairs':>6} {'layers (kB)':>11} {'compose (us)':>13} "
         f"{f'rk4 x{args.steps} (ms)':>16} {'K,L solve (us)':>15} {'K,L rotate (us)':>16} "
         f"{'1pc T=12 (us)':>14} {'1pc T=inf (us)':>15} {'2pc T=12 (us)':>14} {'2pc T=inf (us)':>15}"
     )
@@ -107,10 +119,19 @@ def main() -> None:
             ):
                 limits_us.append(1e6 * _best_of(args.repeats, limit))
         print(
-            f"{dim:>3} {degree:>3} {tables.size:>4} {tables.mul_k.size:>6} "
+            f"{dim:>3} {degree:>3} {tables.size:>4} {tables.mul_k.size:>6} {_layer_kb(tables):>11.1f} "
             f"{compose_us:>13.1f} {rk4_ms:>16.2f} {solve_us:>15.1f} {rotate_us:>16.1f} "
             + " ".join(f"{us:>{w}.1f}" for us, w in zip(limits_us, (14, 15, 14, 15)))
         )
+
+    dim, degree = LARGE_SHAPE
+    tables = basis_tables(dim, degree)
+    base = catalog_generator("H1", dim=dim, degree=degree)
+    solve_s = _best_of(1, lambda: _solve_koenigs_pair(base, tables))
+    print(
+        f"\nKoenigs solve of H1 at ({dim}, {degree}), B = {tables.size}, "
+        f"{tables.mul_k.size} pairs, layers {_layer_kb(tables) / 1024:.1f} MB: {solve_s:.2f} s"
+    )
 
     header = f"{'dim':>3} {'deg':>3} {'radius':>6} {'N':>4} {'FFT oracle (ms)':>16} {'array route (ms)':>17}"
     print()

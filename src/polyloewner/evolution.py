@@ -245,14 +245,17 @@ def _evolve_state(
         return state.copy()
     mids = 0.5 * (times[:-1] + times[1:])
     hs = np.diff(times)
-    # batch consecutive segments that share a generator into one kernel call
+    # batch consecutive segments that share a generator into one kernel call;
+    # the kernel needs h(0) = 0, and a description may leave |h(0)| <= 1e-8
     start = 0
     while start < len(mids):
         gen = field.generator_at(mids[start])
         stop = start + 1
         while stop < len(mids) and field.generator_at(mids[stop]) is gen:
             stop += 1
-        state = rk4_jet_arrays(gen.jet_array(degree), state, hs[start:stop], tables)
+        arr = gen.jet_array(degree).copy()
+        arr[:, 0] = 0.0
+        state = rk4_jet_arrays(arr, state, hs[start:stop], tables)
         start = stop
     return state
 
@@ -362,9 +365,10 @@ def _solve_koenigs_pair(gen: Generator, tables: BasisTables) -> tuple[np.ndarray
     deg = tables.degrees
     g = np.where(deg >= 2, gen.jet_array(tables.degree), 0.0)
     solve = np.where(deg >= 2, 1.0 / np.maximum(deg - 1, 1), 0.0)
+    col, factor = tables.deriv_gather
     K = ident
     for _ in range(tables.degree - 1):
-        dK = np.einsum("ib,jbc->jic", K, tables.deriv_matrices)  # dK[j] = dK/dz_j
+        dK = (K[:, col] * factor).transpose(1, 0, 2)  # dK[j] = dK/dz_j
         DKg = mul_arrays(dK, g[:, None, :], tables).sum(axis=0)
         K = ident + solve * DKg
     L = ident

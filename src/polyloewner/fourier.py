@@ -32,7 +32,9 @@ is 1.0e-11 at (2, 12) and (3, 12), 6.8e-13 at (2, 16) and (3, 16) and
 8.4e-14 at (2, 24), against the catalog tolerance 1e-10.  Kept at
 (0.4, 32), the error would reach 1.1e-10 at (3, 16) and 4.8e-10 at
 (2, 17).  Degrees above 43 (a basis of at most ``MAX_BASIS_SIZE``
-monomials reaches them only in dim 1) are refused.  The full
+monomials reaches them only in dim 1) are refused, and so is a mesh of
+more than ``MAX_TORUS_POINTS`` = 2**20 points (dim 4 at 32 samples; no
+shape of dim 5 or more), before it is allocated.  The full
 ``np.fft.fftn`` extraction stays in the tests as the oracle of this
 route; the truncated DFT agrees with it to 2e-12 on the catalog.
 """
@@ -59,6 +61,9 @@ __all__ = [
 
 # (largest degree, radius, samples per axis) of the torus check
 TORUS_GRIDS = ((12, 0.4, 32), (16, 0.6, 64), (43, 0.8, 160))
+
+# the largest mesh sampled at once: dim 4 at 32 samples, 64 MB of points
+MAX_TORUS_POINTS = 2**20
 
 
 def torus_grid(degree: int) -> tuple[float, int]:
@@ -122,6 +127,10 @@ def torus_array(
         raise DomainError(f"radius must lie in (0,1), got {radius}")
     if samples <= degree:
         raise DomainError(f"need more than degree={degree} samples per axis, got {samples}")
+    if samples**dim > MAX_TORUS_POINTS:
+        raise DomainError(
+            f"a torus of {samples}^{dim} points is over the {MAX_TORUS_POINTS}-point limit"
+        )
     pts = _torus_points(dim, radius, samples)
     vals = np.asarray(evaluator(pts), dtype=np.complex128)
     # after pass j, hat has axes (k_1..k_j, s_j+1..s_dim, component): each

@@ -21,6 +21,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass, field
+from operator import add
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -123,6 +124,10 @@ def _validate_alpha(alpha: Sequence[int], dim: int, degree: int) -> tuple[int, .
     return a
 
 
+def _term_order(jet: "MultiJet") -> list:
+    return sorted((a, c.real, c.imag) for a, c in jet.coeffs.items())
+
+
 @dataclass(frozen=True)
 class MultiJet:
     """A scalar-valued jet: coefficients of a truncated power series.
@@ -191,13 +196,17 @@ class MultiJet:
     def __mul__(self, other):
         if isinstance(other, MultiJet):
             self._check_compatible(other)
+            # a*b and b*a run one loop over the same sorted terms, so the
+            # product commutes exactly, rounding included
+            first, second = sorted((self, other), key=_term_order)
+            terms = sorted((sum(b), b, cb) for b, cb in second.coeffs.items())
             out: dict[tuple[int, ...], complex] = {}
-            for a, ca in self.coeffs.items():
-                da = sum(a)
-                for b, cb in other.coeffs.items():
-                    if da + sum(b) > self.degree:
-                        continue
-                    g = tuple(x + y for x, y in zip(a, b))
+            for a, ca in sorted(first.coeffs.items()):
+                room = self.degree - sum(a)
+                for db, b, cb in terms:
+                    if db > room:
+                        break
+                    g = tuple(map(add, a, b))
                     out[g] = out.get(g, 0j) + ca * cb
             return MultiJet(self.dim, self.degree, out)
         if isinstance(other, (int, float, complex)):

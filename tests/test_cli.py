@@ -10,6 +10,7 @@ import pytest
 
 from polyloewner import SHELL_GRID, search
 from polyloewner.cli import main
+from polyloewner.jets import map_distance, map_from_json
 
 VIOLATOR_GEN = {
     "kind": "polynomial",
@@ -241,6 +242,31 @@ class TestEvolveAndLimit:
         report = json.loads(out)["report"]
         assert report["horizon"] == 800.0
         assert report["tail_bound"] <= 1e-12
+
+    def test_evolve_runs_a_tiny_constant_term_as_zero(self, run_json, tmp_path):
+        # a polynomial description may leave |h(0)| <= 1e-8; the jet
+        # evolution runs with h(0) = 0, as the array kernels need
+        jets = []
+        for constant in (1e-9, None):
+            first = [{"alpha": [1, 0], "re": -1.0}, {"alpha": [2, 0], "re": 0.5}]
+            if constant is not None:
+                first.append({"alpha": [0, 0], "re": constant})
+            second = [{"alpha": [0, 1], "re": -1.0}, {"alpha": [1, 1], "re": 0.25}]
+            gen = {
+                "kind": "polynomial",
+                "components": [
+                    {"dim": 2, "degree": 3, "coeffs": first},
+                    {"dim": 2, "degree": 3, "coeffs": second},
+                ],
+            }
+            path = tmp_path / f"field-{constant}.json"
+            path.write_text(json.dumps([{"generator": gen}]))
+            code, payload, err = run_json(
+                "evolve", "--field", str(path), "--t", "1.0", "--degree", "3"
+            )
+            assert code == 0 and err == ""
+            jets.append(map_from_json(payload["report"]["jet"]))
+        assert map_distance(*jets) <= 1e-12
 
     def test_violating_field_is_rejected_as_failure(self, run_json, tmp_path):
         path = tmp_path / "bad_field.json"

@@ -8,13 +8,15 @@ steps >= 0.05) so that every run is quick; the extreme ones must be
 refused or handled without a traceback.  ``catalog --dump``, ``bounds
 --name`` and ``check-generator`` run at the edge degrees: below the
 catalog's least degree (-1, 0, 1) and at it (2), at each step of the
-torus grids (12, 13, 17, 43, 44), and far past the basis cap (10**9).
+torus grids (12, 13, 17, 43, 44), and far past the basis cap (10**9);
+``catalog --dump`` also runs at dim 5, past the torus mesh limit.
 """
 
 import contextlib
 import io
 import json
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -151,3 +153,15 @@ def test_catalog_and_generator_verbs_at_every_edge_degree(generator_files, degre
         # every dim-2 call passes; dim 3 stops at the basis cap past degree 16
         dim3 = 2 if degree > 16 else 0
         assert codes == [0, 0, dim3, dim3, 0, dim3, 0, 0, 0]
+
+
+def test_a_torus_past_the_mesh_limit_is_refused_before_it_is_built():
+    # dim 5 at 32 samples would mesh 2.5 GiB of points and values
+    tracemalloc.start()
+    try:
+        code = _assert_contract(["catalog", "--dump", "F1", "--dim", "5", "--degree", "2"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 16 * 2**20

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polyloewner import (
@@ -261,6 +261,12 @@ def small_jets(draw, dim=2, degree=3):
 
 @settings(max_examples=60, deadline=None)
 @given(a=small_jets(), b=small_jets(), c=small_jets())
+# three terms meet at (2, 1): summed in operand order, a*b and b*a differed by 2.2e-16
+@example(
+    a=MultiJet(2, 3, {(0, 0): 1e-12, (1, 0): 0.25, (1, 1): 2j}),
+    b=MultiJet(2, 3, {(2, 1): 1.0, (1, 0): 1j, (1, 1): 1.9282294558521302}),
+    c=MultiJet(2, 3, {}),
+)
 def test_ring_axioms_hold_exactly_enough(a, b, c):
     assert jet_distance(a * b, b * a) == 0.0
     d = (a + b) * c - (a * c + b * c)

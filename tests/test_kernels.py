@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from polyloewner import (
+    DomainError,
     JetMap,
     JetShapeError,
     MultiJet,
@@ -93,6 +94,51 @@ def test_pair_build_matches_the_loop():
         ]
 
 
+def test_monomial_layers_keep_the_pairs_that_can_be_nonzero():
+    # layer d >= 2 keeps the pairs (i, j, k) with deg i >= d - 1, deg j >= 1,
+    # in the order of the full table, and every k of degree >= d has a pair
+    for dim, degree in ((1, 5), (2, 4), (3, 6), (4, 3), (4, 8)):
+        t = basis_tables(dim, degree)
+        deg = t.degrees
+        assert [layer.start for layer in t.monomial_layers] == [
+            int(np.argmax(deg == d)) for d in range(2, degree + 1)
+        ]
+        for d, layer in enumerate(t.monomial_layers, start=2):
+            rows = np.arange(layer.blocks[0].lo, layer.blocks[-1].hi)
+            assert layer.start == rows[0] and np.array_equal(rows, np.nonzero(deg == d)[0])
+            assert all(a.hi == b.lo for a, b in zip(layer.blocks, layer.blocks[1:]))
+            parent = np.concatenate([block.parent for block in layer.blocks])
+            var = np.concatenate([block.var for block in layer.blocks])
+            unit = np.eye(dim, dtype=np.int64)[var]
+            assert np.array_equal(t.alpha_matrix[parent] + unit, t.alpha_matrix[rows])
+            keep = (deg[t.mul_i] >= d - 1) & (deg[t.mul_j] >= 1)
+            assert np.array_equal(layer.pair_i, t.mul_i[keep])
+            assert np.array_equal(layer.pair_j, t.mul_j[keep])
+            assert np.array_equal(
+                layer.pair_start, np.searchsorted(t.mul_k[keep], np.arange(layer.start, t.size))
+            )
+            assert np.all(np.diff(layer.pair_start) > 0)
+
+
+def test_monomial_layers_hold_o_pairs_at_the_largest_dim_4_shape():
+    # no cached (rows x pairs) index arrays: those would take 147 MB at (4, 10)
+    t = basis_tables(4, 10)
+    assert sum(layer.pair_i.size for layer in t.monomial_layers) == 186_472
+    arrays = [a for layer in t.monomial_layers for a in layer if isinstance(a, np.ndarray)]
+    arrays += [a for layer in t.monomial_layers for block in layer.blocks for a in block[2:]]
+    assert sum(a.nbytes for a in arrays) <= 16 * 2**20
+
+
+def test_derivative_gather_matches_the_dict_derivative(rng):
+    for dim, degree in ((1, 5), (2, 4), (3, 3)):
+        tables = basis_tables(dim, degree)
+        f = random_map_array(rng, tables)
+        col, factor = tables.deriv_gather
+        for j in range(dim):
+            want = [vector_of(jet_of(row, tables).derivative(j), tables) for row in f]
+            assert np.max(np.abs(f[:, col[j]] * factor[j] - np.array(want))) <= 1e-15
+
+
 def test_basis_cap_is_checked_before_building(monkeypatch):
     # the cap is C(dim + degree, dim) <= MAX_BASIS_SIZE, and it admits (3, 16) and (4, 10)
     for dim in range(1, 8):
@@ -137,7 +183,9 @@ def test_array_map_round_trip(rng):
     assert ident.coefficient(1, (0, 1)) == 1.0
 
 
-@pytest.mark.parametrize("dim,degree", [(2, 3), (2, 4), (3, 3), (3, 4), (3, 6)])
+@pytest.mark.parametrize(
+    "dim,degree", [(2, 3), (2, 4), (3, 3), (3, 4), (3, 6), (2, 8), (3, 8), (4, 4)]
+)
 def test_backends_agree_on_mul_and_compose(rng, dim, degree):
     """Array engine against the dict-jet reference: products and compositions."""
     tables = basis_tables(dim, degree)
@@ -185,13 +233,33 @@ def test_compose_arrays_matches_exact_composition(rng):
     assert map_distance(got, want) < 1e-13
 
 
-@pytest.mark.parametrize("dim,degree", [(2, 3), (3, 4)])
+def test_compose_and_rk4_refuse_a_nonzero_constant_term(rng):
+    # the monomial layers drop the pairs that only a constant term would fill
+    tables = basis_tables(2, 4)
+    shifted = random_map_array(rng, tables, zero_constant=True)
+    shifted[1, 0] = 1e-300
+    ident = identity_array(tables)
+    message = "inner map of a composition must have zero constant term"
+    with pytest.raises(DomainError, match=message):
+        compose_arrays(ident, shifted, tables)
+    with pytest.raises(DomainError, match="zero constant term"):
+        rk4_jet_arrays(shifted, ident, np.full(2, 0.1), tables)
+    with pytest.raises(DomainError, match="zero constant term"):
+        rk4_jet_arrays(-ident, shifted, np.full(2, 0.1), tables)
+    # the outer map may have one
+    outer = random_map_array(rng, tables)
+    assert np.array_equal(compose_arrays(outer, ident, tables), outer)
+
+
+@pytest.mark.parametrize("dim,degree", [(2, 3), (3, 4), (3, 6)])
 def test_backends_agree_on_rk4(rng, dim, degree):
     """Array RK4 against the same scheme with dict-jet compositions."""
     tables = basis_tables(dim, degree)
     gen = random_map_array(rng, tables, zero_constant=True)
     gen[:, 1 : 1 + dim] = -np.eye(dim)  # generator-normalized linear part
-    hs = np.full(20, 0.05)
+    # to t = 1; (3, 6) in 5 steps, as one dict composition there takes 0.2 s
+    steps = 5 if (dim, degree) == (3, 6) else 20
+    hs = np.full(steps, 1.0 / steps)
     outer = array_to_map(gen, tables)
 
     def field(y):
