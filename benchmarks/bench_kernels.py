@@ -13,7 +13,11 @@ the torus check of
 the ``Generator`` constructor on H1: the full-FFT oracle (one exp per mesh
 point, ``np.fft.fftn``, dict jets and ``map_distance``) against the array
 route ``fourier.torus_error`` (points from a cached ring, truncated DFT).
-Run from the repo root:
+Then, at (2, 3) and (3, 3), the generator constructors a search or a
+description calls: ``product_form`` and ``from_starlike`` without their
+torus check, ``convex_combination`` of a rotated and a plain catalog
+generator, ``rotate_generator``, and the ``Generator`` constructor on a
+catalog jet.  Run from the repo root:
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py
 """
@@ -26,7 +30,7 @@ import time
 
 import numpy as np
 
-from polyloewner.catalog import catalog_generator
+from polyloewner.catalog import catalog_generator, catalog_get
 from polyloewner.evolution import (
     HerglotzField,
     _koenigs_pair,
@@ -35,13 +39,21 @@ from polyloewner.evolution import (
     parametric_limit,
 )
 from polyloewner.fourier import torus_error, torus_grid
-from polyloewner.generators import rotate_generator
+from polyloewner.generators import (
+    AtomicMeasure,
+    Generator,
+    convex_combination,
+    from_starlike,
+    product_form,
+    rotate_generator,
+)
 from polyloewner.jets import JetMap, MultiJet, map_distance, multiindices
 from polyloewner.kernels import basis_tables, compose_arrays, identity_array, rk4_jet_arrays
 
 SHAPES = ((2, 4), (2, 6), (3, 4), (3, 6), (3, 8))
 LARGE_SHAPE = (4, 10)
 TORUS_SHAPES = ((2, 4), (3, 6), (3, 8), (2, 16))
+CONSTRUCTOR_SHAPES = ((2, 3), (3, 3))
 
 
 def _best_of(repeats: int, fn) -> float:
@@ -145,6 +157,33 @@ def main() -> None:
         fft_ms = 1e3 * _best_of(args.repeats, lambda: _fft_torus_check(gen, radius, samples))
         array_ms = 1e3 * _best_of(args.repeats, lambda: torus_error(gen.evaluate, arr, tables))
         print(f"{dim:>3} {degree:>3} {radius:>6} {samples:>4} {fft_ms:>16.2f} {array_ms:>17.2f}")
+
+    header = (
+        f"{'dim':>3} {'deg':>3} {'product_form (us)':>18} {'convex_comb (us)':>17} "
+        f"{'rotate (us)':>12} {'from_starlike (us)':>19} {'Generator (us)':>15}"
+    )
+    print()
+    print(header)
+    print("-" * len(header))
+    measures = [AtomicMeasure(((0.3, 0.6), (2.0, 0.4))), AtomicMeasure(((-1.1, 1.0),)), None]
+    for dim, degree in CONSTRUCTOR_SHAPES:
+        selectors = [(k + 1) % dim for k in range(dim)]
+        h1 = catalog_generator("H1", dim=dim, degree=degree)
+        h2 = catalog_generator("H2", dim=dim, degree=degree)
+        f1 = catalog_get("F1", dim=dim, degree=degree)
+        rotated = rotate_generator(h1, angles[:dim])
+        calls = (
+            lambda: product_form(selectors, measures[:dim], degree=degree, check=False),
+            lambda: convex_combination([rotated, h2], [0.3, 0.7]),
+            lambda: rotate_generator(h1, angles[:dim]),
+            lambda: from_starlike(f1, check=False),
+            lambda: Generator(h1.jet, h1.evaluate, {"kind": "test"}, check=False),
+        )
+        times = [_best_of(args.repeats, call) for call in calls]
+        print(
+            f"{dim:>3} {degree:>3} "
+            + " ".join(f"{1e6 * s:>{w}.1f}" for s, w in zip(times, (18, 17, 12, 19, 15)))
+        )
 
 
 if __name__ == "__main__":

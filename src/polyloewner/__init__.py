@@ -28,7 +28,6 @@ from .jets import (
     map_from_json,
     map_to_json,
     matrix_solve,
-    minus_identity_map,
     multiindices,
     rotate_map,
     series_in_var,
@@ -107,7 +106,7 @@ __all__ = [
     "MAX_BASIS_SIZE", "DomainError", "JetMap", "JetShapeError", "MultiJet", "Normalization",
     "SingularityError", "analytic_jet", "check_jet_shape", "compose", "identity_map", "jacobian",
     "jet_distance", "jet_from_json", "jet_to_json", "map_distance",
-    "map_from_json", "map_to_json", "matrix_solve", "minus_identity_map",
+    "map_from_json", "map_to_json", "matrix_solve",
     "multiindices", "rotate_map", "series_in_var", "variable_jet",
     # kernels / fourier
     "basis_tables", "default_backend",

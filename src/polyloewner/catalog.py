@@ -449,39 +449,29 @@ def catalog_get(name: str, dim: Optional[int] = None, degree: int = 4) -> NamedM
 
 @lru_cache(maxsize=None)
 def _cached_entry(key: str, n: int, degree: int) -> NamedMap:
-    minimal = _MINIMAL_DIM[key]
-    if key.startswith("F"):
+    starlike = key.startswith("F")
+    if starlike:
         jet, evaluator, jac = _build_starlike(key, n, degree)
-        entry = NamedMap(
-            name=key,
-            role="starlike",
-            dim=n,
-            degree=degree,
-            minimal_dim=minimal,
-            jet=jet,
-            evaluator=evaluator,
-            jacobian=jac,
-        )
-        assert_normalization(jet, tol=1e-12)
+        deps = None
     else:
         jet, evaluator, deps = _build_generator(key, n, degree)
-        entry = NamedMap(
-            name=key,
-            role="generator",
-            dim=n,
-            degree=degree,
-            minimal_dim=minimal,
-            jet=jet,
-            evaluator=evaluator,
-            margin_deps=deps,
-        )
-        assert_normalization(jet, tol=1e-12)
-
+        jac = None
+    assert_normalization(jet, tol=1e-12)
     tables = kernels.basis_tables(n, degree)
-    err = torus_error(entry.evaluator, kernels.map_to_array(entry.jet, tables), tables)
+    err = torus_error(evaluator, kernels.map_to_array(jet, tables), tables)
     if not err <= 1e-10:
         raise DomainError(f"catalog entry {key} failed its consistency check: {err:.3e}")
-    return entry
+    return NamedMap(
+        name=key,
+        role="starlike" if starlike else "generator",
+        dim=n,
+        degree=degree,
+        minimal_dim=_MINIMAL_DIM[key],
+        jet=jet,
+        evaluator=evaluator,
+        jacobian=jac,
+        margin_deps=deps,
+    )
 
 
 def catalog_generator(name: str, dim: Optional[int] = None, degree: int = 4) -> Generator:

@@ -233,7 +233,8 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and integers past the digit limit
         raise CliError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -266,7 +267,7 @@ def _load_measure_file(path: str) -> AtomicMeasure:
     obj = _load_json(path)
     try:
         atoms = [(float(e["angle"]), float(e["weight"])) for e in obj["atoms"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CliError(f"{path}: malformed atomic measure: {exc}") from exc
     return _normalize_atoms(atoms)
 
@@ -482,7 +483,11 @@ def main(argv: Optional[list[str]] = None) -> int:
             kind, rows = csv_payload
             _write_csv(args.csv, _CSV_HEADERS[kind], rows)
         return 0 if passed else 1
-    except (CliError, DomainError, JetShapeError, SingularityError, IntegrationError, KeyError) as exc:
+    # a RecursionError comes from a description nested past the interpreter's limit
+    except (
+        CliError, DomainError, JetShapeError, SingularityError, IntegrationError, KeyError,
+        RecursionError,
+    ) as exc:
         print(f"polyloewner: error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,6 +9,8 @@ emits can be fed back in.
 Field schedules are lists of ``{"until": t, "generator": ...}`` entries;
 an entry without ``until`` is the tail generator, and when every entry
 has a breakpoint the pure dilation tail is appended automatically.
+Nested descriptions must be objects and list fields lists; a malformed
+description raises ``DomainError`` (``JetShapeError`` for a bad shape).
 """
 
 from __future__ import annotations
@@ -58,6 +60,21 @@ def _require(obj: dict, key: str, kind: str):
     return obj[key]
 
 
+def _list(obj: dict, key: str, kind: str) -> list:
+    value = _require(obj, key, kind)
+    if not isinstance(value, (list, tuple)):
+        raise DomainError(f"{kind!r} field {key!r} must be a list, got {type(value).__name__}")
+    return list(value)
+
+
+def _decoded(obj, what: str):
+    """A description given as JSON text, decoded; any other value as it is."""
+    try:
+        return json.loads(obj) if isinstance(obj, str) else obj
+    except ValueError as exc:
+        raise DomainError(f"{what} is not valid JSON: {exc}") from exc
+
+
 def _int(value, what: str) -> int:
     try:
         return int(value)
@@ -69,7 +86,7 @@ def _floats(values, what: str) -> list[float]:
     """Finite floats from a description list; NaN and infinities are refused."""
     try:
         out = [float(v) for v in values]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"{what} must be numbers: {exc}") from exc
     if not all(math.isfinite(v) for v in out):
         raise DomainError(f"{what} must be finite, got {out}")
@@ -82,7 +99,7 @@ def _optional_dim(obj: dict):
 
 
 def _polynomial_map(obj: dict, normalization: Normalization) -> JetMap:
-    comps = tuple(jet_from_json(c) for c in _require(obj, "components", "polynomial"))
+    comps = tuple(jet_from_json(c) for c in _list(obj, "components", "polynomial"))
     return JetMap(comps, normalization)
 
 
@@ -92,6 +109,8 @@ def _starlike_source(obj: dict, degree: int):
     A catalog map without its own ``degree`` is built at the generator's
     degree (at least 2, the catalog's least), so its jet is not cut short.
     """
+    if not isinstance(obj, dict):
+        raise DomainError("the map of a from-starlike description must be a JSON object")
     kind = _require(obj, "kind", "from-starlike map")
     if kind == "catalog":
         return catalog_get(
@@ -106,12 +125,14 @@ def _starlike_source(obj: dict, degree: int):
 
 def generator_from_json(obj: Union[dict, str], *, default_degree: int = 4) -> Generator:
     """Build a generator from its JSON description (dict or JSON text)."""
-    if isinstance(obj, str):
-        obj = json.loads(obj)
+    return _generator(_decoded(obj, "generator description"), default_degree)
+
+
+def _generator(obj, default_degree: int) -> Generator:
+    if isinstance(obj, dict) and "provenance" in obj and "kind" not in obj:
+        obj = obj["provenance"]
     if not isinstance(obj, dict):
         raise DomainError("generator description must be a JSON object")
-    if "provenance" in obj and "kind" not in obj:
-        obj = obj["provenance"]
     kind = _require(obj, "kind", "generator")
     degree = _int(obj.get("degree", default_degree), "'degree'")
 
@@ -122,20 +143,17 @@ def generator_from_json(obj: Union[dict, str], *, default_degree: int = 4) -> Ge
         check_jet_shape(dim, degree)
         return dilation_generator(dim, degree=degree)
     if kind == "rotation":
-        base = generator_from_json(_require(obj, "base", kind), default_degree=default_degree)
-        return rotate_generator(base, _floats(_require(obj, "angles", kind), "rotation angles"))
+        base = _generator(_require(obj, "base", kind), default_degree)
+        return rotate_generator(base, _floats(_list(obj, "angles", kind), "rotation angles"))
     if kind == "product-form":
-        selectors = [_int(s, "selectors") for s in _require(obj, "selectors", kind)]
+        selectors = [_int(s, "selectors") for s in _list(obj, "selectors", kind)]
         check_jet_shape(len(selectors), degree)
-        raw = _require(obj, "measures", kind)
+        raw = _list(obj, "measures", kind)
         measures = [None if m is None else AtomicMeasure.from_json(m) for m in raw]
         return product_form(selectors, measures, degree=degree)
     if kind in ("convex-combination", "convex-combo"):
-        parts = [
-            generator_from_json(p, default_degree=default_degree)
-            for p in _require(obj, "parts", kind)
-        ]
-        return convex_combination(parts, _floats(_require(obj, "weights", kind), "weights"))
+        parts = [_generator(p, default_degree) for p in _list(obj, "parts", kind)]
+        return convex_combination(parts, _floats(_list(obj, "weights", kind), "weights"))
     if kind == "polynomial":
         jet = _polynomial_map(obj, Normalization.GENERATOR)
         return Generator(jet, jet, {"kind": "polynomial", "components": obj["components"]})
@@ -144,7 +162,7 @@ def generator_from_json(obj: Union[dict, str], *, default_degree: int = 4) -> Ge
         check_jet_shape(source.dim, degree)
         return from_starlike(source, degree=degree)
     if kind in ("shear-linear", "shear-quadratic"):
-        base = generator_from_json(_require(obj, "base", kind), default_degree=default_degree)
+        base = _generator(_require(obj, "base", kind), default_degree)
         fn = shear_linear if kind == "shear-linear" else shear_quadratic
         return fn(base)
     raise DomainError(f"unknown generator kind {kind!r}; known: {', '.join(GENERATOR_KINDS)}")
@@ -161,8 +179,7 @@ def field_from_json(
     With ``verify_membership``, admissibility is checked as in
     ``HerglotzField.build``: on ``REFERENCE_GRID`` at ``MEMBERSHIP_TOL``.
     """
-    if isinstance(obj, str):
-        obj = json.loads(obj)
+    obj = _decoded(obj, "field description")
     schedule = obj.get("schedule") if isinstance(obj, dict) else obj
     if not isinstance(schedule, list) or not schedule:
         raise DomainError("field description needs a nonempty 'schedule' list")
@@ -171,7 +188,7 @@ def field_from_json(
     for i, entry in enumerate(schedule):
         if not isinstance(entry, dict) or "generator" not in entry:
             raise DomainError(f"schedule entry {i} must be an object with a 'generator'")
-        gens.append(generator_from_json(entry["generator"], default_degree=default_degree))
+        gens.append(_generator(entry["generator"], default_degree))
         if "until" in entry:
             breaks.extend(_floats([entry["until"]], f"schedule entry {i} 'until'"))
         elif i != len(schedule) - 1:

@@ -17,8 +17,8 @@ R: K of R h R^-1 is R K R^-1, so the pair of ``rotate_generator(g,
 angles)`` is g's pair times the phase array exp(i(<alpha, angles> -
 angles_j)), and a whole search over rotated catalog generators solves
 one pair per catalog entry.  Limits and their normalization checks stay
-on (n, B) arrays; a rotation's dict jet is never built here, only
-``LimitResult.jet`` is.
+on the generators' (n, B) coefficient arrays; no generator's dict jet
+is built here, only ``LimitResult.jet`` is.
 
 Step placement: every integration between s and t uses the nodes
 {k * step} intersected with (s, t), plus the field's breakpoints, plus
@@ -37,14 +37,14 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .generators import Generator, MembershipError, membership_check
-from .jets import DomainError, JetMap, Normalization, map_distance, rotation_phases
+from .jets import DomainError, JetMap, Normalization, map_distance
 from .kernels import (
     BasisTables,
     array_to_map,
     basis_tables,
     compose_arrays,
     identity_array,
-    mul_arrays,
+    jacobian_times,
     rk4_jet_arrays,
 )
 
@@ -344,9 +344,8 @@ def _koenigs_pair(gen: Generator, tables: BasisTables) -> tuple[np.ndarray, np.n
         if gen.rotation is None:
             pair = _solve_koenigs_pair(gen, tables)
         else:
-            base, angles = gen.rotation
-            phases = rotation_phases(tables.alpha_matrix, angles)
-            pair = tuple(f * phases for f in _koenigs_pair(base, tables))
+            base, _, phases = gen.rotation
+            pair = tuple(f * phases[:, : tables.size] for f in _koenigs_pair(base, tables))
         for f in pair:
             f.flags.writeable = False
         gen._koenigs_cache[tables.degree] = pair
@@ -365,12 +364,9 @@ def _solve_koenigs_pair(gen: Generator, tables: BasisTables) -> tuple[np.ndarray
     deg = tables.degrees
     g = np.where(deg >= 2, gen.jet_array(tables.degree), 0.0)
     solve = np.where(deg >= 2, 1.0 / np.maximum(deg - 1, 1), 0.0)
-    col, factor = tables.deriv_gather
     K = ident
     for _ in range(tables.degree - 1):
-        dK = (K[:, col] * factor).transpose(1, 0, 2)  # dK[j] = dK/dz_j
-        DKg = mul_arrays(dK, g[:, None, :], tables).sum(axis=0)
-        K = ident + solve * DKg
+        K = ident + solve * jacobian_times(K, g, tables)
     L = ident
     for _ in range(tables.degree - 1):
         L = L + ident - compose_arrays(K, L, tables)

@@ -3,9 +3,9 @@
 A generator is a holomorphic map h with h(0) = 0, Dh(0) = -identity, and
 Re(h_j(z)/z_j) <= 0 whenever the sup-norm of z is attained at |z_j| > 0
 (the class M of Graham & Kohr, *Geometric Function Theory in One and
-Higher Dimensions*, 2003).  Generators here carry both a pointwise
-evaluator and a truncated jet, checked against each other spectrally at
-construction, plus provenance describing how they were built.
+Higher Dimensions*, 2003).  A generator stores one read-only (n, B)
+coefficient array, written directly by its constructor, a pointwise
+evaluator checked against it spectrally, and its provenance.
 
 Membership is certified by sampling the margin Re(h_j(z)/z_j) on a
 deterministic grid, and for h holomorphic on the closed polydisc
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -51,17 +51,12 @@ from .jets import (
     MultiJet,
     Normalization,
     SingularityError,
-    analytic_jet,
-    assert_normalization,
-    constant_jet,
+    check_normalization,
     identity_map,
     jacobian,
     map_to_json,
-    matrix_solve,
-    minus_identity_map,
-    rotate_map,
     rotation_phases,
-    variable_jet,
+    series_in_var,
 )
 
 __all__ = [
@@ -179,17 +174,18 @@ class AtomicMeasure:
         object.__setattr__(self, "atoms", atoms)
 
     def herglotz_coefficient(self, k: int) -> complex:
-        """Taylor coefficient c_k = 2 * sum of weight * exp(-i k angle)."""
+        """Taylor coefficient c_k = 2 * sum of weight * u^-k, u = exp(i angle); c_0 = 1.
+
+        Powers of u stay finite at any angle, where k * angle can overflow.
+        """
         if k == 0:
             return 1.0 + 0j
-        return 2.0 * sum(w * np.exp(-1j * k * a) for a, w in self.atoms)
+        return sum(w * (2.0 / complex(np.exp(1j * a)) ** k) for a, w in self.atoms)
 
     def transform_jet(self, dim: int, degree: int, var: int) -> MultiJet:
-        """Jet of p(z_var) = sum of weight * (u + z_var)/(u - z_var)."""
-        acc = constant_jet(dim, degree, 0.0)
-        for a, w in self.atoms:
-            acc = acc + w * analytic_jet("mobius", dim, degree, var, u=np.exp(1j * a))
-        return acc
+        """Jet of p(z_var) = sum of weight * (u + z_var)/(u - z_var): the moments c_k."""
+        coeffs = [self.herglotz_coefficient(k) for k in range(degree + 1)]
+        return series_in_var(dim, degree, var, coeffs)
 
     def transform_values(self, w: np.ndarray) -> np.ndarray:
         w = np.asarray(w, dtype=np.complex128)
@@ -206,13 +202,32 @@ class AtomicMeasure:
     def from_json(obj) -> "AtomicMeasure":
         try:
             atoms = tuple((float(e["angle"]), float(e["weight"])) for e in obj["atoms"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DomainError(f"malformed atomic measure: {exc}") from exc
         return AtomicMeasure(atoms)
 
 
+def _basis_degree(shape: tuple[int, ...]) -> int:
+    """The degree D >= 1 of an (n, B) coefficient array: B = C(n + D, n)."""
+    if len(shape) == 2 and shape[0] >= 1:
+        n, size = shape
+        degree = 1
+        while math.comb(n + degree, n) < size:
+            degree += 1
+        if math.comb(n + degree, n) == size:
+            return degree
+    raise JetShapeError(f"no (dim, degree) jet basis gives an array of shape {shape}")
+
+
 class Generator:
-    """An infinitesimal generator: evaluator + jet + provenance.
+    """An infinitesimal generator: coefficient array + evaluator + provenance.
+
+    ``jet`` is a ``JetMap`` or an (n, B) array on the basis of
+    ``kernels.basis_tables(n, degree)``, stored as one read-only array
+    whose h(0) = 0 and Dh(0) = -I are checked to ``max(check_tol, 1e-8)``;
+    a coefficient that is not finite raises ``DomainError``.  A lower
+    degree's basis is a prefix of the graded-lex one, so ``jet_array(d)``
+    is a view of the first columns; the dict ``jet`` is built on first read.
 
     ``margin_deps`` optionally lists, per component j, the coordinate
     indices that Re(h_j(z)/z_j) actually depends on; ``None`` means scan
@@ -224,26 +239,24 @@ class Generator:
     vanish inside); ``membership_check`` scans such generators on
     ``SHELL_GRID`` instead of the torus.  With ``check``, the coefficients
     read off the evaluator on a torus (``fourier.torus_array``) must match
-    ``jet_array(degree)`` to ``check_tol``.  The torus follows the degree
+    the array to ``check_tol``.  The torus follows the degree
     (``fourier.torus_grid``): radius 0.4 with 32 samples per axis up to
     degree 12, 0.6 with 64 up to 16, 0.8 with 160 up to 43, and higher
     degrees raise ``DomainError``.  Where the generator may have poles and
     they disagree, the evaluator is scanned on ``SHELL_GRID`` first, and a
     violation found there raises ``MembershipError`` with its witness (a
-    pole just outside the torus radius aliases the probe).
+    pole just outside the torus radius aliases the probe).  ``certificate``
+    is None until a construction that scans membership attaches one.
 
-    ``rotation`` is (base, angles) for ``rotate_generator(base, angles)``
-    and None otherwise.  A rotation is built without ``jet``: it has the
-    base's shape, its ``jet_array`` is the base's array times the phases
-    of ``rotation_phases``, and its dict ``jet`` is
-    ``rotate_map(base.jet, angles)``, built on first read.  Rotating
-    multiplies the diagonal of Dh(0) by exactly 1 and keeps the modulus
-    of every coefficient, so the base's normalization check covers it.
+    ``rotation`` is (base, angles, phases) for ``rotate_generator(base,
+    angles)``, phases the (n, B) array of ``rotation_phases``, and None
+    otherwise; ``evolution`` multiplies the base's Koenigs pair by the
+    phases instead of solving the rotation's own.
     """
 
     def __init__(
         self,
-        jet: Optional[JetMap],
+        jet: Union[JetMap, np.ndarray],
         evaluator: Callable[[np.ndarray], np.ndarray],
         provenance: dict,
         *,
@@ -251,21 +264,21 @@ class Generator:
         margin_deps: Optional[Sequence[Iterable[int]]] = None,
         trusted: bool = False,
         may_have_poles: bool = False,
-        certificate: Optional[MembershipCertificate] = None,
         check: bool = True,
         check_tol: float = 1e-8,
-        rotation: Optional[tuple["Generator", tuple[float, ...]]] = None,
+        rotation: Optional[tuple["Generator", tuple[float, ...], np.ndarray]] = None,
     ):
+        if isinstance(jet, JetMap):
+            jet = kernels.map_to_array(jet, kernels.basis_tables(jet.dim, jet.degree))
+        arr = np.array(jet, dtype=np.complex128)
+        self.degree = _basis_degree(arr.shape)
+        self.dim = arr.shape[0]
+        tables = kernels.basis_tables(self.dim, self.degree)
+        check_normalization(arr[:, 0], arr[:, tables.linear], -1.0, max(check_tol, 1e-8))
+        arr.flags.writeable = False
+        self._array = arr
+        self._jet: Optional[JetMap] = None
         self.rotation = rotation
-        if rotation is None:
-            assert_normalization(
-                JetMap(jet.components, Normalization.GENERATOR), tol=max(check_tol, 1e-8)
-            )
-            self._jet: Optional[JetMap] = JetMap(jet.components, Normalization.GENERATOR)
-            self.dim, self.degree = jet.dim, jet.degree
-        else:
-            self._jet = None
-            self.dim, self.degree = rotation[0].dim, rotation[0].degree
         self._evaluator = evaluator
         self.provenance = dict(provenance)
         self._component_fn = component_fn
@@ -276,13 +289,11 @@ class Generator:
         self.margin_deps = margin_deps
         self.trusted = bool(trusted)
         self.may_have_poles = bool(may_have_poles)
-        self.certificate = certificate
-        self._array_cache: dict[int, np.ndarray] = {}
+        self.certificate: Optional[MembershipCertificate] = None
         # Koenigs pairs (K, L) per degree, filled by ``evolution``
         self._koenigs_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         if check:
-            tables = kernels.basis_tables(self.dim, self.degree)
-            err = torus_error(self.evaluate, self.jet_array(self.degree), tables)
+            err = torus_error(self.evaluate, arr, tables)
             if not err <= check_tol:
                 message = f"generator evaluator and jet disagree: coefficient error {err:.3e}"
                 if self.may_have_poles:
@@ -290,13 +301,15 @@ class Generator:
                     if not cert.passed:
                         raise MembershipError(f"{message}; the shell scan finds a pole", cert)
                 raise DomainError(message)
+        if not np.isfinite(arr).all():
+            raise DomainError("generator jet has coefficients that are not finite")
 
     @property
     def jet(self) -> JetMap:
-        """The truncated jet as a dict ``JetMap``; a rotation builds it here."""
+        """The coefficient array as a dict ``JetMap``, built on first read."""
         if self._jet is None:
-            base, angles = self.rotation
-            self._jet = rotate_map(base.jet, angles)
+            tables = kernels.basis_tables(self.dim, self.degree)
+            self._jet = kernels.array_to_map(self._array, tables, Normalization.GENERATOR)
         return self._jet
 
     def evaluate(self, z) -> np.ndarray:
@@ -312,26 +325,12 @@ class Generator:
         return self.evaluate(z)[..., j]
 
     def jet_array(self, degree: int) -> np.ndarray:
-        """Dense (dim, basis) coefficient array at the requested degree.
-
-        A rotation multiplies its base's array by the rotation phases and
-        never reads the dict jet; the result equals ``map_to_array`` of
-        that jet exactly.
-        """
-        if degree > self.degree:
+        """Read-only (dim, basis) coefficient array through ``degree``."""
+        if not 1 <= degree <= self.degree:
             raise JetShapeError(
-                f"generator jet holds degree {self.degree}, cannot serve degree {degree}"
+                f"generator jet holds degrees 1 to {self.degree}, cannot serve degree {degree}"
             )
-        arr = self._array_cache.get(degree)
-        if arr is None:
-            tables = kernels.basis_tables(self.dim, degree)
-            if self.rotation is None:
-                arr = kernels.map_to_array(self.jet, tables)  # drops terms above degree
-            else:
-                base, angles = self.rotation
-                arr = base.jet_array(degree) * rotation_phases(tables.alpha_matrix, angles)
-            self._array_cache[degree] = arr
-        return arr
+        return self._array[:, : math.comb(self.dim + degree, self.dim)]
 
     def to_json(self) -> dict:
         out = {"provenance": self.provenance, "jet": map_to_json(self.jet)}
@@ -427,13 +426,12 @@ def membership_check(
 
 def dilation_generator(dim: int, degree: int = 4) -> Generator:
     """The generator h(z) = -z of the pure dilation semigroup."""
-    jet = minus_identity_map(dim, degree)
 
     def evaluator(z: np.ndarray) -> np.ndarray:
         return -z
 
     return Generator(
-        jet,
+        -kernels.identity_array(kernels.basis_tables(dim, degree)),
         evaluator,
         {"kind": "dilation", "dim": dim},
         margin_deps=[frozenset()] * dim,
@@ -463,8 +461,8 @@ def from_starlike(f, *, degree: Optional[int] = None, check: bool = True) -> Gen
     ``f`` is either an object exposing ``jet`` / ``evaluator`` /
     ``jacobian`` attributes (catalog maps qualify) or a bare ``JetMap``,
     in which case the jet doubles as a polynomial evaluator and its
-    derivative jets as the Jacobian.  The jet of the result comes from the
-    order-by-order solve Df * x = f, the evaluator from pointwise linear
+    derivative jets as the Jacobian.  The array of the result solves
+    Df * x = f order by order, the evaluator comes from pointwise linear
     solves; a singular Jacobian raises ``SingularityError``.  Df may vanish
     inside the polydisc, so the result has ``may_have_poles``.
     """
@@ -476,11 +474,16 @@ def from_starlike(f, *, degree: Optional[int] = None, check: bool = True) -> Gen
         source = getattr(f, "name", "map")
     if degree is not None:
         fjet = fjet.truncated(degree)
-    assert_normalization(JetMap(fjet.components, Normalization.UNIVALENT), tol=1e-10)
-    n = fjet.dim
+    tables = kernels.basis_tables(fjet.dim, fjet.degree)
+    farr = kernels.map_to_array(fjet, tables)
+    check_normalization(farr[:, 0], farr[:, tables.linear], 1.0, 1e-10)
 
-    x = matrix_solve(jacobian(fjet), fjet.components)
-    hjet = JetMap(tuple(-c for c in x), Normalization.GENERATOR)
+    # x <- x + Df(0)^-1 (f - Df x): Df - Df(0) raises the degree, so each
+    # pass settles one more degree of x, from its constant term up
+    inv_linear = np.linalg.inv(farr[:, tables.linear])
+    x = np.zeros_like(farr)
+    for _ in range(tables.degree + 1):
+        x = x + inv_linear @ (farr - kernels.jacobian_times(farr, x, tables))
 
     if fev is None:
         fev = fjet
@@ -502,7 +505,7 @@ def from_starlike(f, *, degree: Optional[int] = None, check: bool = True) -> Gen
         return -np.linalg.solve(jac_vals, vals[..., None])[..., 0]
 
     return Generator(
-        hjet,
+        -x,
         evaluator,
         {"kind": "from-starlike", "source": source},
         may_have_poles=True,
@@ -519,12 +522,11 @@ def rotate_generator(g: Generator, angles: Sequence[float]) -> Generator:
     rotation by angles followed by its negation returns the base object
     itself, coefficient-for-coefficient identical.
 
-    The result keeps its base and angles as ``rotation``: its
-    ``jet_array`` is the base's array times the phases, and its dict
-    ``jet`` is built only when read (``to_json``, convex combinations,
-    shears).  Conjugation carries over to the Koenigs map, K of R h R^-1
-    is R K R^-1, so ``evolution`` rotates the base's Koenigs pair the
-    same way instead of solving it again.
+    The array is the base's array times ``rotation_phases``; a phase that
+    is not finite (angles near 1e308) raises ``DomainError``.  The result
+    keeps base, angles and phases as ``rotation``: K of R h R^-1 is
+    R K R^-1, so ``evolution`` rotates the base's Koenigs pair with the
+    same phases instead of solving it.
     """
     th = np.asarray(angles, dtype=np.float64)
     if th.shape != (g.dim,):
@@ -533,7 +535,7 @@ def rotate_generator(g: Generator, angles: Sequence[float]) -> Generator:
     if g.rotation is not None:
         base = g.rotation[0]
         th = th + np.asarray(g.rotation[1])
-    if not np.any(th):
+    if not th.any():
         return base
 
     phases = np.exp(1j * th)
@@ -546,8 +548,12 @@ def rotate_generator(g: Generator, angles: Sequence[float]) -> Generator:
         return inv_phases[j] * base.component(phases * z, j)
 
     angles_out = tuple(float(a) for a in th)
+    alphas = kernels.basis_tables(base.dim, base.degree).alpha_matrix
+    # a phase that overflows is not finite, and the constructor refuses it
+    with np.errstate(over="ignore", invalid="ignore"):
+        rot_phases = rotation_phases(alphas, th)
     return Generator(
-        None,
+        base.jet_array(base.degree) * rot_phases,
         evaluator,
         {"kind": "rotation", "angles": list(angles_out), "base": base.provenance},
         component_fn=component_fn,
@@ -555,7 +561,7 @@ def rotate_generator(g: Generator, angles: Sequence[float]) -> Generator:
         trusted=base.trusted,
         may_have_poles=base.may_have_poles,
         check=False,
-        rotation=(base, angles_out),
+        rotation=(base, angles_out, rot_phases),
     )
 
 
@@ -569,7 +575,9 @@ def product_form(
 
     Each p_k is the Herglotz transform of an atomic measure (``None``
     means p_k = 1).  Such maps are generators for any selector choice,
-    so the result is membership-trusted.
+    so the result is membership-trusted.  Component k of the array is -1
+    at z_k and -c_m at z_k z_s^m, s = selectors[k], with c_m the
+    measure's ``herglotz_coefficient(m)``.
     """
     n = len(selectors)
     if len(measures) != n:
@@ -578,17 +586,17 @@ def product_form(
     if any(not 0 <= s < n for s in sel):
         raise DomainError(f"selectors must be coordinate indices in [0, {n}), got {sel}")
 
-    comps = []
+    tables = kernels.basis_tables(n, degree)
+    arr = -kernels.identity_array(tables)
     margin_deps = []
-    for k in range(n):
-        zk = variable_jet(n, degree, k)
-        if measures[k] is None:
-            comps.append(-zk)
+    for k, measure in enumerate(measures):
+        if measure is None:
             margin_deps.append(frozenset())
-        else:
-            comps.append(-(zk * measures[k].transform_jet(n, degree, sel[k])))
-            margin_deps.append(frozenset({sel[k]}))
-    jet = JetMap(tuple(comps), Normalization.GENERATOR)
+            continue
+        margin_deps.append(frozenset({sel[k]}))
+        for m in range(1, degree):
+            alpha = tuple(int(v == k) + m * int(v == sel[k]) for v in range(n))
+            arr[k, tables.index[alpha]] = -measure.herglotz_coefficient(m)
 
     def component_fn(z: np.ndarray, j: int) -> np.ndarray:
         if measures[j] is None:
@@ -599,7 +607,7 @@ def product_form(
         return np.stack([component_fn(z, j) for j in range(n)], axis=-1)
 
     return Generator(
-        jet,
+        arr,
         evaluator,
         {
             "kind": "product-form",
@@ -628,26 +636,13 @@ def convex_combination(parts: Sequence[Generator], weights: Sequence[float]) -> 
     if any(p.dim != n for p in parts):
         raise JetShapeError("generators disagree on dim")
     degree = min(p.degree for p in parts)
-
-    comps = []
-    for j in range(n):
-        acc = MultiJet(n, degree, {})
-        for wt, p in zip(w, parts):
-            acc = acc + wt * p.jet.components[j].truncated(degree)
-        comps.append(acc)
-    jet = JetMap(tuple(comps), Normalization.GENERATOR)
+    arr = sum(wt * p.jet_array(degree) for wt, p in zip(w, parts))
 
     def evaluator(z: np.ndarray) -> np.ndarray:
-        acc = w[0] * parts[0].evaluate(z)
-        for wt, p in zip(w[1:], parts[1:]):
-            acc = acc + wt * p.evaluate(z)
-        return acc
+        return sum(wt * p.evaluate(z) for wt, p in zip(w, parts))
 
     def component_fn(z: np.ndarray, j: int) -> np.ndarray:
-        acc = w[0] * parts[0].component(z, j)
-        for wt, p in zip(w[1:], parts[1:]):
-            acc = acc + wt * p.component(z, j)
-        return acc
+        return sum(wt * p.component(z, j) for wt, p in zip(w, parts))
 
     if all(p.margin_deps is not None for p in parts):
         margin_deps = [
@@ -657,7 +652,7 @@ def convex_combination(parts: Sequence[Generator], weights: Sequence[float]) -> 
         margin_deps = None
 
     return Generator(
-        jet,
+        arr,
         evaluator,
         {
             "kind": "convex-combination",
@@ -697,47 +692,45 @@ def _sheared_profile_fn(g: Generator) -> Callable[[np.ndarray], np.ndarray]:
     return profile
 
 
-def _shear_common(g: Generator) -> None:
+def _sheared(
+    g: Generator,
+    kind: str,
+    keep: Sequence[tuple[int, int]],
+    first: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    first_deps: frozenset,
+) -> Generator:
+    """g with h_1 replaced, its membership scanned and attached.
+
+    Row 0 of the array is -z_1 plus g's row-0 coefficients c at the
+    exponents ``keep``, and h_1(z) is ``first(z, c)``; row 1 and h_2 are
+    g's.  The scan runs on ``REFERENCE_GRID`` at ``MEMBERSHIP_TOL``.
+    """
     if g.dim != 2:
         raise DomainError("coordinate shears are defined for dim 2 generators")
-
-
-def shear_linear(g: Generator) -> Generator:
-    """Replace h_1 by -z_1 (1 - sum_k c_{(1,k)} z_2^k), keep h_2.
-
-    The jet extracts the coefficients c_{(1,k)}, k <= degree-1, from g;
-    the evaluator realizes the full series by circle averaging, so the
-    output is again a generator whenever g is.  The membership scan runs
-    on ``REFERENCE_GRID`` at ``MEMBERSHIP_TOL`` and its certificate is
-    attached.
-    """
-    _shear_common(g)
-    D = g.degree
-    profile = _sheared_profile_fn(g)
-
-    coeffs: dict[tuple[int, int], complex] = {(1, 0): -1.0 + 0j}
-    for k in range(1, D):
-        c = g.jet.coefficient(0, (1, k))
-        if c != 0:
-            coeffs[(1, k)] = c
-    comp0 = MultiJet(2, D, coeffs)
-    jet = JetMap((comp0, g.jet.components[1]), Normalization.GENERATOR)
+    if any(sum(a) > g.degree for a in keep):
+        raise JetShapeError(f"{kind} needs a jet of degree >= 2")
+    tables = kernels.basis_tables(2, g.degree)
+    base = g.jet_array(g.degree)
+    cols = [tables.index[a] for a in keep]
+    c = base[0, cols]
+    arr = np.zeros_like(base)
+    arr[0, tables.linear[0]] = -1.0
+    arr[0, cols] = c
+    arr[1] = base[1]
 
     def component_fn(z: np.ndarray, j: int) -> np.ndarray:
-        if j == 0:
-            return -z[..., 0] * profile(z[..., 1])
-        return g.component(z, 1)
+        return first(z, c) if j == 0 else g.component(z, 1)
 
     def evaluator(z: np.ndarray) -> np.ndarray:
         return np.stack([component_fn(z, 0), component_fn(z, 1)], axis=-1)
 
     base_deps = g.margin_deps[1] if g.margin_deps is not None else frozenset({0, 1})
     out = Generator(
-        jet,
+        arr,
         evaluator,
-        {"kind": "shear-linear", "base": g.provenance},
+        {"kind": kind, "base": g.provenance},
         component_fn=component_fn,
-        margin_deps=[frozenset({1}), base_deps],
+        margin_deps=[first_deps, base_deps],
         trusted=False,
         may_have_poles=g.may_have_poles,
         check=True,
@@ -746,6 +739,22 @@ def shear_linear(g: Generator) -> Generator:
     out.certificate = cert
     out.trusted = cert.passed
     return out
+
+
+def shear_linear(g: Generator) -> Generator:
+    """Replace h_1 by -z_1 (1 - sum_k c_{(1,k)} z_2^k), keep h_2.
+
+    The array keeps the coefficients c_{(1,k)}, k <= degree-1, of g; the
+    evaluator realizes the full series by circle averaging, so the
+    output is again a generator whenever g is.  The membership scan runs
+    on ``REFERENCE_GRID`` at ``MEMBERSHIP_TOL`` and its certificate is
+    attached.
+    """
+    profile = _sheared_profile_fn(g)
+    keep = [(1, k) for k in range(1, g.degree)]
+    return _sheared(
+        g, "shear-linear", keep, lambda z, c: -z[..., 0] * profile(z[..., 1]), frozenset({1})
+    )
 
 
 def shear_quadratic(g: Generator) -> Generator:
@@ -754,35 +763,10 @@ def shear_quadratic(g: Generator) -> Generator:
     The membership scan runs on ``REFERENCE_GRID`` at ``MEMBERSHIP_TOL``
     and its certificate is attached.
     """
-    _shear_common(g)
-    D = g.degree
-    c = g.jet.coefficient(0, (0, 2))
-    comp0 = MultiJet(2, D, {(1, 0): -1.0 + 0j, (0, 2): c})
-    jet = JetMap((comp0, g.jet.components[1]), Normalization.GENERATOR)
-
-    def component_fn(z: np.ndarray, j: int) -> np.ndarray:
-        if j == 0:
-            return -z[..., 0] + c * z[..., 1] ** 2
-        return g.component(z, 1)
-
-    def evaluator(z: np.ndarray) -> np.ndarray:
-        return np.stack([component_fn(z, 0), component_fn(z, 1)], axis=-1)
-
-    base_deps = g.margin_deps[1] if g.margin_deps is not None else frozenset({0, 1})
-    out = Generator(
-        jet,
-        evaluator,
-        {"kind": "shear-quadratic", "base": g.provenance},
-        component_fn=component_fn,
-        margin_deps=[frozenset({0, 1}), base_deps],
-        trusted=False,
-        may_have_poles=g.may_have_poles,
-        check=True,
+    return _sheared(
+        g, "shear-quadratic", [(0, 2)], lambda z, c: -z[..., 0] + c[0] * z[..., 1] ** 2,
+        frozenset({0, 1}),
     )
-    cert = membership_check(out)
-    out.certificate = cert
-    out.trusted = cert.passed
-    return out
 
 
 # -- perturbation threshold -----------------------------------------------

@@ -45,10 +45,10 @@ __all__ = [
     "jacobian",
     "matrix_solve",
     "identity_map",
-    "minus_identity_map",
     "rotation_phases",
     "rotate_map",
     "assert_normalization",
+    "check_normalization",
     "jet_distance",
     "map_distance",
     "jet_to_json",
@@ -315,13 +315,18 @@ class JetMap:
 
 def assert_normalization(f: JetMap, tol: float = 1e-8) -> None:
     """Check the declared normalization tag against the coefficients."""
-    if f.normalization is Normalization.GENERAL:
-        return
-    const = np.max(np.abs(f.constant_terms()))
+    if f.normalization is not Normalization.GENERAL:
+        sign = 1.0 if f.normalization is Normalization.UNIVALENT else -1.0
+        check_normalization(f.constant_terms(), f.linear_part(), sign, tol)
+
+
+def check_normalization(constant: np.ndarray, linear: np.ndarray, sign: float, tol: float) -> None:
+    """Refuse a constant term above ``tol`` or a linear part off sign * identity."""
+    const = max(abs(c) for c in constant.tolist())  # Python floats: cheap at these sizes
     if const > tol:
         raise DomainError(f"tagged map has constant term of size {const:.3e}")
-    sign = 1.0 if f.normalization is Normalization.UNIVALENT else -1.0
-    dev = np.max(np.abs(f.linear_part() - sign * np.eye(f.dim)))
+    rows = enumerate(linear.tolist())
+    dev = max(abs(v - sign * (i == j)) for i, row in rows for j, v in enumerate(row))
     if dev > tol:
         raise DomainError(
             f"linear part deviates from {'+' if sign > 0 else '-'}identity by {dev:.3e}"
@@ -385,12 +390,6 @@ def analytic_jet(kind: str, dim: int, degree: int, var: int, u: complex | None =
 
 def identity_map(dim: int, degree: int) -> JetMap:
     return JetMap(tuple(variable_jet(dim, degree, j) for j in range(dim)), Normalization.UNIVALENT)
-
-
-def minus_identity_map(dim: int, degree: int) -> JetMap:
-    return JetMap(
-        tuple(-variable_jet(dim, degree, j) for j in range(dim)), Normalization.GENERATOR
-    )
 
 
 # -- composition ----------------------------------------------------------

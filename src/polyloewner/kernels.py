@@ -59,6 +59,7 @@ __all__ = [
     "identity_array",
     "default_backend",
     "mul_arrays",
+    "jacobian_times",
     "compose_arrays",
     "rk4_jet_arrays",
 ]
@@ -253,6 +254,13 @@ def mul_arrays(a: np.ndarray, b: np.ndarray, tables: BasisTables) -> np.ndarray:
     # every k has the pair (0, k), so no reduceat group is empty
     products = a[..., tables.mul_i] * b[..., tables.mul_j]
     return np.add.reduceat(products, tables.mul_start, axis=-1)
+
+
+def jacobian_times(f: np.ndarray, x: np.ndarray, tables: BasisTables) -> np.ndarray:
+    """Truncated jet of Df.x = sum_j df/dz_j * x_j, for (n, B) arrays f and x."""
+    col, factor = tables.deriv_gather
+    df = (f[:, col] * factor).transpose(1, 0, 2)  # df[j] = df/dz_j
+    return mul_arrays(df, x[:, None, :], tables).sum(axis=0)
 
 
 def _monomials(inner: np.ndarray, t: BasisTables) -> np.ndarray:

@@ -165,3 +165,167 @@ def test_a_torus_past_the_mesh_limit_is_refused_before_it_is_built():
         tracemalloc.stop()
     assert code == 2
     assert peak < 16 * 2**20
+
+
+# -- generated descriptions -------------------------------------------------
+
+JUNK = st.sampled_from([None, 5, -1, 1e308, True, "", "x", "ab", "H1", [], [None], {}])
+HUGE = st.sampled_from([0.0, -1.0, 1e154, 1e308, -1e308])
+
+
+def _mostly(valid, invalid):
+    """Valid values about three times in four, so that most calls get past decoding."""
+    return st.integers(0, 3).flatmap(lambda k: invalid if k == 3 else valid)
+
+
+ANGLES = _mostly(
+    st.lists(st.floats(-7.0, 7.0), min_size=2, max_size=2),
+    st.one_of(JUNK, st.lists(HUGE, min_size=1, max_size=3)),
+)
+WEIGHTS = _mostly(
+    st.sampled_from([[1.0], [0.5, 0.5], [0.25, 0.75]]),
+    st.one_of(JUNK, st.lists(HUGE, max_size=2)),
+)
+ATOMS = _mostly(
+    st.sampled_from(
+        [
+            [{"angle": 0.3, "weight": 1.0}],
+            [{"angle": 2.0, "weight": 0.4}, {"angle": -1.0, "weight": 0.6}],
+        ]
+    ),
+    st.one_of(
+        JUNK,
+        st.lists(st.fixed_dictionaries({"angle": st.one_of(HUGE, JUNK), "weight": HUGE}), max_size=2),
+    ),
+)
+MEASURES = _mostly(
+    st.lists(st.one_of(st.none(), st.fixed_dictionaries({"atoms": ATOMS})), min_size=2, max_size=2),
+    st.one_of(JUNK, st.lists(JUNK, max_size=3)),
+)
+SELECTORS = _mostly(
+    st.sampled_from([[0, 1], [1, 0], [1, 1]]),
+    st.one_of(JUNK, st.lists(st.sampled_from([2, -1, "a"]), max_size=3)),
+)
+LEAVES = _mostly(
+    st.one_of(
+        st.sampled_from(
+            [
+                {"kind": "catalog", "name": "H1"},
+                {"kind": "catalog", "name": "H4"},
+                {"kind": "dilation", "dim": 2},
+                {"kind": "from-starlike", "map": {"kind": "catalog", "name": "F4"}},
+            ]
+        ),
+        st.fixed_dictionaries({"kind": st.just("product-form"), "selectors": SELECTORS, "measures": MEASURES}),
+    ),
+    st.one_of(
+        JUNK,
+        st.sampled_from(
+            [
+                {"kind": "catalog", "name": "F1"},
+                {"kind": "catalog", "name": 5},
+                {"kind": "dilation", "dim": "two"},
+                {"kind": "from-starlike", "map": "F4"},
+                {"kind": "polynomial", "components": 5},
+                {"kind": "nonsense"},
+                {"provenance": "x"},
+                {},
+            ]
+        ),
+    ),
+)
+
+
+def _nested(children):
+    return st.one_of(
+        st.fixed_dictionaries({"kind": st.just("rotation"), "base": children, "angles": ANGLES}),
+        st.fixed_dictionaries({"kind": st.sampled_from(["shear-linear", "shear-quadratic"]), "base": children}),
+        st.fixed_dictionaries(
+            {
+                "kind": st.just("convex-combination"),
+                "parts": _mostly(st.lists(children, min_size=1, max_size=2), st.one_of(JUNK, st.just([]))),
+                "weights": WEIGHTS,
+            }
+        ),
+    )
+
+
+DESCRIPTIONS = st.recursive(LEAVES, _nested, max_leaves=3)
+
+
+@st.composite
+def described_calls(draw):
+    """(verb, document): a generator description, or a field schedule around one."""
+    verb = draw(st.sampled_from(["check-generator", "bounds", "limit"]))
+    desc = draw(DESCRIPTIONS)
+    if verb != "limit":
+        return verb, desc
+    entry = draw(
+        _mostly(st.sampled_from([{}, {"until": 0.5}]), st.sampled_from([{"until": -1.0}, {"until": "x"}]))
+    )
+    return verb, draw(
+        _mostly(
+            st.sampled_from(
+                [
+                    {"schedule": [dict(entry, generator=desc)]},
+                    {"schedule": [{"until": 0.5, "generator": desc}, {"generator": desc}]},
+                ]
+            ),
+            st.sampled_from([desc, {"schedule": []}, {"schedule": desc}, []]),
+        )
+    )
+
+
+_VERB_FLAG = {"check-generator": "--file", "bounds": "--generator", "limit": "--field"}
+
+# the description cases that once exited 1 with a traceback
+MALFORMED = [
+    "x",
+    {"kind": "rotation", "angles": [0.1, 0.2], "base": "H1"},
+    {"kind": "shear-linear", "base": "H1"},
+    {"kind": "convex-combination", "parts": "ab", "weights": [0.5, 0.5]},
+    {"kind": "convex-combination", "parts": None, "weights": [1.0]},
+    {"kind": "product-form", "selectors": [1, 0], "measures": 5},
+    {"kind": "rotation", "angles": [1e308, 1e308], "base": {"kind": "catalog", "name": "H4"}},
+]
+
+
+@pytest.fixture(scope="module")
+def description_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("descriptions") / "description.json"
+
+
+def _described_call(path, verb, document):
+    path.write_text(json.dumps(document))
+    argv = [verb, _VERB_FLAG[verb], str(path), "--degree", "3"]
+    return _assert_contract(argv + (["--growth-points", "4"] if verb == "bounds" else []))
+
+
+@pytest.mark.parametrize("verb", sorted(_VERB_FLAG))
+@pytest.mark.parametrize("desc", MALFORMED)
+def test_malformed_descriptions_exit_2(description_path, verb, desc):
+    document = {"schedule": [{"generator": desc}]} if verb == "limit" and desc != "x" else desc
+    assert _described_call(description_path, verb, document) == 2
+
+
+def test_a_description_nested_past_the_recursion_limit_exits_2(description_path):
+    # 500 levels decode, but building and scanning them recurses past the limit
+    text = json.dumps({"kind": "catalog", "name": "H1"})
+    for _ in range(500):
+        text = '{"kind": "convex-combination", "weights": [1.0], "parts": [' + text + "]}"
+    description_path.write_text(text)
+    assert _assert_contract(["check-generator", "--file", str(description_path)]) == 2
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+@given(call=described_calls())
+@example(call=("check-generator", "x"))
+@example(call=("bounds", {"kind": "shear-linear", "base": "abc"}))
+@example(call=("limit", {"schedule": [{"generator": MALFORMED[5]}]}))
+def test_generated_descriptions_get_an_envelope_or_one_error_line(description_path, call):
+    _described_call(description_path, *call)

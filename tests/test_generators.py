@@ -20,12 +20,15 @@ from polyloewner import (
     REFERENCE_GRID,
     SHELL_GRID,
     SingularityError,
+    analytic_jet,
     catalog_generator,
     catalog_get,
     convex_combination,
     dilation_generator,
     from_starlike,
+    jacobian,
     map_distance,
+    matrix_solve,
     membership_check,
     perturb_starlike_delta,
     product_form,
@@ -34,6 +37,7 @@ from polyloewner import (
     shear_linear,
     shear_quadratic,
     torus_jet,
+    variable_jet,
 )
 from polyloewner.kernels import basis_tables, map_to_array
 from test_acceptance import random_generator, violator
@@ -123,8 +127,13 @@ class TestMembership:
         )
         with pytest.raises(DomainError, match="disagree"):
             Generator(jet, jet, {"kind": "polynomial"})
+        # without the torus check the constructor refuses the array itself
+        with pytest.raises(DomainError, match="not finite"):
+            Generator(jet, jet, {"kind": "polynomial"}, check=False)
+        # a finite array with the NaN map as its evaluator reaches the scan
+        finite = dilation_generator(2, degree=3).jet
         with pytest.raises(SingularityError):
-            membership_check(Generator(jet, jet, {"kind": "polynomial"}, check=False))
+            membership_check(Generator(finite, jet, {"kind": "polynomial"}, check=False))
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_pole_inside_is_found_by_the_shells(self, dim):
@@ -213,7 +222,7 @@ class TestRotation:
             theta = rng.uniform(0.0, 2.0 * np.pi, size=base.dim)
             rot = rotate_generator(base, theta)
             arrays = {d: rot.jet_array(d) for d in range(1, 5)}
-            assert rot._jet is None  # the arrays never read the dict jet
+            assert not any(arr.flags.writeable for arr in arrays.values())
             assert rot.jet == rotate_map(base.jet, theta)
             for d, arr in arrays.items():
                 assert np.array_equal(arr, map_to_array(rot.jet.truncated(d), basis_tables(base.dim, d)))
@@ -259,6 +268,13 @@ class TestProductForm:
             AtomicMeasure(((0.0, -0.2), (1.0, 1.2)))
         m = AtomicMeasure(((0.5, 0.25), (1.5, 0.75)))
         assert AtomicMeasure.from_json(m.to_json()).atoms == m.atoms
+
+    def test_moments_stay_finite_at_huge_angles(self):
+        # k * angle overflows past 1e308, a power of exp(i angle) does not
+        m = AtomicMeasure(((1e308, 1.0),))
+        assert all(abs(m.herglotz_coefficient(k)) == pytest.approx(2.0) for k in range(1, 6))
+        g = product_form([1, 0], [m, None], degree=5, check=False)
+        assert np.isfinite(g.jet_array(5)).all()
 
 
 class TestConvexCombination:
@@ -420,6 +436,127 @@ class TestGeneratorObject:
         payload = catalog_generator("H1").to_json()
         assert payload["provenance"]["kind"] == "catalog"
         assert payload["jet"]["normalization"] == "generator-normalized"
+
+
+ORACLE_SHAPES = [(2, 4), (3, 4), (3, 6)]
+
+
+def _assert_same_array(got: np.ndarray, want: JetMap):
+    """The array of an array constructor against its dict-jet oracle."""
+    want_arr = map_to_array(want, basis_tables(want.dim, want.degree))
+    assert got.shape == want_arr.shape
+    assert np.max(np.abs(got - want_arr)) <= 1e-13 * np.max(np.abs(want_arr))
+
+
+def _random_measure(rng) -> AtomicMeasure:
+    weights = rng.uniform(0.1, 1.0, size=3)
+    return AtomicMeasure(tuple(zip(rng.uniform(-math.pi, math.pi, size=3), weights / weights.sum())))
+
+
+def _rotated_catalog(rng, name, dim, degree):
+    base = catalog_generator(name, dim=dim, degree=degree)
+    return rotate_generator(base, rng.uniform(0.0, 2.0 * math.pi, size=dim))
+
+
+class TestArrayConstructors:
+    """Each constructor's array against the dict-jet construction it replaced."""
+
+    @pytest.mark.parametrize("dim,degree", ORACLE_SHAPES)
+    def test_product_form(self, rng, dim, degree):
+        for _ in range(3):
+            selectors = [int(s) for s in rng.integers(0, dim, size=dim)]
+            measures = [_random_measure(rng) for _ in range(dim - 1)] + [None]
+            g = product_form(selectors, measures, degree=degree)
+            comps = []
+            for k in range(dim):
+                zk = variable_jet(dim, degree, k)
+                if measures[k] is None:
+                    comps.append(-zk)
+                    continue
+                p = MultiJet(dim, degree, {})
+                for a, w in measures[k].atoms:
+                    p = p + w * analytic_jet("mobius", dim, degree, selectors[k], u=np.exp(1j * a))
+                comps.append(-(zk * p))
+            _assert_same_array(g.jet_array(degree), JetMap(tuple(comps)))
+
+    @pytest.mark.parametrize("dim,degree", ORACLE_SHAPES)
+    def test_convex_combination(self, rng, dim, degree):
+        parts = [
+            _rotated_catalog(rng, "H1", dim, degree),
+            catalog_generator("H4", dim=dim, degree=degree + 1),
+            product_form([1] + [0] * (dim - 1), [_random_measure(rng)] + [None] * (dim - 1), degree),
+        ]
+        w = [0.2, 0.3, 0.5]
+        g = convex_combination(parts, w)
+        comps = []
+        for j in range(dim):
+            acc = MultiJet(dim, degree, {})
+            for wt, p in zip(w, parts):
+                acc = acc + wt * p.jet.components[j].truncated(degree)
+            comps.append(acc)
+        assert g.degree == degree
+        _assert_same_array(g.jet_array(degree), JetMap(tuple(comps)))
+
+    @pytest.mark.parametrize("degree", [4, 6])
+    @pytest.mark.parametrize("name", ["H1", "H2", "H3", "H4"])
+    def test_shears(self, rng, name, degree):
+        g = _rotated_catalog(rng, name, 2, degree)
+        coeffs = {(1, 0): -1.0}
+        coeffs.update({(1, k): g.jet.coefficient(0, (1, k)) for k in range(1, degree)})
+        want = JetMap((MultiJet(2, degree, coeffs), g.jet.components[1]))
+        _assert_same_array(shear_linear(g).jet_array(degree), want)
+        coeffs = {(1, 0): -1.0, (0, 2): g.jet.coefficient(0, (0, 2))}
+        want = JetMap((MultiJet(2, degree, coeffs), g.jet.components[1]))
+        _assert_same_array(shear_quadratic(g).jet_array(degree), want)
+
+    @pytest.mark.parametrize("dim,degree", ORACLE_SHAPES)
+    def test_from_starlike(self, dim, degree):
+        names = [f"F{j}" for j in range(1, 8 if dim == 3 else 6)]
+        for name in names:
+            f = catalog_get(name, dim=dim, degree=degree)
+            x = matrix_solve(jacobian(f.jet), f.jet.components)
+            want = JetMap(tuple(-c for c in x))
+            _assert_same_array(from_starlike(f, check=False).jet_array(degree), want)
+
+    @pytest.mark.parametrize("dim,degree", ORACLE_SHAPES)
+    def test_every_kind_serves_views_of_one_read_only_array(self, rng, dim, degree):
+        gens = [
+            catalog_generator("H2", dim=dim, degree=degree),
+            dilation_generator(dim, degree=degree),
+            _rotated_catalog(rng, "H4", dim, degree),
+            product_form([1] + [0] * (dim - 1), [_random_measure(rng)] + [None] * (dim - 1), degree),
+            convex_combination(
+                [_rotated_catalog(rng, "H1", dim, degree), catalog_generator("H5", dim=dim, degree=degree)],
+                [0.4, 0.6],
+            ),
+            from_starlike(catalog_get("F3", dim=dim, degree=degree)),
+        ]
+        if dim == 2:
+            gens += [shear_linear(gens[2]), shear_quadratic(gens[2])]
+        for g in gens:
+            for d in range(1, degree + 1):
+                arr = g.jet_array(d)
+                assert not arr.flags.writeable, g.provenance["kind"]
+                want = map_to_array(g.jet.truncated(d), basis_tables(dim, d))
+                assert np.array_equal(arr, want), g.provenance["kind"]
+
+    def test_array_input_and_its_shape(self):
+        h4 = catalog_generator("H4")
+        arr = h4.jet_array(4).copy()
+        g = Generator(arr, h4.evaluate, {"kind": "test"})
+        arr[0, 5] = 7.0  # the generator holds its own copy
+        assert g.dim == 2 and g.degree == 4 and g.jet == h4.jet
+        with pytest.raises(JetShapeError):
+            Generator(arr[:, :-1], h4.evaluate, {"kind": "test"}, check=False)
+        moved = h4.jet_array(4).copy()
+        moved[1, 0] = 1e-3
+        with pytest.raises(DomainError, match="constant term"):
+            Generator(moved, h4.evaluate, {"kind": "test"}, check=False)
+
+    def test_huge_rotation_angles_are_refused(self):
+        h4 = catalog_generator("H4")
+        with pytest.raises(DomainError, match="not finite"):
+            rotate_generator(h4, (1e308, 1e308))
 
 
 angles_st = st.floats(min_value=0.0, max_value=2 * math.pi, allow_nan=False)
