@@ -17,7 +17,12 @@ Then, at (2, 3) and (3, 3), the generator constructors a search or a
 description calls: ``product_form`` and ``from_starlike`` without their
 torus check, ``convex_combination`` of a rotated and a plain catalog
 generator, ``rotate_generator``, and the ``Generator`` constructor on a
-catalog jet.  Run from the repo root:
+catalog jet.  Last, the pointwise limit that ``bounds --field`` evaluates:
+``limit_evaluator`` at horizon 15 (RK4 to the breakpoint, then the tail's
+exact Koenigs map) against RK4 all the way, ``exp(T) * evolve_point``, on
+two-piece rotated fields of dim 2 (H1, H4) and dim 3 (H6, H7) at 50
+points, with the largest relative gap between the two.  Run from the repo
+root:
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py
 """
@@ -36,6 +41,8 @@ from polyloewner.evolution import (
     _koenigs_pair,
     _scaled_flow,
     _solve_koenigs_pair,
+    evolve_point,
+    limit_evaluator,
     parametric_limit,
 )
 from polyloewner.fourier import torus_error, torus_grid
@@ -54,6 +61,9 @@ SHAPES = ((2, 4), (2, 6), (3, 4), (3, 6), (3, 8))
 LARGE_SHAPE = (4, 10)
 TORUS_SHAPES = ((2, 4), (3, 6), (3, 8), (2, 16))
 CONSTRUCTOR_SHAPES = ((2, 3), (3, 3))
+LIMIT_FIELDS = {2: ("H1", "H4"), 3: ("H6", "H7")}
+LIMIT_HORIZON = 15.0
+LIMIT_POINTS = 50
 
 
 def _best_of(repeats: int, fn) -> float:
@@ -184,6 +194,31 @@ def main() -> None:
             f"{dim:>3} {degree:>3} "
             + " ".join(f"{1e6 * s:>{w}.1f}" for s, w in zip(times, (18, 17, 12, 19, 15)))
         )
+
+    header = f"{'dim':>3} {'pieces':>9} {'exact tail (ms)':>16} {'RK4 to T (ms)':>14} {'rel gap':>8}"
+    print()
+    print(header)
+    print("-" * len(header))
+    rng = np.random.default_rng(1)
+    for dim, names in LIMIT_FIELDS.items():
+        field = HerglotzField.build(
+            [rotate_generator(catalog_generator(n, dim=dim), rng.uniform(0, 2 * np.pi, dim)) for n in names],
+            [0.7],
+        )
+        z = rng.normal(size=(LIMIT_POINTS, dim)) + 1j * rng.normal(size=(LIMIT_POINTS, dim))
+        z *= np.linspace(0.05, 0.95, LIMIT_POINTS)[:, None] / np.max(np.abs(z), axis=-1, keepdims=True)
+
+        def exact(field=field, z=z):
+            return limit_evaluator(field, horizon=LIMIT_HORIZON)(z)
+
+        def rk4(field=field, z=z):
+            return math.exp(LIMIT_HORIZON) * evolve_point(field, 0.0, LIMIT_HORIZON, z)
+
+        exact()  # resolve the tail's Koenigs map
+        gap = np.max(np.abs(exact() - rk4())) / np.max(np.abs(rk4()))
+        exact_ms = 1e3 * _best_of(args.repeats, exact)
+        rk4_ms = 1e3 * _best_of(args.repeats, rk4)
+        print(f"{dim:>3} {'/'.join(names):>9} {exact_ms:>16.2f} {rk4_ms:>14.2f} {gap:>8.1e}")
 
 
 if __name__ == "__main__":

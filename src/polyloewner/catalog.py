@@ -478,6 +478,7 @@ def catalog_generator(name: str, dim: Optional[int] = None, degree: int = 4) -> 
     """Catalog generator wrapped for the evolution engine (trusted member).
 
     Cached like ``catalog_get``: every call form returns the same object.
+    Its Koenigs map is the matching F_j, fetched only when first asked for.
     """
     return _cached_generator(*_entry_key(name, dim, degree))
 
@@ -494,7 +495,14 @@ def _cached_generator(key: str, n: int, degree: int) -> Generator:
         margin_deps=named.margin_deps,
         trusted=True,
         check=False,
+        koenigs_map=lambda: _starlike_pair("F" + key[1:], n, degree),
     )
+
+
+def _starlike_pair(key: str, n: int, degree: int):
+    """Evaluator and Jacobian of F_j, the Koenigs map of H_j = -DF_j^-1 F_j."""
+    entry = _cached_entry(key, n, degree)
+    return entry.evaluator, entry.jacobian
 
 
 # -- catalog verification --------------------------------------------------

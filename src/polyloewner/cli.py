@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from typing import Optional
@@ -218,6 +219,10 @@ def _effective_config(args: argparse.Namespace) -> dict:
     for dest in list(options) + ["deterministic"]:
         if hasattr(args, dest):
             config[dest] = getattr(args, dest)
+    # a NaN or infinite number could not be printed back in the JSON envelope
+    for dest, (typ, _default) in options.items():
+        if typ is float and config[dest] is not None and not math.isfinite(config[dest]):
+            raise CliError(f"{dest} must be finite, got {config[dest]}")
     return config
 
 

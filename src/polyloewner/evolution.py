@@ -2,8 +2,13 @@
 
 A field assigns a generator to every t >= 0: finitely many pieces, each
 active up to its breakpoint, then a tail generator forever.  Transition
-maps (``evolve_jet``, ``evolve_point``, ``limit_evaluator``) are
-integrated with classic RK4 on points and on truncated jets.
+maps (``evolve_jet``, ``evolve_point``) are integrated with classic RK4
+on points and on truncated jets.  ``limit_evaluator`` integrates RK4 only
+up to the last breakpoint T_last and finishes with the tail's pointwise
+Koenigs map F where the tail knows it (DF.h = -F, so F(phi_{T_last,T}(w))
+= e^-(T-T_last) F(w)): e^T phi_{0,T}(z) is e^T F^-1(e^-(T-T_last) F(w)),
+with F^-1 a guarded Newton solve.  Tails without F, and points whose
+solve is refused, keep RK4 to the horizon, which stays the test oracle.
 
 Limit jets (``parametric_limit``) need no integration.  Every generator
 has Dh(0) = -I, so on each constant piece the flow is conjugate to the
@@ -65,6 +70,12 @@ __all__ = [
 _NORM_SLACK = 1e-9
 # RK4 steps one integration may take; past it the node list alone would exhaust memory
 _MAX_STEPS = 10**6
+# Newton steps of the exact tail before a point falls back to RK4
+_NEWTON_STEPS = 8
+# an exact-tail solve is accepted when |F(v) - u| <= this * |u|
+_NEWTON_RTOL = 1e-14
+# past this tail length, e^-tail changes the exact tail far below roundoff
+_TAIL_CAP = 200.0
 
 
 class IntegrationError(RuntimeError):
@@ -446,6 +457,66 @@ def parametric_limit(
     return LimitResult(jet=jet, tail_bound=tail, horizon=horizon, degree=degree, step=step)
 
 
+def _pointwise_koenigs(gen: Generator) -> Optional[tuple[Callable, Callable]]:
+    """The pointwise Koenigs map F of a generator and its Jacobian, or None.
+
+    A rotation conjugates its base's pair as ``_koenigs_pair`` does:
+    F_rot(z) = e^-i.angles F(e^i.angles z), DF_rot = e^-i.angles DF e^i.angles.
+    """
+    if gen.rotation is None:
+        source = gen._koenigs_map
+        return None if source is None else source()
+    base, angles, _ = gen.rotation
+    pair = _pointwise_koenigs(base)
+    if pair is None:
+        return None
+    F, DF = pair
+    th = np.asarray(angles)
+    phases, inv_phases = np.exp(1j * th), np.exp(-1j * th)
+    return (
+        lambda z: inv_phases * F(phases * z),
+        lambda z: inv_phases[:, None] * DF(phases * z) * phases,
+    )
+
+
+def _exact_tail(
+    F: Callable, DF: Callable, w: np.ndarray, tail: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """x = e^tail F^-1(e^-tail F(w)) for rows of points w, and where it holds.
+
+    Newton solves F(s x) = s F(w), s = e^-tail, from x = F(w); working in
+    x rather than v = s x keeps every quantity the size of F(w).  A row is
+    accepted once its residual |F(v) - u|, u = s F(w), is finite and at
+    most ``_NEWTON_RTOL`` |u| with v inside the polydisc; a row whose
+    Jacobian is singular or not finite, or that is not accepted within
+    ``_NEWTON_STEPS``, is refused.  Tails past ``_TAIL_CAP`` are solved at
+    the cap, which keeps s a normal float and changes x below roundoff.
+    """
+    s = math.exp(-min(tail, _TAIL_CAP))
+    target = np.asarray(F(w), dtype=np.complex128)
+    size = np.max(np.abs(target), axis=-1)
+    x = target.copy()
+    accepted = np.zeros(len(w), dtype=bool)
+    rows = np.arange(len(w))
+    with np.errstate(all="ignore"):
+        for k in range(_NEWTON_STEPS + 1):
+            v = s * x[rows]
+            res = (np.asarray(F(v), dtype=np.complex128) - s * target[rows]) / s
+            err = np.max(np.abs(res), axis=-1)
+            done = err <= _NEWTON_RTOL * size[rows]
+            accepted[rows[done & (np.max(np.abs(v), axis=-1) < 1.0)]] = True
+            going = ~done & np.isfinite(err)
+            if k == _NEWTON_STEPS or not going.any():
+                break
+            rows, v, res = rows[going], v[going], res[going]
+            J = np.asarray(DF(v), dtype=np.complex128)
+            det = np.linalg.det(J)
+            regular = np.isfinite(det) & (det != 0)
+            rows, J, res = rows[regular], J[regular], res[regular]
+            x[rows] -= np.linalg.solve(J, res[..., None])[..., 0]
+    return x, accepted
+
+
 def limit_evaluator(
     field: HerglotzField,
     horizon: float = 15.0,
@@ -456,13 +527,32 @@ def limit_evaluator(
     Unlike the truncated jet from parametric_limit, this stays accurate
     at points deep in the polydisc, where truncation error would swamp
     the growth-bound margins near extremal directions.
+
+    RK4 runs from 0 to the last breakpoint T_last (no steps when there is
+    none).  When T > T_last and the tail knows its Koenigs map F (catalog
+    generators, their rotations, the dilation, ``from_starlike``), the
+    rest is exact: e^T F^-1(e^-(T-T_last) F(w)) by ``_exact_tail``, with
+    no e^T formed.  Every other case, and every point whose Newton solve
+    is refused, integrates RK4 on to T and scales by e^T, as
+    ``evolve_point`` does for the whole span.
     """
     if not 0.0 < horizon < math.log(sys.float_info.max):
         raise DomainError(f"horizon must be positive with e^horizon finite, got {horizon}")
     scale = math.exp(horizon)
+    last = field.breakpoints[-1] if field.pieces else 0.0
+    pair = _pointwise_koenigs(field.tail) if horizon > last else None
 
     def evaluate(z: np.ndarray) -> np.ndarray:
-        return scale * evolve_point(field, 0.0, horizon, z, step=step)
+        if pair is None:
+            return scale * evolve_point(field, 0.0, horizon, z, step=step)
+        w = evolve_point(field, 0.0, last, z, step=step)
+        points = np.atleast_2d(w)
+        x, accepted = _exact_tail(*pair, points, horizon - last)
+        out = math.exp(last) * x
+        if not accepted.all():
+            rest = ~accepted
+            out[rest] = scale * evolve_point(field, last, horizon, points[rest], step=step)
+        return out[0] if w.ndim == 1 else out
 
     return evaluate
 

@@ -252,6 +252,13 @@ class Generator:
     angles)``, phases the (n, B) array of ``rotation_phases``, and None
     otherwise; ``evolution`` multiplies the base's Koenigs pair by the
     phases instead of solving the rotation's own.
+
+    ``koenigs_map``, where the construction knows it, is a callable that
+    returns the pointwise Koenigs map F of h and its Jacobian DF as a pair
+    of vectorized functions, with DF.h = -F, F(0) = 0 and DF(0) = I.  It
+    is called only on first use, by ``evolution.limit_evaluator``, so
+    building a generator resolves nothing.  Rotations leave it None: the
+    evolution engine conjugates the base's pair.
     """
 
     def __init__(
@@ -267,6 +274,7 @@ class Generator:
         check: bool = True,
         check_tol: float = 1e-8,
         rotation: Optional[tuple["Generator", tuple[float, ...], np.ndarray]] = None,
+        koenigs_map: Optional[Callable[[], tuple[Callable, Callable]]] = None,
     ):
         if isinstance(jet, JetMap):
             jet = kernels.map_to_array(jet, kernels.basis_tables(jet.dim, jet.degree))
@@ -279,6 +287,7 @@ class Generator:
         self._array = arr
         self._jet: Optional[JetMap] = None
         self.rotation = rotation
+        self._koenigs_map = koenigs_map
         self._evaluator = evaluator
         self.provenance = dict(provenance)
         self._component_fn = component_fn
@@ -425,10 +434,13 @@ def membership_check(
 
 
 def dilation_generator(dim: int, degree: int = 4) -> Generator:
-    """The generator h(z) = -z of the pure dilation semigroup."""
+    """The generator h(z) = -z of the pure dilation semigroup (Koenigs map: z)."""
 
     def evaluator(z: np.ndarray) -> np.ndarray:
         return -z
+
+    def identity_pair():
+        return (lambda z: z), (lambda z: np.broadcast_to(np.eye(dim), z.shape + (dim,)))
 
     return Generator(
         -kernels.identity_array(kernels.basis_tables(dim, degree)),
@@ -437,6 +449,7 @@ def dilation_generator(dim: int, degree: int = 4) -> Generator:
         margin_deps=[frozenset()] * dim,
         trusted=True,
         check=False,
+        koenigs_map=identity_pair,
     )
 
 
@@ -464,7 +477,8 @@ def from_starlike(f, *, degree: Optional[int] = None, check: bool = True) -> Gen
     derivative jets as the Jacobian.  The array of the result solves
     Df * x = f order by order, the evaluator comes from pointwise linear
     solves; a singular Jacobian raises ``SingularityError``.  Df may vanish
-    inside the polydisc, so the result has ``may_have_poles``.
+    inside the polydisc, so the result has ``may_have_poles``.  Its
+    Koenigs map is f itself: Df.h = -f.
     """
     if isinstance(f, JetMap):
         fjet, fev, fjac = f, None, None
@@ -510,6 +524,7 @@ def from_starlike(f, *, degree: Optional[int] = None, check: bool = True) -> Gen
         {"kind": "from-starlike", "source": source},
         may_have_poles=True,
         check=check,
+        koenigs_map=lambda: (fev, fjac),
     )
 
 

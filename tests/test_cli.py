@@ -348,6 +348,25 @@ class TestBounds:
             assert err.startswith("polyloewner: error:") and "horizon" in err
             assert len(err.splitlines()) == 1
 
+    def test_far_horizon_reads_the_exact_tail(self, run, field_file):
+        # RK4 to 700 would take 70,000 steps; the Koenigs tail needs 100
+        def report(horizon):
+            argv = ("bounds", "--field", field_file, "--horizon", horizon, "--deterministic")
+            code, out, err = run(*argv)
+            assert (code, err) == (0, "")
+            assert run(*argv)[1] == out
+            return json.loads(out)["report"]["checks"]
+
+        far, near = report("700"), report("40")
+        assert [c["check"] for c in far] == [c["check"] for c in near]
+        for a, b in zip(far, near):
+            assert math.isfinite(a["attained"]) and a["passed"] is b["passed"]
+            assert abs(a["attained"] - b["attained"]) <= 1e-12
+            assert a.get("witness") == b.get("witness")
+        code, out, err = run("bounds", "--field", field_file, "--horizon", "710")
+        assert code == 2 and out == ""
+        assert err.startswith("polyloewner: error:") and len(err.splitlines()) == 1
+
     def test_growth_points_must_be_positive(self, run, field_file):
         for count in ("0", "-3"):
             code, out, err = run(

@@ -10,6 +10,9 @@ refused or handled without a traceback.  ``catalog --dump``, ``bounds
 catalog's least degree (-1, 0, 1) and at it (2), at each step of the
 torus grids (12, 13, 17, 43, 44), and far past the basis cap (10**9);
 ``catalog --dump`` also runs at dim 5, past the torus mesh limit.
+``--dim`` on ``catalog`` and ``search``, ``verify-catalog`` and
+``caratheodory`` run over edge dimensions, degrees, tolerances and atom
+texts, with search budgets of at most 4.
 """
 
 import contextlib
@@ -329,3 +332,64 @@ def test_a_description_nested_past_the_recursion_limit_exits_2(description_path)
 @example(call=("limit", {"schedule": [{"generator": MALFORMED[5]}]}))
 def test_generated_descriptions_get_an_envelope_or_one_error_line(description_path, call):
     _described_call(description_path, *call)
+
+
+# -- dimensions and the remaining verbs -------------------------------------
+
+DIMS = _mostly(st.sampled_from([2, 3]), st.sampled_from([-1, 0, 1, 5, 10**9]))
+CARATHEODORY_DEGREES = _mostly(st.sampled_from([1, 4, 1000]), st.sampled_from([-1, 0, 1001, 10**9]))
+TOLS = _mostly(st.sampled_from([1e-10, 1e-6, 0.5]), EXTREME)
+ATOM_TEXTS = _mostly(
+    st.sampled_from(["0:1", "0.3:0.6,2:0.4", "1:1,1:1", "-1e3:2"]),
+    st.sampled_from(["", "x", "1:", ":1", "0:1:2", "0:0", "0:-1", "0:nan", "nan:1", "inf:1",
+                     "1e308:1", "0:1e308,1:1e308", "0:inf"]),
+)
+
+
+@st.composite
+def other_argvs(draw):
+    """``--dim`` on ``catalog`` and ``search``, and ``caratheodory``."""
+    verb = draw(st.sampled_from(["catalog", "search", "caratheodory"]))
+    if verb == "catalog":
+        name = draw(st.sampled_from(["F1", "H3", "F7", "H6", "all"]))
+        return ["catalog", "--dump", name, "--dim", str(draw(DIMS)), "--degree", "2"]
+    if verb == "search":
+        dim = draw(DIMS)
+        size = draw(_mostly(st.just(min(max(dim, 1), 5)), st.integers(1, 4)))
+        # mostly a target of degree 2 or 3, the search degree
+        hits = draw(st.lists(st.integers(0, size - 1), min_size=2, max_size=3))
+        alpha = [hits.count(k) for k in range(size)]
+        alpha = draw(_mostly(st.just(alpha), st.lists(st.integers(0, 2), min_size=size, max_size=size)))
+        return [
+            "search", "--alpha", ",".join(map(str, alpha)), "--dim", str(dim),
+            "--family", draw(st.sampled_from(["catalog-rotation", "product-form", "convex-combo"])),
+            "--budget", str(draw(_mostly(st.integers(1, 4), st.integers(-1, 0)))),
+            "--pieces", str(draw(st.integers(1, 2))),
+        ]
+    degree = str(draw(CARATHEODORY_DEGREES))
+    return ["caratheodory", f"--atoms={draw(ATOM_TEXTS)}", "--degree", degree, _flag("tol", draw(TOLS))]
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(argv=other_argvs())
+def test_dims_and_the_remaining_verbs_get_an_envelope_or_one_error_line(argv):
+    _assert_contract(argv)
+
+
+@pytest.mark.parametrize(
+    "flags,expected",
+    [(["--degree", d], 2) for d in ("-1", "0", "1", str(10**9))]
+    + [(["--degree", d], 0) for d in ("2", "3")]
+    + [([_flag(name, v)], 2) for name in ("tol", "membership-tol") for v in (math.nan, math.inf)]
+    + [([_flag("tol", -1.0)], 1)]
+    + [([_flag("membership-tol", -1.0)], 1), ([_flag("membership-tol", 0.0)], 0)],
+)
+def test_verify_catalog_at_edge_degrees_and_tolerances(flags, expected):
+    # a NaN tolerance once reached the envelope's config, and json.dumps (a traceback)
+    degree = [] if flags[0] == "--degree" else ["--degree", "2"]
+    assert _assert_contract(["verify-catalog", *flags, *degree]) == expected

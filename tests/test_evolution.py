@@ -21,6 +21,7 @@ from polyloewner import (
     convex_combination,
     dilation_generator,
     evolve_jet,
+    from_starlike,
     evolve_point,
     evolve_report,
     limit_evaluator,
@@ -31,9 +32,10 @@ from polyloewner import (
     rotate_generator,
     rotate_map,
     scaled_transition,
+    shear_linear,
 )
 from polyloewner import evolution
-from polyloewner.evolution import _koenigs_pair, _rescaled
+from polyloewner.evolution import _exact_tail, _koenigs_pair, _pointwise_koenigs, _rescaled
 from polyloewner.kernels import basis_tables, compose_arrays, identity_array, map_to_array
 
 
@@ -425,6 +427,116 @@ class TestRotatedKoenigsPairs:
         # warm base with fresh rotations, then everything warm
         assert np.array_equal(cold, limit_array(new_field()))
         assert np.array_equal(cold, limit_array(field))
+
+
+def _rotated(name, dim, rng):
+    return rotate_generator(catalog_generator(name, dim=dim), rng.uniform(0.0, 2.0 * np.pi, dim))
+
+
+EXACT_TAILS = {
+    **{f"H{k}": (lambda rng, k=k: _rotated(f"H{k}", minimal_dimension(f"H{k}"), rng)) for k in range(1, 8)},
+    "starlike-F2-polynomial": lambda rng: from_starlike(catalog_get("F2").jet),
+    "starlike-F4": lambda rng: from_starlike(catalog_get("F4")),
+    "dilation": lambda rng: dilation_generator(2),
+}
+
+
+class TestExactTail:
+    """limit_evaluator against RK4 to the horizon, its oracle."""
+
+    def _assert_within_step_error(self, field, horizon, z, step=1e-2):
+        got = limit_evaluator(field, horizon=horizon, step=step)(z)
+        want = math.exp(horizon) * evolve_point(field, 0.0, horizon, z, step=step)
+        finer = math.exp(horizon) * evolve_point(field, 0.0, horizon, z, step=0.5 * step)
+        # RK4's error at the step is 16/15 of its gap to the half step
+        bound = 2.0 * np.max(np.abs(want - finer)) + 1e-12 * np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= bound
+
+    @pytest.mark.parametrize("index,tail", enumerate(EXACT_TAILS))
+    def test_matches_rk4_to_the_horizon(self, rng, make_interior_points, index, tail):
+        gen = EXACT_TAILS[tail](rng)
+        pieces = 1 + index % 3 if tail != "dilation" else 2 + index % 2
+        firsts = [_rotated(("H1", "H4", "H2")[k], gen.dim, rng) for k in range(pieces - 1)]
+        breaks = list(np.cumsum(rng.uniform(0.2, 0.6, size=pieces - 1)))
+        field = HerglotzField.build(firsts + [gen], breaks)
+        last = breaks[-1] if breaks else 0.0
+        z = make_interior_points(8, gen.dim, radius=0.95)
+        assert _pointwise_koenigs(field.tail) is not None
+        for horizon in (last + 0.05, last + 1.0):
+            self._assert_within_step_error(field, horizon, z)
+        self._assert_within_step_error(field, 40.0, z, step=0.05)
+
+    def test_refused_points_take_the_rk4_path(self, make_interior_points):
+        # short tails near the boundary: unguarded, Newton raised LinAlgError
+        # on H1 at 0.5 and gave NaN on H5 at 2
+        for name, horizon in (("H1", 0.5), ("H5", 0.3), ("H7", 0.05)):
+            gen = catalog_generator(name)
+            field = HerglotzField.constant(gen)
+            z = make_interior_points(200, gen.dim, radius=0.95)
+            _, accepted = _exact_tail(*_pointwise_koenigs(gen), z, horizon)
+            assert 0 < accepted.sum() < len(z)
+            got = limit_evaluator(field, horizon=horizon)(z)
+            assert np.all(np.isfinite(got))
+            rk4 = math.exp(horizon) * evolve_point(field, 0.0, horizon, z)
+            assert np.array_equal(got[~accepted], rk4[~accepted])
+            self._assert_within_step_error(field, horizon, z)
+
+    def test_tails_without_a_koenigs_map_keep_rk4_bit_for_bit(self, rng, make_interior_points):
+        h1 = catalog_generator("H1")
+        measure = AtomicMeasure(((0.4, 0.3), (2.1, 0.7)))
+        tails = (
+            product_form([1, 0], [measure, None], degree=4),
+            convex_combination([_rotated("H2", 2, rng), h1], [0.4, 0.6]),
+            shear_linear(catalog_generator("H2")),
+        )
+        z = make_interior_points(10, 2, radius=0.95)
+        for tail in tails:
+            assert _pointwise_koenigs(tail) is None
+            field = HerglotzField.build([_rotated("H4", 2, rng), tail], [0.6])
+            got = limit_evaluator(field, horizon=4.0)(z)
+            assert np.array_equal(got, math.exp(4.0) * evolve_point(field, 0.0, 4.0, z))
+        # a horizon before the last breakpoint is RK4 as well, whatever the tail
+        field = HerglotzField.build([_rotated("H4", 2, rng), h1], [0.6])
+        got = limit_evaluator(field, horizon=0.5)(z)
+        assert np.array_equal(got, math.exp(0.5) * evolve_point(field, 0.0, 0.5, z))
+
+    def test_far_horizons_are_finite_and_converged(self, rng, make_interior_points):
+        field = HerglotzField.build([_rotated("H1", 2, rng), _rotated("H4", 2, rng)], [0.7])
+        z = make_interior_points(20, 2, radius=0.95)
+        limit = limit_evaluator(field, horizon=40.0)(z)
+        for horizon in (700.0, 709.7):
+            got = limit_evaluator(field, horizon=horizon)(z)
+            assert np.all(np.isfinite(got))
+            assert np.max(np.abs(got - limit)) <= 1e-14 * np.max(np.abs(limit))
+
+    def test_single_points_and_validation(self):
+        field = HerglotzField.constant(catalog_generator("H2"))
+        z = np.array([0.2 + 0.1j, -0.3], dtype=np.complex128)
+        evaluate = limit_evaluator(field, horizon=15.0)
+        assert evaluate(z).shape == (2,)
+        assert np.array_equal(evaluate(z), evaluate(z[None, :])[0])
+        # evolve_point still checks the points and the step with no piece to run
+        with pytest.raises(DomainError):
+            evaluate(np.array([1.0 + 0j, 0.0]))
+        with pytest.raises(DomainError):
+            limit_evaluator(field, horizon=15.0, step=math.nan)(z)
+
+    def test_the_koenigs_map_is_resolved_on_first_use(self):
+        h4 = catalog_generator("H4")
+        calls = []
+
+        def koenigs_map():
+            calls.append(1)
+            return _pointwise_koenigs(h4)
+
+        gen = Generator(h4.jet, h4.evaluate, {"kind": "test"}, check=False, koenigs_map=koenigs_map)
+        field = HerglotzField.constant(gen)
+        parametric_limit(field, horizon=6.0, degree=3)
+        assert calls == []
+        z = np.array([[0.3, -0.5j]])
+        got = limit_evaluator(field, horizon=6.0)(z)
+        assert calls == [1]
+        assert np.array_equal(got, limit_evaluator(HerglotzField.constant(h4), horizon=6.0)(z))
 
 
 class TestReport:
