@@ -34,8 +34,9 @@ from .jets import (
     variable_jet,
 )
 from .kernels import basis_tables, default_backend
-from .fourier import ring_jacobian, torus_array, torus_coefficients, torus_grid, torus_jet
+from .fourier import ring_jacobian, torus_array, torus_grid
 from .generators import (
+    CHECK_TOL,
     MEMBERSHIP_TOL,
     REFERENCE_GRID,
     SHELL_GRID,
@@ -110,9 +111,9 @@ __all__ = [
     "multiindices", "rotate_map", "series_in_var", "variable_jet",
     # kernels / fourier
     "basis_tables", "default_backend",
-    "ring_jacobian", "torus_array", "torus_coefficients", "torus_grid", "torus_jet",
+    "ring_jacobian", "torus_array", "torus_grid",
     # generators
-    "MEMBERSHIP_TOL", "REFERENCE_GRID", "SHELL_GRID", "AtomicMeasure", "Generator",
+    "CHECK_TOL", "MEMBERSHIP_TOL", "REFERENCE_GRID", "SHELL_GRID", "AtomicMeasure", "Generator",
     "GridSpec", "MembershipCertificate", "MembershipError",
     "convex_combination", "dilation_generator", "from_starlike",
     "membership_check", "perturb_starlike_delta", "product_form",

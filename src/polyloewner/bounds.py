@@ -28,7 +28,6 @@ from .jets import (
     JetMap,
     JetShapeError,
     MultiJet,
-    Normalization,
     multiindices,
 )
 

@@ -37,8 +37,9 @@ from .bounds import (
 from .catalog import catalog_get, catalog_names, verify_catalog
 from .descriptions import field_from_json, generator_from_json
 from .evolution import IntegrationError, evolve_report, limit_evaluator, parametric_limit
+from .fourier import MAX_TORUS_POINTS
 from .generators import AtomicMeasure, MembershipError, membership_check
-from .jets import DomainError, JetShapeError, SingularityError, check_jet_shape, map_to_json
+from .jets import DomainError, JetShapeError, SingularityError, check_jet_shape
 from .search import FAMILIES, SearchSpace, maximize
 
 SCHEMA = "polyloewner/1"
@@ -348,6 +349,10 @@ def _bounds_subject(config) -> BoundReport:
         eq = config["equality_tol"] or EQUALITY_TOL_CLOSED_FORM
         return generator_coeff_report(gen, tol=config["tol"], equality_tol=eq)
 
+    # the growth check evaluates every point in one batch
+    count = config["growth_points"]
+    if not 1 <= count <= MAX_TORUS_POINTS:
+        raise CliError(f"--growth-points must be between 1 and {MAX_TORUS_POINTS}")
     if mode == "name":
         entry = catalog_get(config["name"], degree=max(config["degree"], 2))
         jet, evaluator, subject = entry.jet, entry.evaluator, entry.name
@@ -368,9 +373,6 @@ def _bounds_subject(config) -> BoundReport:
 
     coeff = coeff_bound_report(jet, tol=config["tol"], equality_tol=eq, subject=subject)
     rng = np.random.default_rng(config["seed"])
-    count = config["growth_points"]
-    if count < 1:
-        raise CliError("--growth-points must be at least 1")
     dirs = rng.normal(size=(count, jet.dim)) + 1j * rng.normal(size=(count, jet.dim))
     radii = rng.uniform(0.05, 0.9, size=count)
     points = sample_rays(dirs, [1.0]) * radii[:, None]

@@ -16,14 +16,15 @@ dilation z -> e^-t z through the Koenigs map K of h (DK.h = -K,
 K = z + ...), and e^t phi_{0,t} is a short chain of jet compositions,
 exact in the truncated jet ring.  The limit itself, T = inf, is the
 same chain up to the tail's K (``search.objective`` reads it).  The RK4
-jet path stays as the test oracle.  Each generator keeps its pair
-(K, L) per degree.  Koenigs maps are equivariant under torus rotations
-R: K of R h R^-1 is R K R^-1, so the pair of ``rotate_generator(g,
-angles)`` is g's pair times the phase array exp(i(<alpha, angles> -
-angles_j)), and a whole search over rotated catalog generators solves
-one pair per catalog entry.  Limits and their normalization checks stay
-on the generators' (n, B) coefficient arrays; no generator's dict jet
-is built here, only ``LimitResult.jet`` is.
+jet path stays as the test oracle.  The Koenigs data belongs to the
+generator: this module reads the series pair (K, L) from
+``Generator.koenigs_pair`` and the pointwise F from
+``Generator.koenigs_map``, and never looks inside a generator (a
+rotation's pair is its base's times phases, so a whole search over
+rotated catalog generators solves one pair per catalog entry).  Limits
+and their normalization checks stay on the generators' (n, B)
+coefficient arrays; no generator's dict jet is built here, only
+``LimitResult.jet`` is.
 
 Step placement: every integration between s and t uses the nodes
 {k * step} intersected with (s, t), plus the field's breakpoints, plus
@@ -49,7 +50,6 @@ from .kernels import (
     basis_tables,
     compose_arrays,
     identity_array,
-    jacobian_times,
     rk4_jet_arrays,
 )
 
@@ -342,48 +342,6 @@ def _rescaled(f: np.ndarray, tables: BasisTables, s: float) -> np.ndarray:
     return f * np.exp(-(np.maximum(tables.degrees, 1) - 1) * s)
 
 
-def _koenigs_pair(gen: Generator, tables: BasisTables) -> tuple[np.ndarray, np.ndarray]:
-    """Koenigs map K of a generator and its inverse L, as (n, B) arrays.
-
-    The pair is kept on the generator, one per degree.  A rotation's pair
-    is its base's pair times the rotation phases (K of R h R^-1 is
-    R K R^-1), never a solve of its own, so cold and warm calls agree to
-    the bit.
-    """
-    pair = gen._koenigs_cache.get(tables.degree)
-    if pair is None:
-        if gen.rotation is None:
-            pair = _solve_koenigs_pair(gen, tables)
-        else:
-            base, _, phases = gen.rotation
-            pair = tuple(f * phases[:, : tables.size] for f in _koenigs_pair(base, tables))
-        for f in pair:
-            f.flags.writeable = False
-        gen._koenigs_cache[tables.degree] = pair
-    return pair
-
-
-def _solve_koenigs_pair(gen: Generator, tables: BasisTables) -> tuple[np.ndarray, np.ndarray]:
-    """K and L by series: the solve behind ``_koenigs_pair``.
-
-    With h = -z + g, DK.h = -K reads (d-1) K_d = [DK.g]_d on the degree-d
-    layer, and [DK.g]_d involves only layers below d: each pass of the
-    loop settles one more degree.  The reversion L <- L + z - K o L
-    settles one more degree of K o L = z per pass in the same way.
-    """
-    ident = identity_array(tables)
-    deg = tables.degrees
-    g = np.where(deg >= 2, gen.jet_array(tables.degree), 0.0)
-    solve = np.where(deg >= 2, 1.0 / np.maximum(deg - 1, 1), 0.0)
-    K = ident
-    for _ in range(tables.degree - 1):
-        K = ident + solve * jacobian_times(K, g, tables)
-    L = ident
-    for _ in range(tables.degree - 1):
-        L = L + ident - compose_arrays(K, L, tables)
-    return K, L
-
-
 def _scaled_flow(
     field: HerglotzField, times: Sequence[float], tables: BasisTables, drift_until: float
 ) -> list[np.ndarray]:
@@ -409,7 +367,7 @@ def _scaled_flow(
     psi: Optional[np.ndarray] = None  # None is the identity
     start, drift, out = 0.0, 0.0, []
     for end, gen in field.pieces + ((math.inf, field.tail),):
-        K, L = _koenigs_pair(gen, tables)
+        K, L = gen.koenigs_pair(tables.degree)
         linear = gen.jet_array(tables.degree)[:, tables.linear]
         drift += float(np.max(np.abs(linear + eye))) * max(0.0, min(end, drift_until) - start)
         inner = K if psi is None else compose_arrays(_rescaled(K, tables, start), psi, tables)
@@ -455,28 +413,6 @@ def parametric_limit(
     tail = float(np.max(np.abs(end - mid)))
     jet = array_to_map(end, tables, Normalization.UNIVALENT)
     return LimitResult(jet=jet, tail_bound=tail, horizon=horizon, degree=degree, step=step)
-
-
-def _pointwise_koenigs(gen: Generator) -> Optional[tuple[Callable, Callable]]:
-    """The pointwise Koenigs map F of a generator and its Jacobian, or None.
-
-    A rotation conjugates its base's pair as ``_koenigs_pair`` does:
-    F_rot(z) = e^-i.angles F(e^i.angles z), DF_rot = e^-i.angles DF e^i.angles.
-    """
-    if gen.rotation is None:
-        source = gen._koenigs_map
-        return None if source is None else source()
-    base, angles, _ = gen.rotation
-    pair = _pointwise_koenigs(base)
-    if pair is None:
-        return None
-    F, DF = pair
-    th = np.asarray(angles)
-    phases, inv_phases = np.exp(1j * th), np.exp(-1j * th)
-    return (
-        lambda z: inv_phases * F(phases * z),
-        lambda z: inv_phases[:, None] * DF(phases * z) * phases,
-    )
 
 
 def _exact_tail(
@@ -540,7 +476,7 @@ def limit_evaluator(
         raise DomainError(f"horizon must be positive with e^horizon finite, got {horizon}")
     scale = math.exp(horizon)
     last = field.breakpoints[-1] if field.pieces else 0.0
-    pair = _pointwise_koenigs(field.tail) if horizon > last else None
+    pair = field.tail.koenigs_map() if horizon > last else None
 
     def evaluate(z: np.ndarray) -> np.ndarray:
         if pair is None:

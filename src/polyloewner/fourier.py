@@ -47,15 +47,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .jets import DomainError, JetMap, Normalization
-from .kernels import BasisTables, array_to_map, basis_tables
+from .jets import DomainError
+from .kernels import BasisTables
 
 __all__ = [
     "torus_grid",
     "torus_array",
     "torus_error",
-    "torus_coefficients",
-    "torus_jet",
     "ring_jacobian",
 ]
 
@@ -151,35 +149,6 @@ def torus_error(
 ) -> float:
     """Largest coefficient difference between ``evaluator`` on the torus and ``arr``."""
     return float(np.max(np.abs(torus_array(evaluator, tables) - arr)))
-
-
-def torus_coefficients(
-    evaluator: Callable[[np.ndarray], np.ndarray],
-    dim: int,
-    degree: int,
-    radius: Optional[float] = None,
-    samples: Optional[int] = None,
-) -> list[dict[tuple[int, ...], complex]]:
-    """Taylor coefficients through ``degree`` of each output component.
-
-    ``torus_array`` as one coefficient dict per component.
-    """
-    tables = basis_tables(dim, degree)
-    arr = torus_array(evaluator, tables, radius, samples)
-    return [{a: complex(c) for a, c in zip(tables.alphas, row)} for row in arr]
-
-
-def torus_jet(
-    evaluator: Callable[[np.ndarray], np.ndarray],
-    dim: int,
-    degree: int,
-    radius: Optional[float] = None,
-    samples: Optional[int] = None,
-    normalization: Normalization = Normalization.GENERAL,
-) -> JetMap:
-    """``torus_array`` as a dict ``JetMap``."""
-    tables = basis_tables(dim, degree)
-    return array_to_map(torus_array(evaluator, tables, radius, samples), tables, normalization)
 
 
 def ring_jacobian(

@@ -5,7 +5,12 @@ Re(h_j(z)/z_j) <= 0 whenever the sup-norm of z is attained at |z_j| > 0
 (the class M of Graham & Kohr, *Geometric Function Theory in One and
 Higher Dimensions*, 2003).  A generator stores one read-only (n, B)
 coefficient array, written directly by its constructor, a pointwise
-evaluator checked against it spectrally, and its provenance.
+evaluator checked against it spectrally, and its provenance.  It also
+owns its Koenigs data, the solution K of DK.h = -K with K = z + ...:
+the series pair (K, L = K^-1) per degree (``Generator.koenigs_pair``)
+and, where the construction knows it, the pointwise map F with its
+Jacobian (``Generator.koenigs_map``).  The evolution engine reads only
+these two methods.
 
 Membership is certified by sampling the margin Re(h_j(z)/z_j) on a
 deterministic grid, and for h holomorphic on the closed polydisc
@@ -43,7 +48,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 import numpy as np
 
 from . import kernels
-from .fourier import ring_jacobian, torus_error
+from .fourier import torus_error
 from .jets import (
     DomainError,
     JetMap,
@@ -64,6 +69,7 @@ __all__ = [
     "REFERENCE_GRID",
     "SHELL_GRID",
     "MEMBERSHIP_TOL",
+    "CHECK_TOL",
     "MembershipCertificate",
     "MembershipError",
     "AtomicMeasure",
@@ -80,6 +86,8 @@ __all__ = [
 ]
 
 MEMBERSHIP_TOL = 1e-9
+# h(0), Dh(0) + I and the evaluator's torus coefficients off the array are refused above this
+CHECK_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -224,8 +232,8 @@ class Generator:
 
     ``jet`` is a ``JetMap`` or an (n, B) array on the basis of
     ``kernels.basis_tables(n, degree)``, stored as one read-only array
-    whose h(0) = 0 and Dh(0) = -I are checked to ``max(check_tol, 1e-8)``;
-    a coefficient that is not finite raises ``DomainError``.  A lower
+    whose h(0) = 0 and Dh(0) = -I are checked to ``CHECK_TOL``; a
+    coefficient that is not finite raises ``DomainError``.  A lower
     degree's basis is a prefix of the graded-lex one, so ``jet_array(d)``
     is a view of the first columns; the dict ``jet`` is built on first read.
 
@@ -239,7 +247,7 @@ class Generator:
     vanish inside); ``membership_check`` scans such generators on
     ``SHELL_GRID`` instead of the torus.  With ``check``, the coefficients
     read off the evaluator on a torus (``fourier.torus_array``) must match
-    the array to ``check_tol``.  The torus follows the degree
+    the array to ``CHECK_TOL``.  The torus follows the degree
     (``fourier.torus_grid``): radius 0.4 with 32 samples per axis up to
     degree 12, 0.6 with 64 up to 16, 0.8 with 160 up to 43, and higher
     degrees raise ``DomainError``.  Where the generator may have poles and
@@ -250,15 +258,13 @@ class Generator:
 
     ``rotation`` is (base, angles, phases) for ``rotate_generator(base,
     angles)``, phases the (n, B) array of ``rotation_phases``, and None
-    otherwise; ``evolution`` multiplies the base's Koenigs pair by the
-    phases instead of solving the rotation's own.
+    otherwise; a rotation derives its Koenigs data from its base's.
 
     ``koenigs_map``, where the construction knows it, is a callable that
     returns the pointwise Koenigs map F of h and its Jacobian DF as a pair
-    of vectorized functions, with DF.h = -F, F(0) = 0 and DF(0) = I.  It
-    is called only on first use, by ``evolution.limit_evaluator``, so
-    building a generator resolves nothing.  Rotations leave it None: the
-    evolution engine conjugates the base's pair.
+    of vectorized functions.  It is called only by the method of the same
+    name, so building a generator resolves nothing.  Rotations leave it
+    None and conjugate their base's map instead.
     """
 
     def __init__(
@@ -267,12 +273,10 @@ class Generator:
         evaluator: Callable[[np.ndarray], np.ndarray],
         provenance: dict,
         *,
-        component_fn: Optional[Callable[[np.ndarray, int], np.ndarray]] = None,
         margin_deps: Optional[Sequence[Iterable[int]]] = None,
         trusted: bool = False,
         may_have_poles: bool = False,
         check: bool = True,
-        check_tol: float = 1e-8,
         rotation: Optional[tuple["Generator", tuple[float, ...], np.ndarray]] = None,
         koenigs_map: Optional[Callable[[], tuple[Callable, Callable]]] = None,
     ):
@@ -282,15 +286,15 @@ class Generator:
         self.degree = _basis_degree(arr.shape)
         self.dim = arr.shape[0]
         tables = kernels.basis_tables(self.dim, self.degree)
-        check_normalization(arr[:, 0], arr[:, tables.linear], -1.0, max(check_tol, 1e-8))
+        check_normalization(arr[:, 0], arr[:, tables.linear], -1.0, CHECK_TOL)
         arr.flags.writeable = False
         self._array = arr
         self._jet: Optional[JetMap] = None
         self.rotation = rotation
-        self._koenigs_map = koenigs_map
+        self._koenigs_source = koenigs_map
+        self._koenigs_pairs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._evaluator = evaluator
         self.provenance = dict(provenance)
-        self._component_fn = component_fn
         if margin_deps is not None:
             margin_deps = tuple(frozenset(int(i) for i in d) for d in margin_deps)
             if len(margin_deps) != self.dim:
@@ -299,11 +303,9 @@ class Generator:
         self.trusted = bool(trusted)
         self.may_have_poles = bool(may_have_poles)
         self.certificate: Optional[MembershipCertificate] = None
-        # Koenigs pairs (K, L) per degree, filled by ``evolution``
-        self._koenigs_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         if check:
             err = torus_error(self.evaluate, arr, tables)
-            if not err <= check_tol:
+            if not err <= CHECK_TOL:
                 message = f"generator evaluator and jet disagree: coefficient error {err:.3e}"
                 if self.may_have_poles:
                     cert = membership_check(self)
@@ -327,11 +329,50 @@ class Generator:
             raise JetShapeError(f"points have last axis {z.shape[-1]}, expected {self.dim}")
         return np.asarray(self._evaluator(z), dtype=np.complex128)
 
-    def component(self, z, j: int) -> np.ndarray:
-        z = np.asarray(z, dtype=np.complex128)
-        if self._component_fn is not None:
-            return np.asarray(self._component_fn(z, j), dtype=np.complex128)
-        return self.evaluate(z)[..., j]
+    def koenigs_pair(self, degree: int) -> tuple[np.ndarray, np.ndarray]:
+        """Koenigs map K of h and its inverse L through ``degree``: (n, B) arrays.
+
+        Solved once per degree and kept; the arrays are read-only.  A
+        rotation's pair is its base's pair times the rotation phases (K of
+        R h R^-1 is R K R^-1), never a solve of its own, so cold and warm
+        calls agree to the bit.
+        """
+        pair = self._koenigs_pairs.get(degree)
+        if pair is None:
+            if self.rotation is None:
+                tables = kernels.basis_tables(self.dim, degree)
+                pair = _solve_koenigs_pair(self.jet_array(degree), tables)
+            else:
+                base, _, phases = self.rotation
+                pair = tuple(f * phases[:, : f.shape[1]] for f in base.koenigs_pair(degree))
+            for f in pair:
+                f.flags.writeable = False
+            self._koenigs_pairs[degree] = pair
+        return pair
+
+    def koenigs_map(self) -> Optional[tuple[Callable, Callable]]:
+        """The pointwise Koenigs map F of h and its Jacobian DF, or None.
+
+        F and DF are vectorized over leading axes, with DF.h = -F, F(0) = 0
+        and DF(0) = I.  Catalog generators, the dilation and
+        ``from_starlike`` know F; a rotation conjugates its base's pair,
+        F_rot(z) = e^-i.angles F(e^i.angles z) and DF_rot = e^-i.angles DF
+        e^i.angles; every other construction returns None.
+        """
+        if self.rotation is None:
+            source = self._koenigs_source
+            return None if source is None else source()
+        base, angles, _ = self.rotation
+        pair = base.koenigs_map()
+        if pair is None:
+            return None
+        F, DF = pair
+        th = np.asarray(angles)
+        phases, inv_phases = np.exp(1j * th), np.exp(-1j * th)
+        return (
+            lambda z: inv_phases * F(phases * z),
+            lambda z: inv_phases[:, None] * DF(phases * z) * phases,
+        )
 
     def jet_array(self, degree: int) -> np.ndarray:
         """Read-only (dim, basis) coefficient array through ``degree``."""
@@ -346,6 +387,29 @@ class Generator:
         if self.certificate is not None:
             out["certificate"] = self.certificate.to_json()
         return out
+
+
+def _solve_koenigs_pair(
+    h: np.ndarray, tables: kernels.BasisTables
+) -> tuple[np.ndarray, np.ndarray]:
+    """K and L by series from the coefficient array h of a generator.
+
+    With h = -z + g, DK.h = -K reads (d-1) K_d = [DK.g]_d on the degree-d
+    layer, and [DK.g]_d involves only layers below d: each pass of the
+    loop settles one more degree.  The reversion L <- L + z - K o L
+    settles one more degree of K o L = z per pass in the same way.
+    """
+    ident = kernels.identity_array(tables)
+    deg = tables.degrees
+    g = np.where(deg >= 2, h, 0.0)
+    solve = np.where(deg >= 2, 1.0 / np.maximum(deg - 1, 1), 0.0)
+    K = ident
+    for _ in range(tables.degree - 1):
+        K = ident + solve * kernels.jacobian_times(K, g, tables)
+    L = ident
+    for _ in range(tables.degree - 1):
+        L = L + ident - kernels.compose_arrays(K, L, tables)
+    return K, L
 
 
 # -- membership -----------------------------------------------------------
@@ -407,7 +471,7 @@ def membership_check(
         deps = g.margin_deps[j] if g.margin_deps is not None else frozenset(range(n))
         for r in grid.radii:
             pts = _membership_mesh(n, j, deps, r, grid)
-            margins = np.real(g.component(pts, j) / pts[:, j])
+            margins = np.real(g.evaluate(pts)[:, j] / pts[:, j])
             finite = np.isfinite(margins)
             if not finite.all():
                 where = [complex(c) for c in pts[int(np.argmin(finite))]]
@@ -472,20 +536,17 @@ def from_starlike(f, *, degree: Optional[int] = None, check: bool = True) -> Gen
     """Generator -Df(z)^{-1} f(z) of a normalized starlike map.
 
     ``f`` is either an object exposing ``jet`` / ``evaluator`` /
-    ``jacobian`` attributes (catalog maps qualify) or a bare ``JetMap``,
-    in which case the jet doubles as a polynomial evaluator and its
-    derivative jets as the Jacobian.  The array of the result solves
+    ``jacobian`` attributes (catalog starlike maps carry all three) or a
+    bare ``JetMap``, in which case the jet, truncated to ``degree``,
+    doubles as a polynomial evaluator and its derivative jets as the
+    Jacobian.  The array of the result solves
     Df * x = f order by order, the evaluator comes from pointwise linear
     solves; a singular Jacobian raises ``SingularityError``.  Df may vanish
     inside the polydisc, so the result has ``may_have_poles``.  Its
     Koenigs map is f itself: Df.h = -f.
     """
-    if isinstance(f, JetMap):
-        fjet, fev, fjac = f, None, None
-        source = "jet"
-    else:
-        fjet, fev, fjac = f.jet, f.evaluator, getattr(f, "jacobian", None)
-        source = getattr(f, "name", "map")
+    polynomial = isinstance(f, JetMap)
+    fjet = f if polynomial else f.jet
     if degree is not None:
         fjet = fjet.truncated(degree)
     tables = kernels.basis_tables(fjet.dim, fjet.degree)
@@ -499,14 +560,10 @@ def from_starlike(f, *, degree: Optional[int] = None, check: bool = True) -> Gen
     for _ in range(tables.degree + 1):
         x = x + inv_linear @ (farr - kernels.jacobian_times(farr, x, tables))
 
-    if fev is None:
-        fev = fjet
-    if fjac is None:
-        if isinstance(f, JetMap):
-            fjac = _polynomial_jacobian_fn(fjet)
-        else:
-            base_ev = fev
-            fjac = lambda z: ring_jacobian(base_ev, z)  # noqa: E731
+    if polynomial:
+        fev, fjac = fjet, _polynomial_jacobian_fn(fjet)
+    else:
+        fev, fjac = f.evaluator, f.jacobian
 
     def evaluator(z: np.ndarray) -> np.ndarray:
         vals = np.asarray(fev(z), dtype=np.complex128)
@@ -521,7 +578,7 @@ def from_starlike(f, *, degree: Optional[int] = None, check: bool = True) -> Gen
     return Generator(
         -x,
         evaluator,
-        {"kind": "from-starlike", "source": source},
+        {"kind": "from-starlike", "source": "jet" if polynomial else getattr(f, "name", "map")},
         may_have_poles=True,
         check=check,
         koenigs_map=lambda: (fev, fjac),
@@ -540,8 +597,8 @@ def rotate_generator(g: Generator, angles: Sequence[float]) -> Generator:
     The array is the base's array times ``rotation_phases``; a phase that
     is not finite (angles near 1e308) raises ``DomainError``.  The result
     keeps base, angles and phases as ``rotation``: K of R h R^-1 is
-    R K R^-1, so ``evolution`` rotates the base's Koenigs pair with the
-    same phases instead of solving it.
+    R K R^-1, so ``koenigs_pair`` rotates the base's pair with the same
+    phases instead of solving it.
     """
     th = np.asarray(angles, dtype=np.float64)
     if th.shape != (g.dim,):
@@ -559,9 +616,6 @@ def rotate_generator(g: Generator, angles: Sequence[float]) -> Generator:
     def evaluator(z: np.ndarray) -> np.ndarray:
         return inv_phases * base.evaluate(phases * z)
 
-    def component_fn(z: np.ndarray, j: int) -> np.ndarray:
-        return inv_phases[j] * base.component(phases * z, j)
-
     angles_out = tuple(float(a) for a in th)
     alphas = kernels.basis_tables(base.dim, base.degree).alpha_matrix
     # a phase that overflows is not finite, and the constructor refuses it
@@ -571,7 +625,6 @@ def rotate_generator(g: Generator, angles: Sequence[float]) -> Generator:
         base.jet_array(base.degree) * rot_phases,
         evaluator,
         {"kind": "rotation", "angles": list(angles_out), "base": base.provenance},
-        component_fn=component_fn,
         margin_deps=base.margin_deps,
         trusted=base.trusted,
         may_have_poles=base.may_have_poles,
@@ -629,7 +682,6 @@ def product_form(
             "selectors": sel,
             "measures": [m.to_json() if m is not None else None for m in measures],
         },
-        component_fn=component_fn,
         margin_deps=margin_deps,
         trusted=True,
         check=check,
@@ -656,9 +708,6 @@ def convex_combination(parts: Sequence[Generator], weights: Sequence[float]) -> 
     def evaluator(z: np.ndarray) -> np.ndarray:
         return sum(wt * p.evaluate(z) for wt, p in zip(w, parts))
 
-    def component_fn(z: np.ndarray, j: int) -> np.ndarray:
-        return sum(wt * p.component(z, j) for wt, p in zip(w, parts))
-
     if all(p.margin_deps is not None for p in parts):
         margin_deps = [
             frozenset().union(*(p.margin_deps[j] for p in parts)) for j in range(n)
@@ -674,7 +723,6 @@ def convex_combination(parts: Sequence[Generator], weights: Sequence[float]) -> 
             "weights": w,
             "parts": [p.provenance for p in parts],
         },
-        component_fn=component_fn,
         margin_deps=margin_deps,
         trusted=all(p.trusted for p in parts),
         may_have_poles=any(p.may_have_poles for p in parts),
@@ -701,7 +749,7 @@ def _sheared_profile_fn(g: Generator) -> Callable[[np.ndarray], np.ndarray]:
         pts = np.empty(w.shape + (samples, 2), dtype=np.complex128)
         pts[..., 0] = ring
         pts[..., 1] = w[..., None]
-        vals = g.component(pts, 0) / ring
+        vals = g.evaluate(pts)[..., 0] / ring
         return -np.mean(vals, axis=-1)
 
     return profile
@@ -733,18 +781,14 @@ def _sheared(
     arr[0, cols] = c
     arr[1] = base[1]
 
-    def component_fn(z: np.ndarray, j: int) -> np.ndarray:
-        return first(z, c) if j == 0 else g.component(z, 1)
-
     def evaluator(z: np.ndarray) -> np.ndarray:
-        return np.stack([component_fn(z, 0), component_fn(z, 1)], axis=-1)
+        return np.stack([first(z, c), g.evaluate(z)[..., 1]], axis=-1)
 
     base_deps = g.margin_deps[1] if g.margin_deps is not None else frozenset({0, 1})
     out = Generator(
         arr,
         evaluator,
         {"kind": kind, "base": g.provenance},
-        component_fn=component_fn,
         margin_deps=[first_deps, base_deps],
         trusted=False,
         may_have_poles=g.may_have_poles,

@@ -19,10 +19,9 @@ from __future__ import annotations
 import cmath
 import enum
 import itertools
-import math
 from dataclasses import dataclass, field
 from operator import add
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 

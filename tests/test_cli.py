@@ -367,14 +367,15 @@ class TestBounds:
         assert code == 2 and out == ""
         assert err.startswith("polyloewner: error:") and len(err.splitlines()) == 1
 
-    def test_growth_points_must_be_positive(self, run, field_file):
-        for count in ("0", "-3"):
-            code, out, err = run(
-                "bounds", "--field", field_file, "--horizon", "6.0", "--growth-points", count
-            )
-            assert code == 2 and out == ""
-            assert err.startswith("polyloewner: error:") and "growth-points" in err
-            assert len(err.splitlines()) == 1
+    def test_growth_points_must_be_in_range(self, run, field_file):
+        # past 2**20 points the batch is refused before it is allocated
+        subjects = (("--field", field_file, "--horizon", "6.0"), ("--name", "F1"))
+        for subject in subjects:
+            for count in ("0", "-3", "1000000000000"):
+                code, out, err = run("bounds", *subject, "--growth-points", count)
+                assert code == 2 and out == ""
+                assert err.startswith("polyloewner: error:") and "growth-points" in err
+                assert len(err.splitlines()) == 1
 
     def test_exactly_one_subject(self, run, field_file):
         code, _, err = run("bounds")

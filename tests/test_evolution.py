@@ -35,7 +35,7 @@ from polyloewner import (
     shear_linear,
 )
 from polyloewner import evolution
-from polyloewner.evolution import _exact_tail, _koenigs_pair, _pointwise_koenigs, _rescaled
+from polyloewner.evolution import _exact_tail, _rescaled
 from polyloewner.kernels import basis_tables, compose_arrays, identity_array, map_to_array
 
 
@@ -250,20 +250,21 @@ class TestLimit:
                 parametric_limit(field, horizon=6.0, **kwargs)
 
     def test_linear_drift_breaks_normalization(self):
-        # Dh(0) = -(1 - 1e-7) I passes a loose constructor check, but over
-        # T = 15 the scaled linear part drifts by about 1.5e-6
+        # Dh(0) = -(1 - 9e-9) I is the largest deviation the constructor
+        # admits (1e-8 itself rounds above CHECK_TOL); the scaled linear
+        # part drifts by 9e-9 T, past 1e-6 from T = 111 on
         jet = JetMap(
             (
-                MultiJet(2, 3, {(1, 0): -1.0 + 1e-7, (2, 0): 0.5}),
-                MultiJet(2, 3, {(0, 1): -1.0 + 1e-7}),
+                MultiJet(2, 3, {(1, 0): -1.0 + 9e-9, (2, 0): 0.5}),
+                MultiJet(2, 3, {(0, 1): -1.0 + 9e-9}),
             ),
             Normalization.GENERATOR,
         )
-        gen = Generator(jet, jet, {"kind": "polynomial"}, check_tol=1e-6)
+        gen = Generator(jet, jet, {"kind": "polynomial"})
         field = HerglotzField.constant(gen, verify_membership=False)
-        assert parametric_limit(field, horizon=5.0, degree=3).tail_bound < 1e-1
+        assert parametric_limit(field, horizon=50.0, degree=3).tail_bound < 1e-1
         with pytest.raises(IntegrationError):
-            parametric_limit(field, horizon=15.0, degree=3)
+            parametric_limit(field, horizon=150.0, degree=3)
 
     def test_agrees_with_rk4_oracle(self, rng):
         # the Koenigs construction against RK4 to the horizon on the shared lattice
@@ -315,12 +316,12 @@ class TestLimit:
         for pieces, breaks in ((gens[:1], []), (gens, [1.7])):
             field = HerglotzField.build(pieces, breaks)
             got = map_to_array(parametric_limit(field, horizon=T, degree=4).jet, tables)
-            K, L = _koenigs_pair(pieces[0], tables)
+            K, L = pieces[0].koenigs_pair(4)
             psi = compose_arrays(K, ident, tables)
             assert np.array_equal(psi, K)
             for b, gen in zip(breaks, pieces[1:]):
                 psi = compose_arrays(_rescaled(L, tables, b), psi, tables)
-                K, L = _koenigs_pair(gen, tables)
+                K, L = gen.koenigs_pair(4)
                 psi = compose_arrays(_rescaled(K, tables, b), psi, tables)
             want = compose_arrays(_rescaled(L, tables, T), psi, tables)
             assert np.array_equal(got, want)
@@ -372,13 +373,12 @@ class TestRotatedKoenigsPairs:
     """A rotation's Koenigs pair is its base's pair times the rotation phases."""
 
     def _assert_phase_pair_is_the_solved_pair(self, base, rng, degree):
-        tables = basis_tables(base.dim, degree)
         theta = rng.uniform(0.0, 2.0 * np.pi, size=base.dim)
         rotated = rotate_generator(base, theta)
         # an independent solve: a plain generator holding the dict-rotated jet
         solved = _unrotated_copy(rotated)
         assert solved.rotation is None and rotated.rotation is not None
-        for derived, direct in zip(_koenigs_pair(rotated, tables), _koenigs_pair(solved, tables)):
+        for derived, direct in zip(rotated.koenigs_pair(degree), solved.koenigs_pair(degree)):
             assert np.max(np.abs(derived - direct)) <= 1e-13 * np.max(np.abs(direct))
 
     @pytest.mark.parametrize("dim,degree", [(2, 3), (3, 4), (3, 6)])
@@ -421,9 +421,9 @@ class TestRotatedKoenigsPairs:
             return map_to_array(parametric_limit(field, horizon=6.0, degree=4).jet, tables)
 
         field = new_field()
-        assert not base._koenigs_cache
+        assert not base._koenigs_pairs
         cold = limit_array(field)
-        assert set(base._koenigs_cache) == {4}
+        assert set(base._koenigs_pairs) == {4}
         # warm base with fresh rotations, then everything warm
         assert np.array_equal(cold, limit_array(new_field()))
         assert np.array_equal(cold, limit_array(field))
@@ -461,7 +461,7 @@ class TestExactTail:
         field = HerglotzField.build(firsts + [gen], breaks)
         last = breaks[-1] if breaks else 0.0
         z = make_interior_points(8, gen.dim, radius=0.95)
-        assert _pointwise_koenigs(field.tail) is not None
+        assert field.tail.koenigs_map() is not None
         for horizon in (last + 0.05, last + 1.0):
             self._assert_within_step_error(field, horizon, z)
         self._assert_within_step_error(field, 40.0, z, step=0.05)
@@ -473,7 +473,7 @@ class TestExactTail:
             gen = catalog_generator(name)
             field = HerglotzField.constant(gen)
             z = make_interior_points(200, gen.dim, radius=0.95)
-            _, accepted = _exact_tail(*_pointwise_koenigs(gen), z, horizon)
+            _, accepted = _exact_tail(*gen.koenigs_map(), z, horizon)
             assert 0 < accepted.sum() < len(z)
             got = limit_evaluator(field, horizon=horizon)(z)
             assert np.all(np.isfinite(got))
@@ -491,7 +491,7 @@ class TestExactTail:
         )
         z = make_interior_points(10, 2, radius=0.95)
         for tail in tails:
-            assert _pointwise_koenigs(tail) is None
+            assert tail.koenigs_map() is None
             field = HerglotzField.build([_rotated("H4", 2, rng), tail], [0.6])
             got = limit_evaluator(field, horizon=4.0)(z)
             assert np.array_equal(got, math.exp(4.0) * evolve_point(field, 0.0, 4.0, z))
@@ -527,7 +527,7 @@ class TestExactTail:
 
         def koenigs_map():
             calls.append(1)
-            return _pointwise_koenigs(h4)
+            return h4.koenigs_map()
 
         gen = Generator(h4.jet, h4.evaluate, {"kind": "test"}, check=False, koenigs_map=koenigs_map)
         field = HerglotzField.constant(gen)

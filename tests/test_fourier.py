@@ -14,10 +14,9 @@ from polyloewner import (
     minimal_dimension,
     ring_jacobian,
     torus_array,
-    torus_coefficients,
     torus_grid,
-    torus_jet,
 )
+from polyloewner.kernels import array_to_map
 
 
 def koebe_pair(z):
@@ -29,17 +28,18 @@ def koebe_pair(z):
 
 
 def test_torus_coefficients_recover_koebe_expansion():
-    coeffs = torus_coefficients(koebe_pair, dim=2, degree=4)
+    tables = basis_tables(2, 4)
+    coeffs = torus_array(koebe_pair, tables)
     for k in range(1, 5):
-        alpha = (k, 0)
-        assert coeffs[0][alpha] == pytest.approx(k, abs=1e-9)
-    assert coeffs[1][(0, 1)] == pytest.approx(1, abs=1e-12)
-    assert abs(coeffs[0][(1, 1)]) < 1e-12
+        assert coeffs[0, tables.index[(k, 0)]] == pytest.approx(k, abs=1e-9)
+    assert coeffs[1, tables.index[(0, 1)]] == pytest.approx(1, abs=1e-12)
+    assert abs(coeffs[0, tables.index[(1, 1)]]) < 1e-12
 
 
-def test_torus_jet_matches_catalog_jet():
+def test_torus_array_matches_catalog_jet():
     entry = catalog_get("F5")
-    got = torus_jet(entry.evaluator, dim=2, degree=4)
+    tables = basis_tables(2, 4)
+    got = array_to_map(torus_array(entry.evaluator, tables), tables, Normalization.GENERAL)
     want = entry.jet
     assert map_distance(
         got, want.with_normalization(Normalization.GENERAL)
@@ -47,10 +47,11 @@ def test_torus_jet_matches_catalog_jet():
 
 
 def test_torus_sampling_needs_enough_angles():
+    tables = basis_tables(2, 4)
     with pytest.raises(DomainError):
-        torus_coefficients(koebe_pair, dim=2, degree=4, samples=3)
+        torus_array(koebe_pair, tables, samples=3)
     with pytest.raises(DomainError):
-        torus_coefficients(koebe_pair, dim=2, degree=4, radius=1.5)
+        torus_array(koebe_pair, tables, radius=1.5)
 
 
 def test_ring_jacobian_matches_closed_form(rng, make_interior_points):

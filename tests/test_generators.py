@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyloewner import (
+    CHECK_TOL,
     AtomicMeasure,
     DomainError,
     Generator,
@@ -30,13 +31,14 @@ from polyloewner import (
     map_distance,
     matrix_solve,
     membership_check,
+    minimal_dimension,
     perturb_starlike_delta,
     product_form,
     rotate_generator,
     rotate_map,
     shear_linear,
     shear_quadratic,
-    torus_jet,
+    torus_array,
     variable_jet,
 )
 from polyloewner.kernels import basis_tables, map_to_array
@@ -227,8 +229,8 @@ class TestRotation:
             for d, arr in arrays.items():
                 assert np.array_equal(arr, map_to_array(rot.jet.truncated(d), basis_tables(base.dim, d)))
             # the rotation's own evaluator is the independent oracle of the phases
-            probe = torus_jet(rot.evaluate, base.dim, 4, radius=0.4, samples=32)
-            assert map_distance(probe, rot.jet) <= 1e-8
+            probe = torus_array(rot.evaluate, basis_tables(base.dim, 4), radius=0.4, samples=32)
+            assert np.max(np.abs(probe - arrays[4])) <= 1e-8
 
 
 class TestProductForm:
@@ -436,6 +438,69 @@ class TestGeneratorObject:
         payload = catalog_generator("H1").to_json()
         assert payload["provenance"]["kind"] == "catalog"
         assert payload["jet"]["normalization"] == "generator-normalized"
+
+    def test_normalization_is_checked_to_check_tol(self):
+        def linear(dev):
+            jet = JetMap(
+                (
+                    MultiJet(2, 3, {(1, 0): -1.0 + dev, (2, 0): 0.5}),
+                    MultiJet(2, 3, {(0, 1): -1.0}),
+                ),
+                Normalization.GENERATOR,
+            )
+            return Generator(jet, jet, {"kind": "polynomial"})
+
+        assert CHECK_TOL == 1e-8
+        linear(0.9 * CHECK_TOL)
+        with pytest.raises(DomainError, match="linear part"):
+            linear(2.0 * CHECK_TOL)
+
+
+def _koenigs_subjects(rng):
+    """Generators whose construction knows the pointwise Koenigs map."""
+    subjects = {}
+    for k in range(1, 8):
+        name = f"H{k}"
+        for dim in (minimal_dimension(name), minimal_dimension(name) + 1):
+            subjects[f"{name}-dim{dim}"] = catalog_generator(name, dim=dim)
+    h4 = catalog_generator("H4", dim=3)
+    once = rotate_generator(h4, rng.uniform(0.0, 2.0 * np.pi, size=3))
+    subjects["rotation"] = once
+    subjects["rotation-of-rotation"] = rotate_generator(once, rng.uniform(0.0, 2.0 * np.pi, size=3))
+    subjects["dilation"] = dilation_generator(3)
+    subjects["starlike-F4"] = from_starlike(catalog_get("F4"))
+    subjects["starlike-F2-jet"] = from_starlike(catalog_get("F2").jet)
+    return subjects
+
+
+class TestKoenigsMap:
+    """F with DF.h = -F, F(0) = 0 and DF(0) = I, where the construction knows it."""
+
+    def test_koenigs_equation_holds_pointwise(self, rng, make_interior_points):
+        for label, gen in _koenigs_subjects(rng).items():
+            F, DF = gen.koenigs_map()
+            z = make_interior_points(40, gen.dim)
+            Fz = F(z)
+            lhs = np.einsum("pij,pj->pi", DF(z), gen.evaluate(z))
+            err = np.max(np.abs(lhs + Fz), axis=-1) / np.max(np.abs(Fz), axis=-1)
+            assert np.max(err) <= 1e-12, label
+            origin = np.zeros((1, gen.dim), dtype=np.complex128)
+            assert np.max(np.abs(F(origin))) == 0.0, label
+            assert np.max(np.abs(DF(origin)[0] - np.eye(gen.dim))) <= 1e-15, label
+
+    def test_other_constructions_know_no_koenigs_map(self, rng):
+        h2 = catalog_generator("H2")
+        measure = AtomicMeasure(((0.4, 0.3), (2.1, 0.7)))
+        rotated = rotate_generator(h2, rng.uniform(0.0, 2.0 * np.pi, size=2))
+        for gen in (
+            product_form([1, 0], [measure, None], degree=4),
+            convex_combination([rotated, catalog_generator("H1")], [0.4, 0.6]),
+            shear_linear(h2),
+        ):
+            assert gen.koenigs_map() is None
+            # its series pair is still solved
+            K, L = gen.koenigs_pair(4)
+            assert not K.flags.writeable and not L.flags.writeable
 
 
 ORACLE_SHAPES = [(2, 4), (3, 4), (3, 6)]
