@@ -51,6 +51,7 @@ from .generators import (
     membership_check,
     perturb_starlike_delta,
     product_form,
+    require_admissible,
     rotate_generator,
     shear_linear,
     shear_quadratic,
@@ -116,7 +117,7 @@ __all__ = [
     "CHECK_TOL", "MEMBERSHIP_TOL", "REFERENCE_GRID", "SHELL_GRID", "AtomicMeasure", "Generator",
     "GridSpec", "MembershipCertificate", "MembershipError",
     "convex_combination", "dilation_generator", "from_starlike",
-    "membership_check", "perturb_starlike_delta", "product_form",
+    "membership_check", "perturb_starlike_delta", "product_form", "require_admissible",
     "rotate_generator", "shear_linear", "shear_quadratic",
     # catalog
     "CatalogReport", "NamedMap", "catalog_generator", "catalog_get",

@@ -41,6 +41,7 @@ from .jets import (
     analytic_jet,
     assert_normalization,
     check_jet_shape,
+    map_to_json,
     series_in_var,
     variable_jet,
 )
@@ -81,8 +82,8 @@ def _vectorized(dim: int, fn: Callable[[np.ndarray], np.ndarray]) -> Callable:
     return wrapped
 
 
-def _guarded_ratio(num, den, flat, jet_component, guard: float = _POLE_GUARD):
-    near = np.abs(den) < guard
+def _guarded_ratio(num, den, flat, jet_component):
+    near = np.abs(den) < _POLE_GUARD
     if not np.any(near):
         return num / den
     out = np.where(near, 0j, num / np.where(near, 1.0, den))
@@ -90,10 +91,10 @@ def _guarded_ratio(num, den, flat, jet_component, guard: float = _POLE_GUARD):
     return out
 
 
-def _eye_jac(m: int, dim: int, sign: float = 1.0) -> np.ndarray:
+def _eye_jac(m: int, dim: int) -> np.ndarray:
     out = np.zeros((m, dim, dim), dtype=np.complex128)
     idx = np.arange(dim)
-    out[:, idx, idx] = sign
+    out[:, idx, idx] = 1.0
     return out
 
 
@@ -161,8 +162,6 @@ class NamedMap:
     margin_deps: Optional[tuple[frozenset, ...]] = None
 
     def to_json(self) -> dict:
-        from .jets import map_to_json
-
         return {
             "name": self.name,
             "role": self.role,

@@ -27,7 +27,10 @@ import numpy as np
 from . import __version__
 from .bounds import (
     CSV_HEADER,
+    EQUALITY_TOL_CLOSED_FORM,
+    EQUALITY_TOL_EVOLVED,
     BoundReport,
+    _degree2_bound,
     caratheodory_check,
     coeff_bound_report,
     generator_coeff_report,
@@ -38,7 +41,7 @@ from .catalog import catalog_get, catalog_names, verify_catalog
 from .descriptions import field_from_json, generator_from_json
 from .evolution import IntegrationError, evolve_report, limit_evaluator, parametric_limit
 from .fourier import MAX_TORUS_POINTS
-from .generators import AtomicMeasure, MembershipError, membership_check
+from .generators import AtomicMeasure, MembershipError, membership_check, require_admissible
 from .jets import DomainError, JetShapeError, SingularityError, check_jet_shape
 from .search import FAMILIES, SearchSpace, maximize
 
@@ -285,7 +288,7 @@ def _write_csv(path: str, header: tuple, rows: list[tuple]) -> None:
         writer.writerows(rows)
 
 
-# -- verb implementations: return (report dict, passed, csv payload) --------
+# -- verb implementations: return (report dict, passed, CSV rows or None) ---
 
 
 def _run_verify_catalog(config):
@@ -300,9 +303,7 @@ def _run_verify_catalog(config):
 def _run_check_generator(config):
     desc = _load_json(_require_path(config, "file", "check-generator"))
     gen = generator_from_json(desc, default_degree=config["degree"])
-    cert = gen.certificate
-    if cert is None or not cert.passed:
-        cert = membership_check(gen, tol=config["tol"])
+    cert = membership_check(gen, tol=config["tol"])
     report = {"generator": gen.to_json(), "certificate": cert.to_json()}
     return report, cert.passed, None
 
@@ -336,8 +337,6 @@ def _run_limit(config):
 
 
 def _bounds_subject(config) -> BoundReport:
-    from .bounds import EQUALITY_TOL_CLOSED_FORM, EQUALITY_TOL_EVOLVED
-
     chosen = [k for k in ("name", "generator", "field") if config.get(k)]
     if len(chosen) != 1:
         raise CliError("bounds needs exactly one of --name, --generator, --field")
@@ -346,6 +345,8 @@ def _bounds_subject(config) -> BoundReport:
         gen = generator_from_json(
             _load_json(config["generator"]), default_degree=config["degree"]
         )
+        # the sharp bounds hold for generators in the class M only
+        require_admissible([gen])
         eq = config["equality_tol"] or EQUALITY_TOL_CLOSED_FORM
         return generator_coeff_report(gen, tol=config["tol"], equality_tol=eq)
 
@@ -382,7 +383,7 @@ def _bounds_subject(config) -> BoundReport:
 
 def _run_bounds(config):
     report = _bounds_subject(config)
-    return report.to_json(), report.passed, ("bounds", report.csv_rows())
+    return report.to_json(), report.passed, report.csv_rows()
 
 
 def _run_search(config):
@@ -405,11 +406,11 @@ def _run_search(config):
     report = result.to_json()
     passed = True
     if sum(alpha) == 2:
-        bound = 2.0 if alpha[0] > 0 else 1.0
+        bound = _degree2_bound(0, alpha)
         report["alpha_bound"] = bound
         report["sound"] = result.certified_value <= bound + 1e-4
         passed = report["sound"]
-    return report, passed, ("search", result.history_csv_rows())
+    return report, passed, result.history_csv_rows()
 
 
 def _run_caratheodory(config):
@@ -428,7 +429,7 @@ def _run_caratheodory(config):
         ],
         "report": report.to_json(),
     }
-    return payload, report.passed, ("bounds", report.csv_rows())
+    return payload, report.passed, report.csv_rows()
 
 
 def _run_catalog(config):
@@ -453,8 +454,10 @@ _RUNNERS = {
     "catalog": _run_catalog,
 }
 
+# the verbs with a CSV projection, and its header
 _CSV_HEADERS = {
     "bounds": CSV_HEADER,
+    "caratheodory": CSV_HEADER,
     "search": ("evaluation", "value"),
 }
 
@@ -464,6 +467,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _effective_config(args)
+        if args.csv and args.command not in _CSV_HEADERS:
+            raise CliError(f"{args.command} does not define a CSV projection")
         envelope = {
             "schema": SCHEMA,
             "command": args.command,
@@ -472,10 +477,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         if not config["deterministic"]:
             envelope["timestamp"] = datetime.now(timezone.utc).isoformat()
         try:
-            report, passed, csv_payload = _RUNNERS[args.command](config)
+            report, passed, csv_rows = _RUNNERS[args.command](config)
         except MembershipError as exc:
             report = {"error": str(exc), "certificate": exc.certificate.to_json()}
-            passed, csv_payload = False, None
+            passed, csv_rows = False, []
         envelope["report"] = report
         envelope["passed"] = passed
         text = json.dumps(envelope, indent=2, sort_keys=True, allow_nan=False) + "\n"
@@ -485,10 +490,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         else:
             sys.stdout.write(text)
         if args.csv:
-            if csv_payload is None:
-                raise CliError(f"{args.command} does not define a CSV projection")
-            kind, rows = csv_payload
-            _write_csv(args.csv, _CSV_HEADERS[kind], rows)
+            _write_csv(args.csv, _CSV_HEADERS[args.command], csv_rows)
         return 0 if passed else 1
     # a RecursionError comes from a description nested past the interpreter's limit
     except (

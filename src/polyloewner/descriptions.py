@@ -3,8 +3,11 @@
 A description is a plain dict with a ``kind`` tag naming one of the
 supported constructions; nested constructions (rotations of catalog
 entries, combinations of product forms, ...) nest their descriptions.
-The same shapes appear in generator provenance, so the dicts a report
-emits can be fed back in.
+The same shapes appear in generator provenance (``from_starlike``
+records its map as a ``catalog`` or ``polynomial`` description), so the
+dicts a report emits can be fed back in and rebuild the same array.
+Loading a generator decides nothing about its membership: a field is
+screened when ``HerglotzField.build`` admits it.
 
 Field schedules are lists of ``{"until": t, "generator": ...}`` entries;
 an entry without ``until`` is the tail generator, and when every entry
@@ -168,16 +171,11 @@ def _generator(obj, default_degree: int) -> Generator:
     raise DomainError(f"unknown generator kind {kind!r}; known: {', '.join(GENERATOR_KINDS)}")
 
 
-def field_from_json(
-    obj: Union[dict, list, str],
-    *,
-    default_degree: int = 4,
-    verify_membership: bool = True,
-) -> HerglotzField:
+def field_from_json(obj: Union[dict, list, str], *, default_degree: int = 4) -> HerglotzField:
     """Build a piecewise field from a schedule description.
 
-    With ``verify_membership``, admissibility is checked as in
-    ``HerglotzField.build``: on ``REFERENCE_GRID`` at ``MEMBERSHIP_TOL``.
+    The field is built by ``HerglotzField.build``, so its generators pass
+    ``generators.require_admissible`` (``MembershipError`` otherwise).
     """
     obj = _decoded(obj, "field description")
     schedule = obj.get("schedule") if isinstance(obj, dict) else obj
@@ -195,7 +193,7 @@ def field_from_json(
             raise DomainError("only the final schedule entry may omit 'until'")
     if len(breaks) == len(gens):
         gens.append(dilation_generator(gens[0].dim, degree=max(default_degree, gens[0].degree)))
-    return HerglotzField.build(gens, breaks, verify_membership=verify_membership)
+    return HerglotzField.build(gens, breaks)
 
 
 def load_generator(path: str, **kwargs) -> Generator:

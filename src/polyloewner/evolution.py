@@ -1,9 +1,11 @@
 """Time evolution driven by piecewise-constant generator fields.
 
 A field assigns a generator to every t >= 0: finitely many pieces, each
-active up to its breakpoint, then a tail generator forever.  Transition
-maps (``evolve_jet``, ``evolve_point``) are integrated with classic RK4
-on points and on truncated jets.  ``limit_evaluator`` integrates RK4 only
+active up to its breakpoint, then a tail generator forever.
+``HerglotzField.build`` admits its generators by the one rule
+``generators.require_admissible``; this module makes no membership
+decision of its own.  Transition maps (``evolve_jet``, ``evolve_point``)
+are integrated with classic RK4 on points and on truncated jets.  ``limit_evaluator`` integrates RK4 only
 up to the last breakpoint T_last and finishes with the tail's pointwise
 Koenigs map F where the tail knows it (DF.h = -F, so F(phi_{T_last,T}(w))
 = e^-(T-T_last) F(w)): e^T phi_{0,T}(z) is e^T F^-1(e^-(T-T_last) F(w)),
@@ -42,8 +44,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .generators import Generator, MembershipError, membership_check
-from .jets import DomainError, JetMap, Normalization, map_distance
+from .generators import Generator, require_admissible
+from .jets import DomainError, JetMap, Normalization, map_distance, map_to_json
 from .kernels import (
     BasisTables,
     array_to_map,
@@ -110,17 +112,13 @@ class HerglotzField:
 
     @staticmethod
     def build(
-        generators: Sequence[Generator],
-        breakpoints: Sequence[float] = (),
-        *,
-        verify_membership: bool = True,
+        generators: Sequence[Generator], breakpoints: Sequence[float] = ()
     ) -> "HerglotzField":
         """Field from m generators and m-1 increasing breakpoints.
 
-        Untrusted generators without a passing certificate get a full
-        membership check here, on ``REFERENCE_GRID`` at ``MEMBERSHIP_TOL``;
-        a failure raises MembershipError so that no evolution ever runs on
-        a non-admissible field.
+        The generators pass ``generators.require_admissible`` first, so no
+        evolution runs on a field with a non-member (MembershipError).  The
+        dataclass constructor is the unscreened path.
         """
         gens = list(generators)
         brk = [float(b) for b in breakpoints]
@@ -130,30 +128,15 @@ class HerglotzField:
             raise DomainError(
                 f"{len(gens)} generators need {len(gens) - 1} breakpoints, got {len(brk)}"
             )
-        if verify_membership:
-            seen: set[int] = set()
-            for g in gens:
-                if id(g) in seen:
-                    continue
-                seen.add(id(g))
-                if g.trusted:
-                    continue
-                cert = g.certificate
-                if cert is not None and cert.passed:
-                    continue
-                cert = membership_check(g)
-                if not cert.passed:
-                    raise MembershipError(
-                        "field rejected: generator fails the admissibility inequality", cert
-                    )
+        require_admissible(gens)
         return HerglotzField(
             pieces=tuple(zip(brk, gens[:-1])),
             tail=gens[-1],
         )
 
     @staticmethod
-    def constant(generator: Generator, **kwargs) -> "HerglotzField":
-        return HerglotzField.build([generator], [], **kwargs)
+    def constant(generator: Generator) -> "HerglotzField":
+        return HerglotzField.build([generator], [])
 
     @property
     def dim(self) -> int:
@@ -323,8 +306,6 @@ class LimitResult:
     step: float
 
     def to_json(self) -> dict:
-        from .jets import map_to_json
-
         return {
             "jet": map_to_json(self.jet),
             "tail_bound": self.tail_bound,
@@ -512,8 +493,6 @@ class EvolutionResult:
     points_out: Optional[np.ndarray] = None
 
     def to_json(self) -> dict:
-        from .jets import map_to_json
-
         out = {
             "s": self.s,
             "t": self.t,

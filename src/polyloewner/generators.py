@@ -37,6 +37,14 @@ declared axes (the remaining coordinates are pinned), which is an exact
 reduction, not a heuristic.  A passing certificate means no violation
 was found on the grid it records; a failing one carries a concrete
 witness point; a margin that is not finite raises ``SingularityError``.
+
+A generator carries no certificate.  ``require_admissible`` is the one
+rule that admits generators where membership is required (field builds,
+``bounds --generator``): it scans every distinct untrusted generator
+once and raises ``MembershipError`` on the first failure.  Catalog
+entries, the dilation, product forms, and rotations and convex
+combinations of trusted generators are trusted by construction; shears,
+polynomials and ``from_starlike`` are not.
 """
 
 from __future__ import annotations
@@ -72,6 +80,7 @@ __all__ = [
     "CHECK_TOL",
     "MembershipCertificate",
     "MembershipError",
+    "require_admissible",
     "AtomicMeasure",
     "Generator",
     "dilation_generator",
@@ -240,8 +249,8 @@ class Generator:
     ``margin_deps`` optionally lists, per component j, the coordinate
     indices that Re(h_j(z)/z_j) actually depends on; ``None`` means scan
     everything.  ``trusted`` marks membership as guaranteed by the
-    construction (catalog formulas, rotations, products, convex sums),
-    which lets the evolution engine skip grid re-checks.
+    construction (catalog formulas, rotations, products, convex sums of
+    trusted parts), which lets ``require_admissible`` skip the scan.
     ``may_have_poles`` marks an evaluator not known to be holomorphic on
     the closed polydisc 0.95*D^n (``from_starlike`` inverts Df, which may
     vanish inside); ``membership_check`` scans such generators on
@@ -253,8 +262,7 @@ class Generator:
     degrees raise ``DomainError``.  Where the generator may have poles and
     they disagree, the evaluator is scanned on ``SHELL_GRID`` first, and a
     violation found there raises ``MembershipError`` with its witness (a
-    pole just outside the torus radius aliases the probe).  ``certificate``
-    is None until a construction that scans membership attaches one.
+    pole just outside the torus radius aliases the probe).
 
     ``rotation`` is (base, angles, phases) for ``rotate_generator(base,
     angles)``, phases the (n, B) array of ``rotation_phases``, and None
@@ -302,7 +310,6 @@ class Generator:
         self.margin_deps = margin_deps
         self.trusted = bool(trusted)
         self.may_have_poles = bool(may_have_poles)
-        self.certificate: Optional[MembershipCertificate] = None
         if check:
             err = torus_error(self.evaluate, arr, tables)
             if not err <= CHECK_TOL:
@@ -383,10 +390,7 @@ class Generator:
         return self._array[:, : math.comb(self.dim + degree, self.dim)]
 
     def to_json(self) -> dict:
-        out = {"provenance": self.provenance, "jet": map_to_json(self.jet)}
-        if self.certificate is not None:
-            out["certificate"] = self.certificate.to_json()
-        return out
+        return {"provenance": self.provenance, "jet": map_to_json(self.jet)}
 
 
 def _solve_koenigs_pair(
@@ -494,6 +498,25 @@ def membership_check(
     )
 
 
+def require_admissible(gens: Iterable[Generator]) -> None:
+    """Raise ``MembershipError`` unless every generator is in the class M.
+
+    This is the one admissibility rule of the program: each distinct
+    generator that is not ``trusted`` is scanned once by
+    ``membership_check`` at its defaults (``REFERENCE_GRID`` at
+    ``MEMBERSHIP_TOL``, or ``SHELL_GRID`` where it may have poles), and the
+    first failure raises with its certificate.
+    """
+    seen: set[int] = set()
+    for g in gens:
+        if g.trusted or id(g) in seen:
+            continue
+        seen.add(id(g))
+        cert = membership_check(g)
+        if not cert.passed:
+            raise MembershipError("generator fails the admissibility inequality", cert)
+
+
 # -- constructions --------------------------------------------------------
 
 
@@ -535,15 +558,18 @@ def _polynomial_jacobian_fn(f: JetMap) -> Callable[[np.ndarray], np.ndarray]:
 def from_starlike(f, *, degree: Optional[int] = None, check: bool = True) -> Generator:
     """Generator -Df(z)^{-1} f(z) of a normalized starlike map.
 
-    ``f`` is either an object exposing ``jet`` / ``evaluator`` /
-    ``jacobian`` attributes (catalog starlike maps carry all three) or a
-    bare ``JetMap``, in which case the jet, truncated to ``degree``,
-    doubles as a polynomial evaluator and its derivative jets as the
-    Jacobian.  The array of the result solves
-    Df * x = f order by order, the evaluator comes from pointwise linear
-    solves; a singular Jacobian raises ``SingularityError``.  Df may vanish
-    inside the polydisc, so the result has ``may_have_poles``.  Its
-    Koenigs map is f itself: Df.h = -f.
+    ``f`` is either a catalog starlike map (``catalog.NamedMap``, with
+    ``jet``, ``evaluator`` and ``jacobian``) or a bare ``JetMap``, in which
+    case the jet, truncated to ``degree``, doubles as a polynomial
+    evaluator and its derivative jets as the Jacobian.  The provenance
+    records the map as a description (``catalog`` with its name, dim and
+    degree, or ``polynomial`` with the truncated jet), so it can be fed
+    back to ``descriptions.generator_from_json``.  The array of the
+    result solves Df * x = f order by order, the evaluator comes from
+    pointwise linear solves; a singular Jacobian raises
+    ``SingularityError``.  Df may vanish inside the polydisc, so the
+    result has ``may_have_poles``.  Its Koenigs map is f itself:
+    Df.h = -f.
     """
     polynomial = isinstance(f, JetMap)
     fjet = f if polynomial else f.jet
@@ -562,8 +588,10 @@ def from_starlike(f, *, degree: Optional[int] = None, check: bool = True) -> Gen
 
     if polynomial:
         fev, fjac = fjet, _polynomial_jacobian_fn(fjet)
+        source = {"kind": "polynomial", "components": map_to_json(fjet)["components"]}
     else:
         fev, fjac = f.evaluator, f.jacobian
+        source = {"kind": "catalog", "name": f.name, "dim": f.dim, "degree": f.degree}
 
     def evaluator(z: np.ndarray) -> np.ndarray:
         vals = np.asarray(fev(z), dtype=np.complex128)
@@ -578,7 +606,7 @@ def from_starlike(f, *, degree: Optional[int] = None, check: bool = True) -> Gen
     return Generator(
         -x,
         evaluator,
-        {"kind": "from-starlike", "source": "jet" if polynomial else getattr(f, "name", "map")},
+        {"kind": "from-starlike", "map": source},
         may_have_poles=True,
         check=check,
         koenigs_map=lambda: (fev, fjac),
@@ -762,11 +790,11 @@ def _sheared(
     first: Callable[[np.ndarray, np.ndarray], np.ndarray],
     first_deps: frozenset,
 ) -> Generator:
-    """g with h_1 replaced, its membership scanned and attached.
+    """g with h_1 replaced: untrusted, so scanned wherever it is required.
 
     Row 0 of the array is -z_1 plus g's row-0 coefficients c at the
     exponents ``keep``, and h_1(z) is ``first(z, c)``; row 1 and h_2 are
-    g's.  The scan runs on ``REFERENCE_GRID`` at ``MEMBERSHIP_TOL``.
+    g's.
     """
     if g.dim != 2:
         raise DomainError("coordinate shears are defined for dim 2 generators")
@@ -785,29 +813,21 @@ def _sheared(
         return np.stack([first(z, c), g.evaluate(z)[..., 1]], axis=-1)
 
     base_deps = g.margin_deps[1] if g.margin_deps is not None else frozenset({0, 1})
-    out = Generator(
+    return Generator(
         arr,
         evaluator,
         {"kind": kind, "base": g.provenance},
         margin_deps=[first_deps, base_deps],
-        trusted=False,
         may_have_poles=g.may_have_poles,
-        check=True,
     )
-    cert = membership_check(out)
-    out.certificate = cert
-    out.trusted = cert.passed
-    return out
 
 
 def shear_linear(g: Generator) -> Generator:
     """Replace h_1 by -z_1 (1 - sum_k c_{(1,k)} z_2^k), keep h_2.
 
     The array keeps the coefficients c_{(1,k)}, k <= degree-1, of g; the
-    evaluator realizes the full series by circle averaging, so the
-    output is again a generator whenever g is.  The membership scan runs
-    on ``REFERENCE_GRID`` at ``MEMBERSHIP_TOL`` and its certificate is
-    attached.
+    evaluator realizes the full series by circle averaging.  The result
+    is untrusted: ``require_admissible`` scans it where it is used.
     """
     profile = _sheared_profile_fn(g)
     keep = [(1, k) for k in range(1, g.degree)]
@@ -817,11 +837,7 @@ def shear_linear(g: Generator) -> Generator:
 
 
 def shear_quadratic(g: Generator) -> Generator:
-    """Replace h_1 by -z_1 + c_{(0,2)} z_2^2, keep h_2.
-
-    The membership scan runs on ``REFERENCE_GRID`` at ``MEMBERSHIP_TOL``
-    and its certificate is attached.
-    """
+    """Replace h_1 by -z_1 + c_{(0,2)} z_2^2, keep h_2 (untrusted, like ``shear_linear``)."""
     return _sheared(
         g, "shear-quadratic", [(0, 2)], lambda z, c: -z[..., 0] + c[0] * z[..., 1] ** 2,
         frozenset({0, 1}),

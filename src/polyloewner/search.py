@@ -52,6 +52,9 @@ _METHODS = ("coordinate-ascent", "coordinate-ascent+polish")
 
 # value ties closer than this are broken toward the smaller parameter key
 _TIE_TOL = 1e-9
+# atoms per product-form measure, and parts per convex combination
+_ATOMS = 2
+_COMBO_SIZE = 2
 
 Params = tuple[tuple[int, ...], tuple[float, ...]]
 
@@ -72,8 +75,6 @@ class SearchSpace:
     family: str = "catalog-rotation"
     pieces: int = 1
     names: tuple[str, ...] = ()
-    atoms: int = 2
-    combo_size: int = 2
     horizon: float = 12.0
     certify_horizon: float = 15.0
     degree: int = 3
@@ -92,8 +93,6 @@ class SearchSpace:
             raise DomainError(f"unknown family {self.family!r}; choose from {FAMILIES}")
         if self.pieces < 1:
             raise DomainError("need at least one schedule piece")
-        if self.atoms < 1 or self.combo_size < 1:
-            raise DomainError("atoms and combo_size must be positive")
         for name in ("horizon", "certify_horizon"):
             if not math.isfinite(getattr(self, name)):
                 raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
@@ -116,9 +115,9 @@ class SearchSpace:
 #   catalog-rotation: ints  = name index per piece
 #                     floats = dim angles per piece, then pieces-1 breaks
 #   product-form:     ints  = dim selectors per piece
-#                     floats = per piece, per coordinate, atoms * (angle, raw
+#                     floats = per piece, per coordinate, _ATOMS * (angle, raw
 #                              weight); then breaks
-#   convex-combo:     ints  = combo_size name indices per piece
+#   convex-combo:     ints  = _COMBO_SIZE name indices per piece
 #                     floats = per piece, per part, dim angles then one raw
 #                              weight; then breaks
 
@@ -130,10 +129,10 @@ def _float_kinds(space: SearchSpace) -> tuple[str, ...]:
             kinds.extend(["angle"] * space.dim)
         elif space.family == "product-form":
             for _coord in range(space.dim):
-                for _atom in range(space.atoms):
+                for _atom in range(_ATOMS):
                     kinds.extend(["angle", "weight"])
         else:
-            for _part in range(space.combo_size):
+            for _part in range(_COMBO_SIZE):
                 kinds.extend(["angle"] * space.dim)
                 kinds.append("weight")
     kinds.extend(["break"] * (space.pieces - 1))
@@ -145,7 +144,7 @@ def _int_count(space: SearchSpace) -> int:
         return space.pieces
     if space.family == "product-form":
         return space.pieces * space.dim
-    return space.pieces * space.combo_size
+    return space.pieces * _COMBO_SIZE
 
 
 def _int_options(space: SearchSpace) -> int:
@@ -207,8 +206,8 @@ def decode_field(space: SearchSpace, params: Params) -> HerglotzField:
             selectors = [ints[piece * n + k] % n for k in range(n)]
             measures = []
             for _coord in range(n):
-                chunk = floats[pos : pos + 2 * space.atoms]
-                pos += 2 * space.atoms
+                chunk = floats[pos : pos + 2 * _ATOMS]
+                pos += 2 * _ATOMS
                 angles = chunk[0::2]
                 weights = _normalized(chunk[1::2])
                 measures.append(AtomicMeasure(tuple(zip(angles, weights))))
@@ -216,8 +215,8 @@ def decode_field(space: SearchSpace, params: Params) -> HerglotzField:
         else:
             parts = []
             raw_weights = []
-            for part in range(space.combo_size):
-                name = space.names[ints[piece * space.combo_size + part] % len(space.names)]
+            for part in range(_COMBO_SIZE):
+                name = space.names[ints[piece * _COMBO_SIZE + part] % len(space.names)]
                 angles = floats[pos : pos + n]
                 pos += n
                 raw_weights.append(floats[pos])
@@ -228,24 +227,16 @@ def decode_field(space: SearchSpace, params: Params) -> HerglotzField:
     return HerglotzField.build(gens, breaks)
 
 
-def objective(
-    space: SearchSpace,
-    params: Params,
-    horizon: Optional[float] = None,
-) -> float:
+def objective(space: SearchSpace, params: Params) -> float:
     """Re A_alpha of component 1 of the limit map lim e^T phi_{0,T}, T = inf.
 
     The limit is exact: the Koenigs chain of the schedule up to its tail
-    generator, with no horizon.  ``horizon`` (default ``space.horizon``)
-    is only the window of the linear-drift normalization check, which
-    fails with IntegrationError as ``parametric_limit`` does at that
-    horizon; it must be finite and exceed 1.
+    generator, with no horizon.  ``space.horizon`` is only the window of
+    the linear-drift normalization check, which fails with
+    IntegrationError as ``parametric_limit`` does at that horizon.
     """
-    horizon = space.horizon if horizon is None else horizon
-    if not (math.isfinite(horizon) and horizon > 1.0):
-        raise DomainError(f"horizon must be finite and exceed 1, got {horizon}")
     tables = basis_tables(space.dim, space.degree)
-    (end,) = _scaled_flow(decode_field(space, params), (math.inf,), tables, horizon)
+    (end,) = _scaled_flow(decode_field(space, params), (math.inf,), tables, space.horizon)
     return float(end[0, tables.index[space.alpha]].real)
 
 

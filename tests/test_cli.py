@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from polyloewner import SHELL_GRID, search
+from polyloewner.bounds import CSV_HEADER
 from polyloewner.cli import main
 from polyloewner.jets import map_distance, map_from_json
 
@@ -23,6 +24,26 @@ VIOLATOR_GEN = {
         {"dim": 2, "degree": 3, "coeffs": [{"alpha": [0, 1], "re": -1.0}]},
     ],
 }
+
+# h = (-z1 + z1 z2 + z1 z2^2, -z2): every coefficient within its sharp bound,
+# yet not in M (worst margin 0.8525 on the torus 0.95 T^2)
+NON_MEMBER_GEN = {
+    "kind": "polynomial",
+    "components": [
+        {
+            "dim": 2,
+            "degree": 3,
+            "coeffs": [
+                {"alpha": [1, 0], "re": -1.0},
+                {"alpha": [1, 1], "re": 1.0},
+                {"alpha": [1, 2], "re": 1.0},
+            ],
+        },
+        {"dim": 2, "degree": 3, "coeffs": [{"alpha": [0, 1], "re": -1.0}]},
+    ],
+}
+
+SHEAR_OF_H2 = {"kind": "shear-linear", "base": {"kind": "catalog", "name": "H2"}}
 
 
 @pytest.fixture
@@ -206,6 +227,18 @@ class TestCheckGenerator:
         assert first["re"] == pytest.approx(0.0, abs=1e-12)
         assert first["im"] == pytest.approx(0.5, abs=1e-12)
 
+    def test_tolerance_applies_to_a_shear(self, run_json, tmp_path):
+        # the scan runs at --tol, not at the tolerance of an earlier scan
+        gen = tmp_path / "shear.json"
+        gen.write_text(json.dumps(SHEAR_OF_H2))
+        code, payload, _ = run_json("check-generator", "--file", str(gen))
+        assert code == 0 and payload["report"]["certificate"]["tol"] == 1e-9
+        code, payload, _ = run_json("check-generator", "--file", str(gen), "--tol=-0.5")
+        assert code == 1
+        cert = payload["report"]["certificate"]
+        assert cert["passed"] is False and cert["tol"] == -0.5
+        assert "certificate" not in payload["report"]["generator"]
+
     def test_missing_file_flag(self, run):
         code, _, err = run("check-generator")
         assert code == 2 and "--file" in err
@@ -325,6 +358,26 @@ class TestBounds:
         code, payload, _ = run_json("bounds", "--generator", str(gen))
         assert code == 1
         assert payload["passed"] is False
+
+    def test_generator_outside_the_class_is_rejected(self, run_json, tmp_path):
+        # its coefficient rows all pass, but the sharp bounds hold only in M
+        gen = tmp_path / "non-member.json"
+        gen.write_text(json.dumps(NON_MEMBER_GEN))
+        code, payload, err = run_json("bounds", "--generator", str(gen), "--deterministic")
+        assert (code, err) == (1, "")
+        assert payload["passed"] is False
+        report = payload["report"]
+        assert set(report) == {"error", "certificate"}
+        assert report["certificate"]["worst_margin"] == pytest.approx(0.8525, abs=1e-4)
+        code, payload, _ = run_json("check-generator", "--file", str(gen))
+        assert code == 1 and payload["report"]["certificate"]["passed"] is False
+
+    def test_admissible_shear_passes(self, run_json, tmp_path):
+        gen = tmp_path / "shear.json"
+        gen.write_text(json.dumps(SHEAR_OF_H2))
+        code, payload, _ = run_json("bounds", "--generator", str(gen), "--deterministic")
+        assert code == 0
+        assert "c[0](1,1)" in payload["report"]["equalities"]
 
     def test_evolved_field_report(self, run_json, field_file):
         code, payload, _ = run_json(
@@ -551,9 +604,24 @@ class TestCaratheodory:
 
 class TestCsvGuards:
     def test_verb_without_projection(self, run, tmp_path):
-        code, _, err = run("catalog", "--csv", str(tmp_path / "x.csv"))
-        assert code == 2
-        assert "CSV" in err
+        # refused before the verb runs: no envelope, no file
+        dest = tmp_path / "x.csv"
+        code, out, err = run("catalog", "--csv", str(dest))
+        assert code == 2 and out == ""
+        assert "CSV" in err and len(err.splitlines()) == 1
+        assert not dest.exists()
+
+    @pytest.mark.parametrize("flag", ["--field", "--generator"])
+    def test_rejected_subject_writes_the_header_only(self, run_json, tmp_path, flag):
+        subject = tmp_path / "subject.json"
+        desc = [{"generator": NON_MEMBER_GEN}] if flag == "--field" else NON_MEMBER_GEN
+        subject.write_text(json.dumps(desc))
+        dest = tmp_path / "rows.csv"
+        code, payload, err = run_json("bounds", flag, str(subject), "--csv", str(dest))
+        assert (code, err) == (1, "")
+        assert "certificate" in payload["report"]
+        with open(dest, newline="") as fh:
+            assert list(csv.reader(fh)) == [list(CSV_HEADER)]
 
 
 def test_console_entry_point_smoke():

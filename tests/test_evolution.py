@@ -106,11 +106,6 @@ class TestSchedule:
         field = HerglotzField.constant(g)
         assert field.generator_at(0.0) is g
 
-    def test_membership_screen_can_be_disabled(self):
-        bad = expander_generator()
-        field = HerglotzField.constant(bad, verify_membership=False)
-        assert field.generator_at(3.0) is bad
-
 
 class TestPointFlow:
     def test_h1_flow_matches_closed_form(self):
@@ -151,7 +146,8 @@ class TestPointFlow:
                 evolve_jet(field, 0.0, t, degree=2, step=step)
 
     def test_diverging_flow_raises(self):
-        field = HerglotzField.constant(expander_generator(), verify_membership=False)
+        # the dataclass constructor builds a field without the admissibility screen
+        field = HerglotzField((), expander_generator())
         with pytest.raises(IntegrationError) as exc:
             evolve_point(field, 0.0, 2.0, np.array([0.9 + 0j, 0.0]))
         assert exc.value.time is not None
@@ -261,7 +257,7 @@ class TestLimit:
             Normalization.GENERATOR,
         )
         gen = Generator(jet, jet, {"kind": "polynomial"})
-        field = HerglotzField.constant(gen, verify_membership=False)
+        field = HerglotzField.constant(gen)
         assert parametric_limit(field, horizon=50.0, degree=3).tail_bound < 1e-1
         with pytest.raises(IntegrationError):
             parametric_limit(field, horizon=150.0, degree=3)

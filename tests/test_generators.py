@@ -155,8 +155,8 @@ class TestMembership:
         assert convex_combination([h1, star], [0.5, 0.5]).may_have_poles
         assert not convex_combination([h1, h1], [0.5, 0.5]).may_have_poles
         assert shear_quadratic(star).may_have_poles
-        assert shear_linear(star).certificate.grid == SHELL_GRID
-        assert shear_linear(h1).certificate.grid == REFERENCE_GRID
+        assert membership_check(shear_linear(star)).grid == SHELL_GRID
+        assert membership_check(shear_linear(h1)).grid == REFERENCE_GRID
 
     def test_grid_validation(self):
         with pytest.raises(DomainError):
@@ -305,8 +305,9 @@ class TestShears:
         sheared = shear_linear(h2)
         # H2 already has the sheared shape, so the jet is unchanged
         assert map_distance(sheared.jet, h2.jet) < 1e-12
-        assert sheared.trusted
-        assert sheared.certificate is not None and sheared.certificate.passed
+        # a shear is untrusted: it is scanned wherever membership is required
+        assert not sheared.trusted
+        assert membership_check(sheared).passed
 
     def test_shear_linear_of_h4_drops_the_square_term(self):
         h4 = catalog_generator("H4")
@@ -317,7 +318,7 @@ class TestShears:
         h4 = catalog_generator("H4")
         sheared = shear_quadratic(h4)
         assert map_distance(sheared.jet, h4.jet) < 1e-12
-        assert sheared.certificate.passed
+        assert membership_check(sheared).passed
 
     def test_shear_evaluator_matches_series_beyond_truncation(self, rng):
         # the linear shear of H3 keeps the full (1-w)/(1+w) profile, not its

@@ -66,3 +66,28 @@ def test_every_import_is_used_or_exported(path):
 def test_the_check_sees_an_unused_import():
     tree = ast.parse("import math\nfrom typing import Callable\nx: 'Callable' = 1\n")
     assert set(_imported(tree)) - _used(tree) == {"math"}
+
+
+def _function_level_sibling_imports(tree: ast.Module) -> list[int]:
+    """Lines of ``from . import`` statements inside a function body."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            lines += [
+                sub.lineno
+                for sub in ast.walk(node)
+                if isinstance(sub, ast.ImportFrom) and sub.level > 0
+            ]
+    return sorted(set(lines))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_sibling_imports_are_at_module_level(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = _function_level_sibling_imports(tree)
+    assert not lines, f"{path.name} imports a sibling module inside a function at lines {lines}"
+
+
+def test_the_check_sees_a_function_level_import():
+    tree = ast.parse("from .jets import x\n\ndef f():\n    from .jets import y\n    return y\n")
+    assert _function_level_sibling_imports(tree) == [4]
