@@ -17,7 +17,6 @@ variable and own-variable-times-power-of-another, both bounded by 2).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -39,7 +38,6 @@ __all__ = [
     "caratheodory_check",
     "coeff_bound_report",
     "generator_coeff_report",
-    "bieberbach_degree2_check",
     "koebe_check",
     "koebe_envelope",
     "sample_rays",
@@ -231,52 +229,6 @@ def generator_coeff_report(
                 )
             )
     return BoundReport(subject=subject, checks=tuple(checks))
-
-
-# -- boundary quadratic part -----------------------------------------------
-
-
-def bieberbach_degree2_check(f: JetMap, tol: float = 1e-6, subject: str = "f") -> BoundReport:
-    """Brute-force boundary maximum of the degree-2 homogeneous part.
-
-    Samples max_j |sum_{|alpha|=2} A_alpha w^alpha| over the unit polytorus
-    (256 angles per axis in dim <= 2, 64 above) and checks it against 2.
-    """
-    n = f.dim
-    samples = 256 if n <= 2 else 64
-    theta = 2.0 * np.pi * np.arange(samples) / samples
-    axes = np.meshgrid(*([theta] * n), indexing="ij")
-    w = np.stack([np.exp(1j * ax) for ax in axes], axis=-1).reshape(-1, n)
-    best = -math.inf
-    witness = None
-    for i, comp in enumerate(f.components):
-        part = comp.homogeneous_part(2)
-        if not part:
-            continue
-        vals = np.zeros(w.shape[0], dtype=np.complex128)
-        for alpha, c in part.items():
-            term = np.full(w.shape[0], c)
-            for j, p in enumerate(alpha):
-                if p:
-                    term = term * w[:, j] ** p
-            vals += term
-        mags = np.abs(vals)
-        k = int(np.argmax(mags))
-        if mags[k] > best:
-            best = float(mags[k])
-            witness = tuple(complex(c) for c in w[k])
-    if witness is None:
-        best = 0.0
-        witness = tuple(1.0 + 0j for _ in range(n))
-    check = BoundCheck(
-        "degree2-boundary-max",
-        bound=2.0,
-        attained=best,
-        tol=tol,
-        equality_tol=EQUALITY_TOL_CLOSED_FORM,
-        witness=witness,
-    )
-    return BoundReport(subject=subject, checks=(check,))
 
 
 # -- growth (distortion) bounds --------------------------------------------

@@ -40,8 +40,6 @@ from .jets import DomainError, JetMap, Normalization, check_jet_shape, jet_from_
 __all__ = [
     "generator_from_json",
     "field_from_json",
-    "load_generator",
-    "load_field",
 ]
 
 GENERATOR_KINDS = (
@@ -194,13 +192,3 @@ def field_from_json(obj: Union[dict, list, str], *, default_degree: int = 4) -> 
     if len(breaks) == len(gens):
         gens.append(dilation_generator(gens[0].dim, degree=max(default_degree, gens[0].degree)))
     return HerglotzField.build(gens, breaks)
-
-
-def load_generator(path: str, **kwargs) -> Generator:
-    with open(path, "r", encoding="utf-8") as fh:
-        return generator_from_json(json.load(fh), **kwargs)
-
-
-def load_field(path: str, **kwargs) -> HerglotzField:
-    with open(path, "r", encoding="utf-8") as fh:
-        return field_from_json(json.load(fh), **kwargs)

@@ -60,7 +60,6 @@ __all__ = [
     "HerglotzField",
     "evolve_point",
     "evolve_jet",
-    "scaled_transition",
     "LimitResult",
     "parametric_limit",
     "limit_evaluator",
@@ -274,20 +273,6 @@ def evolve_jet(
     return array_to_map(state, tables, Normalization.GENERAL)
 
 
-def scaled_transition(
-    field: HerglotzField,
-    s: float,
-    t: float,
-    degree: int = 4,
-    step: float = 1e-2,
-) -> JetMap:
-    """e^(t-s) * phi_{s,t}: the normalized transition jet (Df(0) = I)."""
-    raw = evolve_jet(field, s, t, degree=degree, step=step)
-    scale = math.exp(t - s)
-    comps = tuple(scale * c for c in raw.components)
-    return JetMap(comps, Normalization.UNIVALENT)
-
-
 @dataclass(frozen=True)
 class LimitResult:
     """Jet of e^T phi_{0,T} at the horizon T, with a Cauchy-style tail estimate.
@@ -382,8 +367,9 @@ def parametric_limit(
     (see the module docstring), so its cost does not grow with the
     horizon and e^T is never formed; ``tail_bound`` compares it with the
     same jet one time unit earlier.  ``step`` is validated and
-    recorded but does not change the result; ``scaled_transition`` is
-    the RK4 route to the same jet.
+    recorded but does not change the result; e^T times ``evolve_jet``
+    from 0 to T is the RK4 route to the same jet, and the tests keep it
+    as the oracle.
     """
     if not (math.isfinite(horizon) and horizon > 1.0):
         raise DomainError("horizon must be finite and exceed 1 to estimate the tail")

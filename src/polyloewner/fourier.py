@@ -1,4 +1,4 @@
-"""Spectral sampling utilities: torus coefficients and ring Jacobians.
+"""Spectral sampling: Taylor coefficients from samples on a torus.
 
 For a map holomorphic on the closed polydisc of radius r < 1, sampling on
 the torus |z_j| = r at N equispaced angles per axis and transforming
@@ -54,7 +54,6 @@ __all__ = [
     "torus_grid",
     "torus_array",
     "torus_error",
-    "ring_jacobian",
 ]
 
 # (largest degree, radius, samples per axis) of the torus check
@@ -149,38 +148,3 @@ def torus_error(
 ) -> float:
     """Largest coefficient difference between ``evaluator`` on the torus and ``arr``."""
     return float(np.max(np.abs(torus_array(evaluator, tables) - arr)))
-
-
-def ring_jacobian(
-    evaluator: Callable[[np.ndarray], np.ndarray],
-    z: np.ndarray,
-    rel_radius: float = 0.25,
-    samples: int = 16,
-) -> np.ndarray:
-    """Complex Jacobians at interior points via Cauchy ring averages.
-
-    For each point and each input variable, the derivative is the first
-    Fourier mode of the evaluator on a small circle around the point; the
-    circle radius is ``rel_radius`` times the distance to the unit
-    polydisc boundary, so all probe points stay strictly inside.  The
-    truncation error is of order radius**samples.
-    """
-    z = np.asarray(z, dtype=np.complex128)
-    single = z.ndim == 1
-    if single:
-        z = z[None, :]
-    m, n = z.shape
-    gap = 1.0 - np.max(np.abs(z), axis=1)
-    if np.any(gap <= 0):
-        raise DomainError("ring_jacobian needs points strictly inside the polydisc")
-    rho = np.minimum(rel_radius * gap, 0.2)  # (m,)
-    omega = np.exp(2j * np.pi * np.arange(samples) / samples)
-    # probe[p, j, s] = z[p] + rho[p] * omega[s] * e_j, flattened for one call
-    probes = np.tile(z[:, None, None, :], (1, n, samples, 1))
-    for j in range(n):
-        probes[:, j, :, j] += rho[:, None] * omega[None, :]
-    vals = np.asarray(evaluator(probes.reshape(-1, n)), dtype=np.complex128)
-    vals = vals.reshape(m, n, samples, n)
-    modes = np.tensordot(vals, np.conj(omega), axes=([2], [0])) / samples  # (m, n_in, n_out)
-    jac = np.swapaxes(modes, 1, 2) / rho[:, None, None]
-    return jac[0] if single else jac

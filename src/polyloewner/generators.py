@@ -65,7 +65,6 @@ from .jets import (
     Normalization,
     SingularityError,
     check_normalization,
-    identity_map,
     jacobian,
     map_to_json,
     rotation_phases,
@@ -91,7 +90,6 @@ __all__ = [
     "convex_combination",
     "shear_linear",
     "shear_quadratic",
-    "perturb_starlike_delta",
 ]
 
 MEMBERSHIP_TOL = 1e-9
@@ -842,48 +840,3 @@ def shear_quadratic(g: Generator) -> Generator:
         g, "shear-quadratic", [(0, 2)], lambda z, c: -z[..., 0] + c[0] * z[..., 1] ** 2,
         frozenset({0, 1}),
     )
-
-
-# -- perturbation threshold -----------------------------------------------
-
-
-def perturb_starlike_delta(P: JetMap) -> float:
-    """Largest eps in [0, 2], to within 1e-3, with z + eps*P(z) grid-starlike.
-
-    ``P`` must vanish to second order at 0 so that the perturbed map stays
-    normalized.  Each candidate map is inverted through ``from_starlike``
-    and membership-scanned at ``MEMBERSHIP_TOL`` (on ``SHELL_GRID``, since
-    the inverse may have poles); a singular Jacobian or a non-finite
-    margin counts as a failure.  Bisection of the fixed bracket [0, 2]
-    keeps a passing lower end and a failing upper end until they are at
-    most 1e-3 apart.  If even eps = 2 passes it is returned as-is.
-    """
-    n = P.dim
-    if np.max(np.abs(P.constant_terms())) > 1e-14 or np.max(np.abs(P.linear_part())) > 1e-14:
-        raise DomainError("perturbation must vanish to second order at the origin")
-    base = identity_map(n, P.degree)
-
-    def passes(eps: float) -> bool:
-        comps = tuple(b + eps * p for b, p in zip(base.components, P.components))
-        fmap = JetMap(comps, Normalization.UNIVALENT)
-        g = from_starlike(fmap, check=False)
-        try:
-            return membership_check(g).passed
-        except SingularityError:
-            # Df singular inside the scanned region (or a margin blown up
-            # to a non-finite value): not even locally univalent there, so
-            # certainly not starlike.
-            return False
-
-    lo, hi = 0.0, 2.0
-    if not passes(lo):
-        raise DomainError(f"perturbation fails membership already at eps={lo}")
-    if passes(hi):
-        return hi
-    while hi - lo > 1e-3:
-        mid = 0.5 * (lo + hi)
-        if passes(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo

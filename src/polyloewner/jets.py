@@ -4,14 +4,14 @@ A jet stores the Taylor coefficients of a holomorphic function of ``dim``
 complex variables through total degree ``degree``; everything of higher
 order is discarded.  Multi-indices are plain integer tuples ordered
 graded-lexicographically (by total degree, then lexicographic), which is
-the order used for serialization and for the order-by-order linear solve.
+the order of the dense array basis in ``kernels`` and of serialization.
 
 The algebra here is exact in the truncation sense: addition, scalar and
-Cauchy products, composition with a constant-term-free inner map,
-differentiation, and the matrix solve all produce the mathematically
-correct coefficients through ``degree`` (up to float roundoff).  This
-module is the readable dict-based reference path; the dense array kernels
-in ``kernels`` mirror its semantics for the hot evolution loops.
+Cauchy products and differentiation produce the mathematically correct
+coefficients through ``degree`` (up to float roundoff).  The catalog
+builds its closed-form jets with it, and reports print jet maps from it.
+Composition and evolution run on the dense arrays of ``kernels``; the
+dict-jet composition stays in the tests as that engine's oracle.
 """
 
 from __future__ import annotations
@@ -34,18 +34,11 @@ __all__ = [
     "JetMap",
     "grlex_key",
     "multiindices",
-    "zero_jet",
-    "constant_jet",
     "variable_jet",
     "series_in_var",
     "analytic_jet",
-    "compose",
-    "compose_scalar",
     "jacobian",
-    "matrix_solve",
-    "identity_map",
     "rotation_phases",
-    "rotate_map",
     "assert_normalization",
     "check_normalization",
     "jet_distance",
@@ -53,7 +46,6 @@ __all__ = [
     "jet_to_json",
     "jet_from_json",
     "map_to_json",
-    "map_from_json",
     "MAX_BASIS_SIZE",
     "check_jet_shape",
 ]
@@ -335,14 +327,6 @@ def check_normalization(constant: np.ndarray, linear: np.ndarray, sign: float, t
 # -- constructors ---------------------------------------------------------
 
 
-def zero_jet(dim: int, degree: int) -> MultiJet:
-    return MultiJet(dim, degree, {})
-
-
-def constant_jet(dim: int, degree: int, value: complex) -> MultiJet:
-    return MultiJet(dim, degree, {(0,) * dim: complex(value)})
-
-
 def variable_jet(dim: int, degree: int, var: int) -> MultiJet:
     if not 0 <= var < dim:
         raise JetShapeError(f"variable index {var} out of range for dim {dim}")
@@ -387,121 +371,12 @@ def analytic_jet(kind: str, dim: int, degree: int, var: int, u: complex | None =
     return series_in_var(dim, degree, var, coeffs)
 
 
-def identity_map(dim: int, degree: int) -> JetMap:
-    return JetMap(tuple(variable_jet(dim, degree, j) for j in range(dim)), Normalization.UNIVALENT)
-
-
-# -- composition ----------------------------------------------------------
-
-
-def _monomial_table(inner: JetMap, degree: int) -> dict[tuple[int, ...], MultiJet]:
-    """Jets of all monomials ``inner**alpha`` with ``|alpha| <= degree``."""
-    n = len(inner.components)
-    table: dict[tuple[int, ...], MultiJet] = {}
-    one = constant_jet(inner.dim, degree, 1.0)
-    for alpha in multiindices(n, degree):
-        if sum(alpha) == 0:
-            table[alpha] = one
-            continue
-        var = next(j for j, a in enumerate(alpha) if a > 0)
-        parent = list(alpha)
-        parent[var] -= 1
-        table[alpha] = table[tuple(parent)] * inner.components[var].truncated(degree)
-    return table
-
-
-def compose_scalar(outer: MultiJet, inner: JetMap) -> MultiJet:
-    """Jet of ``outer(inner(z))``; exact through the common degree.
-
-    The inner map must have zero constant term, otherwise the truncated
-    coefficients of the composite are not determined by the operands.
-    """
-    if outer.dim != len(inner.components):
-        raise JetShapeError(
-            f"outer takes {outer.dim} variables, inner supplies {len(inner.components)}"
-        )
-    if np.max(np.abs(inner.constant_terms())) != 0:
-        raise DomainError("inner map of a composition must have zero constant term")
-    degree = min(outer.degree, inner.degree)
-    table = _monomial_table(inner, degree)
-    acc = zero_jet(inner.dim, degree)
-    for alpha, c in outer.coeffs.items():
-        if sum(alpha) > degree:
-            continue
-        acc = acc + c * table[alpha]
-    return acc
-
-
-def compose(outer: JetMap, inner: JetMap) -> JetMap:
-    """Componentwise composition ``outer o inner`` of square jet maps."""
-    if outer.dim != inner.dim:
-        raise JetShapeError(f"dim mismatch in composition: {outer.dim} vs {inner.dim}")
-    if np.max(np.abs(inner.constant_terms())) != 0:
-        raise DomainError("inner map of a composition must have zero constant term")
-    degree = min(outer.degree, inner.degree)
-    table = _monomial_table(inner, degree)
-    comps = []
-    for comp in outer.components:
-        acc = zero_jet(inner.dim, degree)
-        for alpha, c in comp.coeffs.items():
-            if sum(alpha) > degree:
-                continue
-            acc = acc + c * table[alpha]
-        comps.append(acc)
-    return JetMap(tuple(comps))
+# -- derivatives ----------------------------------------------------------
 
 
 def jacobian(f: JetMap) -> tuple[tuple[MultiJet, ...], ...]:
     """Matrix of partial-derivative jets, truncated one degree lower."""
     return tuple(tuple(comp.derivative(j) for j in range(f.dim)) for comp in f.components)
-
-
-def matrix_solve(
-    A: Sequence[Sequence[MultiJet]],
-    b: Sequence[MultiJet],
-) -> tuple[MultiJet, ...]:
-    """Solve ``A(z) x(z) = b(z)`` for a jet vector, order by order.
-
-    ``A`` is an n-by-n matrix of jets whose constant term must be an
-    invertible matrix; entries may be truncated one degree below ``b``
-    (enough when the solution has no constant term, as in the starlike
-    inversion).  Coefficients of ``x`` are determined degree by degree:
-    the degree-d layer satisfies a linear system with the constant matrix
-    on the left and lower layers feeding the right-hand side.
-    """
-    n = len(b)
-    if any(len(row) != n for row in A) or len(A) != n:
-        raise JetShapeError("matrix and right-hand side sizes disagree")
-    dim = b[0].dim
-    degree = b[0].degree
-    for entry in [e for row in A for e in row] + list(b):
-        if entry.dim != dim:
-            raise JetShapeError("matrix entries and rhs must share dim")
-    A0 = np.array([[A[i][j].constant_term() for j in range(n)] for i in range(n)])
-    try:
-        A0_inv = np.linalg.inv(A0)
-    except np.linalg.LinAlgError as exc:
-        raise SingularityError("constant term of jet matrix is singular") from exc
-
-    x_coeffs: list[dict[tuple[int, ...], complex]] = [{} for _ in range(n)]
-    for gamma in multiindices(dim, degree):
-        rhs = np.array([b[i].coefficient(gamma) for i in range(n)], dtype=np.complex128)
-        for i in range(n):
-            for j in range(n):
-                for beta, c in A[i][j].coeffs.items():
-                    if sum(beta) == 0:
-                        continue
-                    delta = tuple(g - bb for g, bb in zip(gamma, beta))
-                    if any(d < 0 for d in delta):
-                        continue
-                    xc = x_coeffs[j].get(delta)
-                    if xc is not None:
-                        rhs[i] -= c * xc
-        layer = A0_inv @ rhs
-        for j in range(n):
-            if layer[j] != 0:
-                x_coeffs[j][gamma] = complex(layer[j])
-    return tuple(MultiJet(dim, degree, x_coeffs[j]) for j in range(n))
 
 
 # -- rotations ------------------------------------------------------------
@@ -512,37 +387,16 @@ def rotation_phases(alphas: np.ndarray, angles: Sequence[float]) -> np.ndarray:
 
     ``alphas`` is an (m, n) array of exponents; entry [j, k] of the (n, m)
     result multiplies the coefficient of z^alphas[k] in component j.  The
-    sum <alpha, angles> runs over the coordinates left to right, so the
-    dict jets here and the arrays of ``kernels`` get the same bits.  The
-    diagonal phase of the linear part, alpha = e_j in component j, is
-    exactly 1.
+    sum <alpha, angles> runs over the coordinates left to right, so a
+    rotated array and a dict jet rotated with these phases get the same
+    bits.  The diagonal phase of the linear part, alpha = e_j in
+    component j, is exactly 1.
     """
     th = np.asarray(angles, dtype=np.float64)
     total = np.zeros(len(alphas))
     for v in range(th.size):
         total = total + alphas[:, v] * th[v]
     return np.exp(1j * (total[None, :] - th[:, None]))
-
-
-def rotate_map(f: JetMap, angles: Sequence[float]) -> JetMap:
-    """Conjugate by the torus rotation with the given coordinate angles.
-
-    Component j of the result is exp(-i*angles[j]) * f_j(exp(i*angles) * z),
-    which multiplies the coefficient of z^alpha in component j by
-    exp(i*(<alpha, angles> - angles[j])) (see ``rotation_phases``).
-    Normalization tags survive.
-    """
-    th = np.asarray(angles, dtype=np.float64)
-    if th.shape != (f.dim,):
-        raise JetShapeError(f"need {f.dim} angles, got shape {th.shape}")
-    comps = []
-    for j, comp in enumerate(f.components):
-        alphas = list(comp.coeffs)
-        exps = np.array(alphas, dtype=np.int64).reshape(len(alphas), f.dim)
-        phases = rotation_phases(exps, th)[j]
-        out = {a: c * complex(p) for a, c, p in zip(alphas, comp.coeffs.values(), phases)}
-        comps.append(MultiJet(f.dim, f.degree, out))
-    return JetMap(tuple(comps), f.normalization)
 
 
 # -- distances ------------------------------------------------------------
@@ -598,12 +452,3 @@ def map_to_json(f: JetMap) -> dict:
         "normalization": f.normalization.value,
         "components": [jet_to_json(c) for c in f.components],
     }
-
-
-def map_from_json(obj: Mapping) -> JetMap:
-    try:
-        comps = tuple(jet_from_json(c) for c in obj["components"])
-        norm = Normalization(obj.get("normalization", "general"))
-        return JetMap(comps, norm)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DomainError(f"malformed jet map object: {exc}") from exc

@@ -25,12 +25,12 @@ once per shape (``BasisTables.monomial_layers``):
 The layer tables hold 9306 pairs at (3, 8) and 186,472 at (4, 10) (2.9
 MB of indices).  One composition forms 132,220 products at (3, 8) and
 9.3 million at (4, 10), against 492,492 and 43.8 million when every row
-of degree >= 1 gathers the full table.  The precondition inner(0) = 0,
-which the dict ``jets.compose`` enforces too, is checked on entry:
-``compose_arrays`` and ``rk4_jet_arrays`` raise ``DomainError`` without
-it.  The dict-based ``jets`` module computes the same products
-independently and serves as the test oracle.
-``benchmarks/bench_kernels.py`` times the engine.
+of degree >= 1 gathers the full table.  The precondition inner(0) = 0 is
+checked on entry: ``compose_arrays`` and ``rk4_jet_arrays`` raise
+``DomainError`` without it.  ``compose`` is the same engine on ``JetMap``
+operands.  The tests check the engine against products and compositions
+of dict jets (``MultiJet`` arithmetic), which never touch the pair
+tables.  ``benchmarks/bench_kernels.py`` times the engine.
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ __all__ = [
     "mul_arrays",
     "jacobian_times",
     "compose_arrays",
+    "compose",
     "rk4_jet_arrays",
 ]
 
@@ -287,6 +288,21 @@ def compose_arrays(outer: np.ndarray, inner: np.ndarray, tables: BasisTables) ->
     """Truncated jet of outer o inner, both (n, B) arrays, with inner(0) = 0."""
     _require_zero_constant(inner, "inner map of a composition")
     return outer @ _monomials(inner, tables)
+
+
+def compose(outer: JetMap, inner: JetMap) -> JetMap:
+    """Componentwise composition ``outer o inner`` of square jet maps, with inner(0) = 0.
+
+    Both maps are truncated to the lower of their degrees (``map_to_array``
+    drops the terms past the basis).  The shape must have a basis, so
+    degree 0 and bases above ``MAX_BASIS_SIZE`` raise ``JetShapeError``;
+    the dict-jet composition accepted both, but no verb composes such maps.
+    """
+    if outer.dim != inner.dim:
+        raise JetShapeError(f"dim mismatch in composition: {outer.dim} vs {inner.dim}")
+    tables = basis_tables(outer.dim, min(outer.degree, inner.degree))
+    arr = compose_arrays(map_to_array(outer, tables), map_to_array(inner, tables), tables)
+    return array_to_map(arr, tables)
 
 
 def rk4_jet_arrays(

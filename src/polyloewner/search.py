@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -43,8 +43,6 @@ __all__ = [
     "objective",
     "SearchResult",
     "maximize",
-    "ProbeOutcome",
-    "bang_bang_probe",
 ]
 
 FAMILIES = ("catalog-rotation", "product-form", "convex-combo")
@@ -491,43 +489,3 @@ def maximize(
         best_params=best_params,
         history=tuple(history),
     )
-
-
-# -- constant-schedule comparison ----------------------------------------------
-
-
-@dataclass(frozen=True)
-class ProbeOutcome:
-    label: str
-    value: float
-    tail_bound: float
-
-    def to_json(self) -> dict:
-        return {"label": self.label, "value": self.value, "tail_bound": self.tail_bound}
-
-
-def bang_bang_probe(
-    alpha: Sequence[int],
-    candidates: Sequence[Union[Generator, tuple[str, Generator]]],
-    horizon: float = 15.0,
-    degree: int = 3,
-) -> tuple[ProbeOutcome, ...]:
-    """Rank constant schedules by the coefficient they reach in the limit."""
-    alpha = tuple(int(a) for a in alpha)
-    rows = []
-    for i, item in enumerate(candidates):
-        if isinstance(item, tuple):
-            label, gen = item
-        else:
-            gen = item
-            prov = gen.provenance or {}
-            label = prov.get("name", prov.get("kind", f"candidate-{i}"))
-        limit = parametric_limit(HerglotzField.constant(gen), horizon=horizon, degree=degree)
-        rows.append(
-            ProbeOutcome(
-                label=str(label),
-                value=float(limit.jet.coefficient(0, alpha).real),
-                tail_bound=limit.tail_bound,
-            )
-        )
-    return tuple(sorted(rows, key=lambda r: (-r.value, r.label)))

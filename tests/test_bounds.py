@@ -1,4 +1,4 @@
-"""Inequality reports: coefficient rows, boundary quadratic part, growth."""
+"""Inequality reports: coefficient rows and growth."""
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from polyloewner import (
     JetShapeError,
     MultiJet,
     Normalization,
-    bieberbach_degree2_check,
     caratheodory_check,
     catalog_generator,
     catalog_get,
@@ -155,30 +154,6 @@ class TestCoefficientReports:
     def test_generator_report_rejects_wrong_linear_part(self):
         with pytest.raises(DomainError):
             generator_coeff_report(catalog_get("F1").jet)
-
-
-class TestBoundaryQuadratic:
-    def test_f1_attains_two(self):
-        rep = bieberbach_degree2_check(catalog_get("F1").jet, subject="F1")
-        row = rep.checks[0]
-        assert row.name == "degree2-boundary-max"
-        assert row.attained == pytest.approx(2.0, abs=1e-9)
-        assert row.equality and row.passed
-        assert len(row.witness) == 2
-
-    def test_f5_stays_at_one(self):
-        rep = bieberbach_degree2_check(catalog_get("F5").jet, subject="F5")
-        assert rep.checks[0].attained == pytest.approx(1.0, abs=1e-9)
-        assert not rep.checks[0].equality
-
-    def test_no_quadratic_part(self):
-        jet = JetMap(
-            (MultiJet(2, 3, {(1, 0): 1.0}), MultiJet(2, 3, {(0, 1): 1.0})),
-            Normalization.UNIVALENT,
-        )
-        rep = bieberbach_degree2_check(jet)
-        assert rep.checks[0].attained == 0.0
-        assert rep.passed
 
 
 class TestGrowth:

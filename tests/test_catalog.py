@@ -13,10 +13,10 @@ from polyloewner import (
     from_starlike,
     map_distance,
     minimal_dimension,
-    ring_jacobian,
     verify_catalog,
 )
 from polyloewner import catalog
+from oracles import ring_jacobian
 
 PAIRS = [(f"F{j}", f"H{j}") for j in range(1, 8)]
 

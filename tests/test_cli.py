@@ -11,7 +11,8 @@ import pytest
 from polyloewner import SHELL_GRID, search
 from polyloewner.bounds import CSV_HEADER
 from polyloewner.cli import main
-from polyloewner.jets import map_distance, map_from_json
+from polyloewner.jets import map_distance
+from oracles import map_from_json
 
 VIOLATOR_GEN = {
     "kind": "polynomial",

@@ -17,8 +17,6 @@ from polyloewner import (
     from_starlike,
     generator_from_json,
     jet_to_json,
-    load_field,
-    load_generator,
     map_distance,
     product_form,
     rotate_generator,
@@ -216,23 +214,3 @@ class TestFieldDescriptions:
         }
         with pytest.raises(MembershipError):
             field_from_json([{"generator": bad}])
-
-
-class TestFileLoaders:
-    def test_load_round_trip(self, tmp_path):
-        gpath = tmp_path / "gen.json"
-        gpath.write_text(json.dumps({"kind": "catalog", "name": "H5"}))
-        assert load_generator(str(gpath)).provenance["name"] == "H5"
-        fpath = tmp_path / "field.json"
-        fpath.write_text(
-            json.dumps(
-                {
-                    "schedule": [
-                        {"until": 0.5, "generator": {"kind": "catalog", "name": "H5"}},
-                        {"generator": {"kind": "dilation", "dim": 2}},
-                    ]
-                }
-            )
-        )
-        field = load_field(str(fpath))
-        assert field.breakpoints == (0.5,)

@@ -30,13 +30,12 @@ from polyloewner import (
     product_form,
     minimal_dimension,
     rotate_generator,
-    rotate_map,
-    scaled_transition,
     shear_linear,
 )
 from polyloewner import evolution
 from polyloewner.evolution import _exact_tail, _rescaled
 from polyloewner.kernels import basis_tables, compose_arrays, identity_array, map_to_array
+from oracles import rotate_map, scaled_transition
 
 
 def koebe(z):

@@ -12,11 +12,11 @@ from polyloewner import (
     catalog_names,
     map_distance,
     minimal_dimension,
-    ring_jacobian,
     torus_array,
     torus_grid,
 )
 from polyloewner.kernels import array_to_map
+from oracles import ring_jacobian
 
 
 def koebe_pair(z):

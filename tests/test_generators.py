@@ -29,19 +29,17 @@ from polyloewner import (
     from_starlike,
     jacobian,
     map_distance,
-    matrix_solve,
     membership_check,
     minimal_dimension,
-    perturb_starlike_delta,
     product_form,
     rotate_generator,
-    rotate_map,
     shear_linear,
     shear_quadratic,
     torus_array,
     variable_jet,
 )
 from polyloewner.kernels import basis_tables, map_to_array
+from oracles import matrix_solve, rotate_map
 from test_acceptance import random_generator, violator
 
 
@@ -334,27 +332,6 @@ class TestShears:
     def test_shears_need_dim_two(self):
         with pytest.raises(DomainError):
             shear_linear(catalog_generator("H6"))
-
-
-class TestPerturbation:
-    def test_scalar_square_threshold(self):
-        P = JetMap((MultiJet(1, 2, {(2,): 1.0}),), Normalization.GENERAL)
-        delta = perturb_starlike_delta(P)
-        # grid-limited threshold 1/(2 * 0.95)
-        assert delta == pytest.approx(1.0 / 1.9, abs=2e-3)
-
-    def test_cross_square_threshold(self):
-        P = JetMap(
-            (MultiJet(2, 2, {(0, 2): 1.0}), MultiJet(2, 2, {})),
-            Normalization.GENERAL,
-        )
-        delta = perturb_starlike_delta(P)
-        assert delta == pytest.approx(1.0 / 0.95, abs=2e-3)
-
-    def test_requires_second_order_vanishing(self):
-        P = JetMap((MultiJet(1, 2, {(1,): 1.0}),), Normalization.GENERAL)
-        with pytest.raises(DomainError):
-            perturb_starlike_delta(P)
 
 
 class TestFromStarlike:

@@ -1,7 +1,9 @@
 """Array kernels: the sparse pair-table engine agrees with the dict-jet reference.
 
-The dict jets (``MultiJet.__mul__``, ``jets.compose``) compute every
-product independently of the pair table, so they are the oracle here.
+The dict jets (``MultiJet.__mul__`` and the composition ``oracles.compose``
+built on it) compute every product independently of the pair table, so
+they are the oracle here.  ``polyloewner.compose`` runs the array engine,
+so it is checked against that oracle too.
 """
 
 import math
@@ -17,6 +19,7 @@ from polyloewner import (
     Normalization,
     basis_tables,
     compose,
+    jet_distance,
     map_distance,
     multiindices,
     variable_jet,
@@ -32,6 +35,7 @@ from polyloewner.kernels import (
     mul_arrays,
     rk4_jet_arrays,
 )
+import oracles
 
 
 def random_map_array(rng, tables, zero_constant=False):
@@ -205,7 +209,7 @@ def test_backends_agree_on_mul_and_compose(rng, dim, degree):
     assert np.max(np.abs(np.diagonal(stacked).T - want_mul)) <= 1e-13 * scale
 
     want = map_to_array(
-        compose(array_to_map(a, tables), array_to_map(b, tables)), tables
+        oracles.compose(array_to_map(a, tables), array_to_map(b, tables)), tables
     )
     got = compose_arrays(a, b, tables)
     assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
@@ -227,10 +231,46 @@ def test_compose_arrays_matches_exact_composition(rng):
         ),
         Normalization.GENERAL,
     )
-    want = compose(outer, inner)
+    want = oracles.compose(outer, inner)
     got_arr = compose_arrays(map_to_array(outer, tables), map_to_array(inner, tables), tables)
     got = array_to_map(got_arr, tables, Normalization.GENERAL)
     assert map_distance(got, want) < 1e-13
+
+
+def _random_map(rng, dim, degree, zero_constant=False):
+    tables = basis_tables(dim, degree)
+    return array_to_map(random_map_array(rng, tables, zero_constant), tables)
+
+
+@pytest.mark.parametrize(
+    "dim,outer_degree,inner_degree", [(2, 4, 6), (2, 6, 4), (3, 5, 7), (3, 7, 5)]
+)
+def test_compose_matches_the_dict_oracle(rng, dim, outer_degree, inner_degree):
+    # the shape is (dim, lower degree): (2, 4) and (3, 5), reached from either side
+    outer = _random_map(rng, dim, outer_degree)
+    inner = _random_map(rng, dim, inner_degree, zero_constant=True)
+    got = compose(outer, inner)
+    want = oracles.compose(outer, inner)
+    shape = (dim, min(outer_degree, inner_degree))
+    assert (got.dim, got.degree) == (want.dim, want.degree) == shape
+    assert got.normalization is Normalization.GENERAL
+    scale = max(1.0, max(c.max_abs_coeff() for c in want.components))
+    assert map_distance(got, want) <= 1e-13 * scale
+
+
+def test_compose_refuses_what_the_engine_refuses():
+    # a nonzero inner constant raises DomainError (tests/test_jets.py)
+    with pytest.raises(JetShapeError, match="dim mismatch"):
+        compose(oracles.identity_map(2, 3), oracles.identity_map(3, 3))
+    # degree 0 has no basis, and (3, 17) has 1140 monomials; the dict oracle takes both
+    flat = JetMap((MultiJet(1, 0, {(0,): 2.0}),))
+    zero = JetMap((MultiJet(1, 0, {}),))
+    assert jet_distance(oracles.compose(flat, zero).components[0], flat.components[0]) == 0.0
+    with pytest.raises(JetShapeError):
+        compose(flat, zero)
+    big = oracles.identity_map(3, 17)
+    with pytest.raises(JetShapeError, match="monomials"):
+        compose(big, big)
 
 
 def test_compose_and_rk4_refuse_a_nonzero_constant_term(rng):
@@ -263,7 +303,7 @@ def test_backends_agree_on_rk4(rng, dim, degree):
     outer = array_to_map(gen, tables)
 
     def field(y):
-        return map_to_array(compose(outer, array_to_map(y, tables)), tables)
+        return map_to_array(oracles.compose(outer, array_to_map(y, tables)), tables)
 
     y = identity_array(tables)
     for h in hs:

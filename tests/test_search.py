@@ -11,7 +11,6 @@ from polyloewner import (
     HerglotzField,
     IntegrationError,
     SearchSpace,
-    bang_bang_probe,
     catalog_generator,
     decode_field,
     maximize,
@@ -187,25 +186,3 @@ class TestMaximize:
         space = SearchSpace(dim=2, alpha=(1, 1))
         with pytest.raises(DomainError):
             maximize(space, budget=10, method="gradient-descent")
-
-
-class TestProbe:
-    def test_ranking_matches_rotation_arithmetic(self):
-        T = 9.0
-        h4 = catalog_generator("H4")
-        rot = rotate_generator(h4, (0.0, np.pi / 3.0))
-        out = bang_bang_probe((0, 2), [("plain", h4), ("spun", rot)], horizon=T)
-        assert [o.label for o in out] == ["plain", "spun"]
-        scale = 1.0 - math.exp(-T)
-        assert out[0].value == pytest.approx(scale, abs=1e-6)
-        # alpha.theta - theta_0 = 2pi/3 puts Re at -1/2
-        assert out[1].value == pytest.approx(-0.5 * scale, abs=1e-6)
-        assert all(o.tail_bound < 1e-3 for o in out)
-        payload = out[0].to_json()
-        assert payload["label"] == "plain"
-        assert payload["value"] == out[0].value
-
-    def test_unlabeled_candidates_use_provenance(self):
-        h1 = catalog_generator("H1")
-        out = bang_bang_probe((2, 0), [h1], horizon=6.0)
-        assert out[0].label == "H1"

@@ -1,12 +1,21 @@
-"""Every name a module of the package imports is used there or exported."""
+"""Every name a module of the package imports is used there or exported, and every
+definition of the package is reached by the program, its acceptance tests or its
+benchmarks."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "polyloewner"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "polyloewner"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# files outside the package whose references keep a definition in it
+CALLERS = sorted(
+    [ROOT / "tests" / "test_acceptance.py"]
+    + list((ROOT / "perfbench").rglob("*.py"))
+    + list((ROOT / "benchmarks").rglob("*.py"))
+)
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -91,3 +100,47 @@ def test_sibling_imports_are_at_module_level(path):
 def test_the_check_sees_a_function_level_import():
     tree = ast.parse("from .jets import x\n\ndef f():\n    from .jets import y\n    return y\n")
     assert _function_level_sibling_imports(tree) == [4]
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Names read in ``tree``: bare, as attributes and in string annotations."""
+    return _used(tree) | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+
+
+def _unreached(modules: dict[str, ast.Module], callers: set[str]) -> list[str]:
+    """``module.name`` of each top-level function or class that nothing references.
+
+    A definition is reached when its own module references it outside its
+    body, or another module of ``modules`` does, or its name is in ``callers``.
+    """
+    # names each top-level statement reads, per module
+    parts = {
+        name: [(node, _references(ast.Module(body=[node], type_ignores=[]))) for node in tree.body]
+        for name, tree in modules.items()
+    }
+    definition = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    out = []
+    for name, own in parts.items():
+        elsewhere = callers.union(
+            *(refs for other, nodes in parts.items() if other != name for _, refs in nodes)
+        )
+        for node, _ in own:
+            if isinstance(node, definition) and node.name not in elsewhere:
+                if not any(node.name in refs for other, refs in own if other is not node):
+                    out.append(f"{name}.{node.name}")
+    return out
+
+
+def test_every_definition_is_reached():
+    modules = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in MODULES}
+    callers = set().union(*(_references(ast.parse(p.read_text())) for p in CALLERS))
+    unreached = _unreached(modules, callers)
+    assert not unreached, f"definitions that nothing in the program reaches: {unreached}"
+
+
+def test_the_check_sees_an_unreached_definition():
+    modules = {
+        "a": ast.parse("def used(): pass\n\ndef alone(): return alone()\n\nclass Kept: pass\n"),
+        "b": ast.parse("from .a import used\n\nx: 'Kept' = used()\n\ndef looped(): pass\n"),
+    }
+    assert _unreached(modules, callers={"looped"}) == ["a.alone"]
