@@ -1,9 +1,10 @@
 """Evolution families and extremal maps on the unit polydisc.
 
-Truncated-jet arithmetic, infinitesimal generators with grid-certified
+Truncated jets, infinitesimal generators with grid-certified
 admissibility, piecewise-constant field evolution, sharp coefficient and
 growth bound reports, and a budgeted coefficient search.  Every jet
-product runs through one sparse numpy engine (``kernels``).
+product and composition runs through one sparse numpy engine
+(``kernels``); the jets themselves are values.
 """
 
 __version__ = "0.1.0"
@@ -16,17 +17,13 @@ from .jets import (
     MultiJet,
     Normalization,
     SingularityError,
-    analytic_jet,
     check_jet_shape,
-    jacobian,
     jet_distance,
     jet_from_json,
     jet_to_json,
     map_distance,
     map_to_json,
     multiindices,
-    series_in_var,
-    variable_jet,
 )
 from .kernels import basis_tables, compose, default_backend
 from .fourier import torus_array, torus_grid
@@ -96,9 +93,9 @@ __all__ = [
     "__version__",
     # jets
     "MAX_BASIS_SIZE", "DomainError", "JetMap", "JetShapeError", "MultiJet", "Normalization",
-    "SingularityError", "analytic_jet", "check_jet_shape", "jacobian",
+    "SingularityError", "check_jet_shape",
     "jet_distance", "jet_from_json", "jet_to_json", "map_distance", "map_to_json",
-    "multiindices", "series_in_var", "variable_jet",
+    "multiindices",
     # kernels / fourier
     "basis_tables", "compose", "default_backend",
     "torus_array", "torus_grid",

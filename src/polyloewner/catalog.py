@@ -6,9 +6,11 @@ one sharp degree-2 coefficient bound; H1..H7 are the matching generators
 closed-form evaluator (with the rational forms falling back to the jet
 within 1e-6 of their polar sets), a closed-form Jacobian for the maps,
 and, for the generators, the coordinate dependency sets of their
-membership margins.  Entries are consistency-checked (evaluator against
-jet on the torus of ``fourier.torus_grid``, at 1e-10) once per
-(name, dim, degree) and cached.
+membership margins.  Every Taylor coefficient of an entry is a closed-form
+number (an integer, +-2 or +-1/k), so each jet is written directly as a
+table {alpha: c} per component, with no jet arithmetic.  Entries are
+consistency-checked (evaluator against jet on the torus of
+``fourier.torus_grid``, at 1e-10) once per (name, dim, degree) and cached.
 
 F/H pairs extend to larger dimensions by appending identity (maps) or
 negated-identity (generators) coordinates.
@@ -38,12 +40,9 @@ from .jets import (
     JetShapeError,
     MultiJet,
     Normalization,
-    analytic_jet,
     assert_normalization,
     check_jet_shape,
     map_to_json,
-    series_in_var,
-    variable_jet,
 )
 
 __all__ = [
@@ -58,16 +57,6 @@ __all__ = [
 ]
 
 _POLE_GUARD = 1e-6
-
-# (1-z)/(1+z) and z/(1+z) power-series coefficient helpers.
-
-
-def _cayley_coeffs(degree: int) -> list[complex]:
-    return [1.0] + [2.0 * (-1.0) ** k for k in range(1, degree + 1)]
-
-
-def _damp_coeffs(degree: int) -> list[complex]:
-    return [0.0] + [(-1.0) ** (k + 1) for k in range(1, degree + 1)]
 
 
 def _vectorized(dim: int, fn: Callable[[np.ndarray], np.ndarray]) -> Callable:
@@ -96,22 +85,6 @@ def _eye_jac(m: int, dim: int) -> np.ndarray:
     idx = np.arange(dim)
     out[:, idx, idx] = 1.0
     return out
-
-
-def _log_quotient_jet(dim: int, degree: int, va: int, vb: int) -> MultiJet:
-    """Jet of (log(1+a) - log(1+b))/(a - b) in variables a = z_va, b = z_vb."""
-    coeffs: dict[tuple[int, ...], complex] = {}
-    for k in range(1, degree + 2):
-        for i in range(k):
-            j = k - 1 - i
-            if i + j > degree:
-                continue
-            alpha = [0] * dim
-            alpha[va] = i
-            alpha[vb] = j
-            key = tuple(alpha)
-            coeffs[key] = coeffs.get(key, 0j) + (-1.0) ** (k + 1) / k
-    return MultiJet(dim, degree, coeffs)
 
 
 def _log_quotient_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -188,26 +161,45 @@ def minimal_dimension(name: str) -> int:
     return _MINIMAL_DIM[key]
 
 
-def _map_tail(comps: list[MultiJet], dim: int, degree: int) -> tuple[MultiJet, ...]:
-    lead = len(comps)
-    return tuple(comps) + tuple(variable_jet(dim, degree, j) for j in range(lead, dim))
+def _z(dim: int, *exponents: int) -> tuple[int, ...]:
+    """The multi-index of z0^e0 z1^e1 ..., padded with zeros to ``dim``."""
+    return exponents + (0,) * (dim - len(exponents))
 
 
-def _gen_tail(comps: list[MultiJet], dim: int, degree: int) -> tuple[MultiJet, ...]:
-    lead = len(comps)
-    return tuple(comps) + tuple(-variable_jet(dim, degree, j) for j in range(lead, dim))
+# -z_j and the negated Cayley series -(1 - z)/(1 + z) have imaginary parts
+# -0.0, as -(x + 0j) has, and every other coefficient +0.0.  Printed JSON
+# shows these zeros (a zero-angle rotation is the catalog generator itself,
+# and check-generator prints convex combinations), so they are kept as the
+# catalog has always printed them.
+_MINUS = complex(-1.0, -0.0)
+
+
+def _minus_cayley(m: int) -> complex:
+    """Coefficient of z^m in -(1 - z)/(1 + z): -1, then 2 (-1)^(m+1)."""
+    return complex(2.0 * (-1.0) ** (m + 1) if m else -1.0, -0.0)
+
+
+def _jet_map(
+    rows: list[dict], dim: int, degree: int, tail: complex, normalization: Normalization
+) -> JetMap:
+    """Components ``rows``, then ``tail`` * z_j for each remaining coordinate.
+
+    Terms past ``degree`` are dropped.
+    """
+    rows = rows + [{_z(dim, *(0,) * j, 1): tail} for j in range(len(rows), dim)]
+    return JetMap(
+        tuple(
+            MultiJet(dim, degree, {a: c for a, c in row.items() if sum(a) <= degree})
+            for row in rows
+        ),
+        normalization,
+    )
 
 
 def _build_starlike(name: str, dim: int, degree: int):
-    z0 = variable_jet(dim, degree, 0)
-    z1 = variable_jet(dim, degree, 1)
-    one_plus_z1 = series_in_var(dim, degree, 1, [1.0, 1.0])
-    geo1 = analytic_jet("geometric", dim, degree, 1)
-
-    if name == "F1":
-        geo0 = analytic_jet("geometric", dim, degree, 0)
-        comps = [z0 * geo0 * geo0]
-        jet = JetMap(_map_tail(comps, dim, degree), Normalization.UNIVALENT)
+    n, top = dim, degree + 1
+    if name == "F1":  # z0/(1 - z0)^2
+        rows = [{_z(n, k): k for k in range(1, top)}]
 
         def ev(w):
             out = w.copy()
@@ -220,8 +212,7 @@ def _build_starlike(name: str, dim: int, degree: int):
             return J
 
     elif name == "F2":
-        comps = [z0 * one_plus_z1 * one_plus_z1]
-        jet = JetMap(_map_tail(comps, dim, degree), Normalization.UNIVALENT)
+        rows = [{_z(n, 1): 1, _z(n, 1, 1): 2, _z(n, 1, 2): 1}]
 
         def ev(w):
             out = w.copy()
@@ -235,8 +226,11 @@ def _build_starlike(name: str, dim: int, degree: int):
             return J
 
     elif name == "F3":
-        comps = [z0 * one_plus_z1 * geo1, z1 * geo1]
-        jet = JetMap(_map_tail(comps, dim, degree), Normalization.UNIVALENT)
+        # z0 (1 + z1)/(1 - z1) and z1/(1 - z1)
+        rows = [
+            {_z(n, 1, m): 2 if m else 1 for m in range(degree)},
+            {_z(n, 0, k): 1 for k in range(1, top)},
+        ]
 
         def ev(w):
             out = w.copy()
@@ -254,8 +248,7 @@ def _build_starlike(name: str, dim: int, degree: int):
             return J
 
     elif name == "F4":
-        comps = [z0 + z1 * z1]
-        jet = JetMap(_map_tail(comps, dim, degree), Normalization.UNIVALENT)
+        rows = [{_z(n, 1): 1, _z(n, 0, 2): 1}]
 
         def ev(w):
             out = w.copy()
@@ -268,8 +261,11 @@ def _build_starlike(name: str, dim: int, degree: int):
             return J
 
     elif name == "F5":
-        comps = [(z0 - z0 * z1 + z1 * z1) * geo1, z1 * geo1]
-        jet = JetMap(_map_tail(comps, dim, degree), Normalization.UNIVALENT)
+        # (z0 - z0 z1 + z1^2)/(1 - z1) = z0 + z1^2/(1 - z1)
+        rows = [
+            {_z(n, 1): 1, **{_z(n, 0, k): 1 for k in range(2, top)}},
+            {_z(n, 0, k): 1 for k in range(1, top)},
+        ]
 
         def ev(w):
             out = w.copy()
@@ -288,9 +284,7 @@ def _build_starlike(name: str, dim: int, degree: int):
             return J
 
     elif name == "F6":
-        z2 = variable_jet(dim, degree, 2)
-        comps = [z0 + z1 * z2]
-        jet = JetMap(_map_tail(comps, dim, degree), Normalization.UNIVALENT)
+        rows = [{_z(n, 1): 1, _z(n, 0, 1, 1): 1}]
 
         def ev(w):
             out = w.copy()
@@ -304,11 +298,18 @@ def _build_starlike(name: str, dim: int, degree: int):
             return J
 
     elif name == "F7":
-        z2 = variable_jet(dim, degree, 2)
-        damp1 = series_in_var(dim, degree, 1, _damp_coeffs(degree))
-        damp2 = series_in_var(dim, degree, 2, _damp_coeffs(degree))
-        comps = [z0 + z1 * z2 * _log_quotient_jet(dim, degree, 1, 2), damp1, damp2]
-        jet = JetMap(_map_tail(comps, dim, degree), Normalization.UNIVALENT)
+        # z1 z2 (log(1 + z1) - log(1 + z2))/(z1 - z2) has (-1)^(k+1)/k at
+        # z1^(i+1) z2^(j+1), k = i + j + 1; z/(1 + z) has (-1)^(k+1) at z^k
+        log_quotient = {
+            _z(n, 0, i + 1, j + 1): (-1.0) ** (i + j) / (i + j + 1)
+            for i in range(degree - 1)
+            for j in range(degree - 1 - i)
+        }
+        rows = [
+            {_z(n, 1): 1, **log_quotient},
+            {_z(n, 0, k): (-1.0) ** (k + 1) for k in range(1, top)},
+            {_z(n, 0, 0, k): (-1.0) ** (k + 1) for k in range(1, top)},
+        ]
 
         def ev(w):
             out = w.copy()
@@ -331,48 +332,48 @@ def _build_starlike(name: str, dim: int, degree: int):
     else:  # pragma: no cover
         raise DomainError(f"unknown starlike map {name!r}")
 
+    jet = _jet_map(rows, dim, degree, 1.0, Normalization.UNIVALENT)
     return jet, _vectorized(dim, ev), _vectorized(dim, jac)
 
 
 def _build_generator(name: str, dim: int, degree: int):
-    z0 = variable_jet(dim, degree, 0)
-    z1 = variable_jet(dim, degree, 1)
-    cayley = _cayley_coeffs(degree)
-    empty = frozenset()
-
-    if name == "H1":
-        comps = [-(z0 * series_in_var(dim, degree, 0, cayley))]
+    n = dim
+    if name == "H1":  # -z0 (1 - z0)/(1 + z0)
+        rows = [{_z(n, m + 1): _minus_cayley(m) for m in range(degree)}]
         deps = [frozenset({0})]
 
         def ev(w):
             out = -w.copy()
             den = 1.0 + w[:, 0]
-            out[:, 0] = _guarded_ratio(-w[:, 0] * (1.0 - w[:, 0]), den, w, jet_ref[0])
+            out[:, 0] = _guarded_ratio(-w[:, 0] * (1.0 - w[:, 0]), den, w, jet.components[0])
             return out
 
     elif name == "H2":
-        comps = [-(z0 * series_in_var(dim, degree, 1, cayley))]
+        rows = [{_z(n, 1, m): _minus_cayley(m) for m in range(degree)}]
         deps = [frozenset({1})]
 
         def ev(w):
             out = -w.copy()
             den = 1.0 + w[:, 1]
-            out[:, 0] = _guarded_ratio(-w[:, 0] * (1.0 - w[:, 1]), den, w, jet_ref[0])
+            out[:, 0] = _guarded_ratio(-w[:, 0] * (1.0 - w[:, 1]), den, w, jet.components[0])
             return out
 
     elif name == "H3":
-        comps = [-(z0 * series_in_var(dim, degree, 1, cayley)), -z1 + z1 * z1]
+        rows = [
+            {_z(n, 1, m): _minus_cayley(m) for m in range(degree)},
+            {_z(n, 0, 1): _MINUS, _z(n, 0, 2): 1.0},
+        ]
         deps = [frozenset({1}), frozenset({1})]
 
         def ev(w):
             out = -w.copy()
             den = 1.0 + w[:, 1]
-            out[:, 0] = _guarded_ratio(-w[:, 0] * (1.0 - w[:, 1]), den, w, jet_ref[0])
+            out[:, 0] = _guarded_ratio(-w[:, 0] * (1.0 - w[:, 1]), den, w, jet.components[0])
             out[:, 1] = -w[:, 1] * (1.0 - w[:, 1])
             return out
 
     elif name == "H4":
-        comps = [-z0 + z1 * z1]
+        rows = [{_z(n, 1): _MINUS, _z(n, 0, 2): 1.0}]
         deps = [frozenset({0, 1})]
 
         def ev(w):
@@ -381,7 +382,10 @@ def _build_generator(name: str, dim: int, degree: int):
             return out
 
     elif name == "H5":
-        comps = [-z0 + z1 * z1, -z1 + z1 * z1]
+        rows = [
+            {_z(n, 1): _MINUS, _z(n, 0, 2): 1.0},
+            {_z(n, 0, 1): _MINUS, _z(n, 0, 2): 1.0},
+        ]
         deps = [frozenset({0, 1}), frozenset({1})]
 
         def ev(w):
@@ -391,8 +395,7 @@ def _build_generator(name: str, dim: int, degree: int):
             return out
 
     elif name == "H6":
-        z2 = variable_jet(dim, degree, 2)
-        comps = [-z0 + z1 * z2]
+        rows = [{_z(n, 1): _MINUS, _z(n, 0, 1, 1): 1.0}]
         deps = [frozenset({0, 1, 2})]
 
         def ev(w):
@@ -401,8 +404,11 @@ def _build_generator(name: str, dim: int, degree: int):
             return out
 
     elif name == "H7":
-        z2 = variable_jet(dim, degree, 2)
-        comps = [-z0 + z1 * z2, -z1 - z1 * z1, -z2 - z2 * z2]
+        rows = [
+            {_z(n, 1): _MINUS, _z(n, 0, 1, 1): 1.0},
+            {_z(n, 0, 1): _MINUS, _z(n, 0, 2): -1.0},
+            {_z(n, 0, 0, 1): _MINUS, _z(n, 0, 0, 2): -1.0},
+        ]
         deps = [frozenset({0, 1, 2}), frozenset({1}), frozenset({2})]
 
         def ev(w):
@@ -415,9 +421,8 @@ def _build_generator(name: str, dim: int, degree: int):
     else:  # pragma: no cover
         raise DomainError(f"unknown generator {name!r}")
 
-    jet = JetMap(_gen_tail(comps, dim, degree), Normalization.GENERATOR)
-    jet_ref = jet.components  # evaluator pole fallbacks close over the final jet
-    deps += [empty] * (dim - len(deps))
+    jet = _jet_map(rows, dim, degree, _MINUS, Normalization.GENERATOR)
+    deps += [frozenset()] * (dim - len(deps))
     return jet, _vectorized(dim, ev), tuple(deps)
 
 

@@ -462,7 +462,7 @@ def limit_evaluator(
 
 @dataclass(frozen=True)
 class EvolutionResult:
-    """Transition jet plus optional tracked points and an error estimate.
+    """Transition jet plus an error estimate.
 
     ``error_estimate`` is a Richardson extrapolation figure: the jet is
     recomputed at half the step and the coefficientwise gap (about 15/16
@@ -475,11 +475,9 @@ class EvolutionResult:
     step: float
     jet: JetMap
     error_estimate: float
-    points_in: Optional[np.ndarray] = None
-    points_out: Optional[np.ndarray] = None
 
     def to_json(self) -> dict:
-        out = {
+        return {
             "s": self.s,
             "t": self.t,
             "degree": self.degree,
@@ -487,39 +485,22 @@ class EvolutionResult:
             "jet": map_to_json(self.jet),
             "error_estimate": self.error_estimate,
         }
-        if self.points_in is not None:
-            out["points"] = [
-                {
-                    "z": [{"re": c.real, "im": c.imag} for c in zin],
-                    "phi": [{"re": c.real, "im": c.imag} for c in zout],
-                }
-                for zin, zout in zip(self.points_in, self.points_out)
-            ]
-        return out
 
 
 def evolve_report(
     field: HerglotzField,
     s: float,
     t: float,
-    points: Optional[np.ndarray] = None,
     degree: int = 4,
     step: float = 1e-2,
 ) -> EvolutionResult:
     jet = evolve_jet(field, s, t, degree=degree, step=step)
     finer = evolve_jet(field, s, t, degree=degree, step=0.5 * step)
-    est = map_distance(jet, finer)
-    pts_in = pts_out = None
-    if points is not None:
-        pts_in = np.atleast_2d(np.asarray(points, dtype=np.complex128))
-        pts_out = evolve_point(field, s, t, pts_in, step=step)
     return EvolutionResult(
         s=s,
         t=t,
         degree=degree,
         step=step,
         jet=jet,
-        error_estimate=est,
-        points_in=pts_in,
-        points_out=pts_out,
+        error_estimate=map_distance(jet, finer),
     )

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -104,26 +104,14 @@ def _dft_matrix(degree: int, samples: int) -> np.ndarray:
     return _read_only(np.exp(-2j * np.pi * ks / samples) / samples)
 
 
-def torus_array(
-    evaluator: Callable[[np.ndarray], np.ndarray],
-    tables: BasisTables,
-    radius: Optional[float] = None,
-    samples: Optional[int] = None,
-) -> np.ndarray:
+def torus_array(evaluator: Callable[[np.ndarray], np.ndarray], tables: BasisTables) -> np.ndarray:
     """(dim, B) Taylor coefficients of ``evaluator`` on the ``tables`` basis.
 
-    ``evaluator`` maps an array of points (m, dim) to values (m, dim).
-    Without ``radius`` and ``samples`` the torus is ``torus_grid(degree)``.
+    ``evaluator`` maps an array of points (m, dim) to values (m, dim); the
+    torus is ``torus_grid(degree)``.
     """
     dim, degree = tables.dim, tables.degree
-    if radius is None or samples is None:
-        grid_radius, grid_samples = torus_grid(degree)
-        radius = grid_radius if radius is None else radius
-        samples = grid_samples if samples is None else samples
-    if not 0.0 < radius < 1.0:
-        raise DomainError(f"radius must lie in (0,1), got {radius}")
-    if samples <= degree:
-        raise DomainError(f"need more than degree={degree} samples per axis, got {samples}")
+    radius, samples = torus_grid(degree)
     if samples**dim > MAX_TORUS_POINTS:
         raise DomainError(
             f"a torus of {samples}^{dim} points is over the {MAX_TORUS_POINTS}-point limit"

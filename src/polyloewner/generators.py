@@ -65,10 +65,8 @@ from .jets import (
     Normalization,
     SingularityError,
     check_normalization,
-    jacobian,
     map_to_json,
     rotation_phases,
-    series_in_var,
 )
 
 __all__ = [
@@ -198,9 +196,19 @@ class AtomicMeasure:
         return sum(w * (2.0 / complex(np.exp(1j * a)) ** k) for a, w in self.atoms)
 
     def transform_jet(self, dim: int, degree: int, var: int) -> MultiJet:
-        """Jet of p(z_var) = sum of weight * (u + z_var)/(u - z_var): the moments c_k."""
-        coeffs = [self.herglotz_coefficient(k) for k in range(degree + 1)]
-        return series_in_var(dim, degree, var, coeffs)
+        """Jet of p(z_var) = sum of weight * (u + z_var)/(u - z_var): the moments c_k.
+
+        A ``var`` outside [0, dim) gives multi-indices of the wrong length,
+        so ``MultiJet`` raises ``JetShapeError``.
+        """
+        return MultiJet(
+            dim,
+            degree,
+            {
+                (0,) * var + (k,) + (0,) * (dim - 1 - var): self.herglotz_coefficient(k)
+                for k in range(degree + 1)
+            },
+        )
 
     def transform_values(self, w: np.ndarray) -> np.ndarray:
         w = np.asarray(w, dtype=np.complex128)
@@ -238,11 +246,12 @@ class Generator:
     """An infinitesimal generator: coefficient array + evaluator + provenance.
 
     ``jet`` is a ``JetMap`` or an (n, B) array on the basis of
-    ``kernels.basis_tables(n, degree)``, stored as one read-only array
-    whose h(0) = 0 and Dh(0) = -I are checked to ``CHECK_TOL``; a
-    coefficient that is not finite raises ``DomainError``.  A lower
-    degree's basis is a prefix of the graded-lex one, so ``jet_array(d)``
-    is a view of the first columns; the dict ``jet`` is built on first read.
+    ``kernels.basis_tables(n, degree)``, stored as one read-only array.
+    A coefficient that is not finite raises ``DomainError`` before any
+    other check; then h(0) = 0 and Dh(0) = -I are checked to
+    ``CHECK_TOL``.  A lower degree's basis is a prefix of the graded-lex
+    one, so ``jet_array(d)`` is a view of the first columns; the dict
+    ``jet`` is built on first read.
 
     ``margin_deps`` optionally lists, per component j, the coordinate
     indices that Re(h_j(z)/z_j) actually depends on; ``None`` means scan
@@ -291,6 +300,8 @@ class Generator:
         arr = np.array(jet, dtype=np.complex128)
         self.degree = _basis_degree(arr.shape)
         self.dim = arr.shape[0]
+        if not np.isfinite(arr).all():
+            raise DomainError("generator jet has coefficients that are not finite")
         tables = kernels.basis_tables(self.dim, self.degree)
         check_normalization(arr[:, 0], arr[:, tables.linear], -1.0, CHECK_TOL)
         arr.flags.writeable = False
@@ -317,8 +328,6 @@ class Generator:
                     if not cert.passed:
                         raise MembershipError(f"{message}; the shell scan finds a pole", cert)
                 raise DomainError(message)
-        if not np.isfinite(arr).all():
-            raise DomainError("generator jet has coefficients that are not finite")
 
     @property
     def jet(self) -> JetMap:
@@ -538,19 +547,17 @@ def dilation_generator(dim: int, degree: int = 4) -> Generator:
     )
 
 
-def _polynomial_jacobian_fn(f: JetMap) -> Callable[[np.ndarray], np.ndarray]:
-    entries = jacobian(f)
-    n = f.dim
+def _polynomial_jacobian_fn(
+    f: np.ndarray, tables: kernels.BasisTables
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Df of the polynomial with coefficient array ``f``.
 
-    def jac(z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=np.complex128)
-        out = np.empty(z.shape[:-1] + (n, n), dtype=np.complex128)
-        for i in range(n):
-            for j in range(n):
-                out[..., i, j] = entries[i][j](z)
-        return out
-
-    return jac
+    Row i is the jet map (df_i/dz_0, df_i/dz_1, ...), read off
+    ``BasisTables.deriv_gather`` and evaluated pointwise.
+    """
+    col, factor = tables.deriv_gather
+    rows = [kernels.array_to_map(f[i, col] * factor, tables) for i in range(tables.dim)]
+    return lambda z: np.stack([row(z) for row in rows], axis=-2)
 
 
 def from_starlike(f, *, degree: Optional[int] = None, check: bool = True) -> Generator:
@@ -559,7 +566,9 @@ def from_starlike(f, *, degree: Optional[int] = None, check: bool = True) -> Gen
     ``f`` is either a catalog starlike map (``catalog.NamedMap``, with
     ``jet``, ``evaluator`` and ``jacobian``) or a bare ``JetMap``, in which
     case the jet, truncated to ``degree``, doubles as a polynomial
-    evaluator and its derivative jets as the Jacobian.  The provenance
+    evaluator and its derivative jets as the Jacobian.  A series
+    coefficient that overflows is refused by the ``Generator`` constructor
+    (``DomainError``) before any check runs.  The provenance
     records the map as a description (``catalog`` with its name, dim and
     degree, or ``polynomial`` with the truncated jet), so it can be fed
     back to ``descriptions.generator_from_json``.  The array of the
@@ -571,9 +580,8 @@ def from_starlike(f, *, degree: Optional[int] = None, check: bool = True) -> Gen
     """
     polynomial = isinstance(f, JetMap)
     fjet = f if polynomial else f.jet
-    if degree is not None:
-        fjet = fjet.truncated(degree)
-    tables = kernels.basis_tables(fjet.dim, fjet.degree)
+    # the basis of ``degree`` drops the terms past it
+    tables = kernels.basis_tables(fjet.dim, fjet.degree if degree is None else degree)
     farr = kernels.map_to_array(fjet, tables)
     check_normalization(farr[:, 0], farr[:, tables.linear], 1.0, 1e-10)
 
@@ -581,12 +589,14 @@ def from_starlike(f, *, degree: Optional[int] = None, check: bool = True) -> Gen
     # pass settles one more degree of x, from its constant term up
     inv_linear = np.linalg.inv(farr[:, tables.linear])
     x = np.zeros_like(farr)
-    for _ in range(tables.degree + 1):
-        x = x + inv_linear @ (farr - kernels.jacobian_times(farr, x, tables))
+    # a coefficient that overflows is not finite, and the constructor refuses it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(tables.degree + 1):
+            x = x + inv_linear @ (farr - kernels.jacobian_times(farr, x, tables))
 
     if polynomial:
-        fev, fjac = fjet, _polynomial_jacobian_fn(fjet)
-        source = {"kind": "polynomial", "components": map_to_json(fjet)["components"]}
+        fev, fjac = kernels.array_to_map(farr, tables), _polynomial_jacobian_fn(farr, tables)
+        source = {"kind": "polynomial", "components": map_to_json(fev)["components"]}
     else:
         fev, fjac = f.evaluator, f.jacobian
         source = {"kind": "catalog", "name": f.name, "dim": f.dim, "degree": f.degree}

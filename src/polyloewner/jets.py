@@ -1,4 +1,4 @@
-"""Truncated multivariate power-series jets.
+"""Truncated multivariate power-series jets as values.
 
 A jet stores the Taylor coefficients of a holomorphic function of ``dim``
 complex variables through total degree ``degree``; everything of higher
@@ -6,12 +6,11 @@ order is discarded.  Multi-indices are plain integer tuples ordered
 graded-lexicographically (by total degree, then lexicographic), which is
 the order of the dense array basis in ``kernels`` and of serialization.
 
-The algebra here is exact in the truncation sense: addition, scalar and
-Cauchy products and differentiation produce the mathematically correct
-coefficients through ``degree`` (up to float roundoff).  The catalog
-builds its closed-form jets with it, and reports print jet maps from it.
-Composition and evolution run on the dense arrays of ``kernels``; the
-dict-jet composition stays in the tests as that engine's oracle.
+This module holds jet values only: construction, coefficient reads, the
+constant and linear parts, pointwise evaluation, distances and JSON.  It
+has no arithmetic: every product, composition and evolution step runs on
+the dense arrays of ``kernels``.  A dict-jet ring (sums, products and
+derivatives) stays in the tests as that engine's oracle.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import cmath
 import enum
 import itertools
 from dataclasses import dataclass, field
-from operator import add
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -34,10 +32,6 @@ __all__ = [
     "JetMap",
     "grlex_key",
     "multiindices",
-    "variable_jet",
-    "series_in_var",
-    "analytic_jet",
-    "jacobian",
     "rotation_phases",
     "assert_normalization",
     "check_normalization",
@@ -115,16 +109,12 @@ def _validate_alpha(alpha: Sequence[int], dim: int, degree: int) -> tuple[int, .
     return a
 
 
-def _term_order(jet: "MultiJet") -> list:
-    return sorted((a, c.real, c.imag) for a, c in jet.coeffs.items())
-
-
 @dataclass(frozen=True)
 class MultiJet:
     """A scalar-valued jet: coefficients of a truncated power series.
 
     ``coeffs`` maps multi-indices to complex coefficients; exact zeros are
-    never stored.  Instances are immutable; all arithmetic returns new jets.
+    never stored.  Instances are immutable.
     """
 
     dim: int
@@ -151,77 +141,6 @@ class MultiJet:
 
     def constant_term(self) -> complex:
         return self.coeffs.get((0,) * self.dim, 0j)
-
-    def homogeneous_part(self, total: int) -> dict[tuple[int, ...], complex]:
-        return {a: c for a, c in self.coeffs.items() if sum(a) == total}
-
-    def max_abs_coeff(self) -> float:
-        return max((abs(c) for c in self.coeffs.values()), default=0.0)
-
-    # -- ring operations --------------------------------------------------
-
-    def _check_compatible(self, other: "MultiJet") -> None:
-        if self.dim != other.dim or self.degree != other.degree:
-            raise JetShapeError(
-                f"jet shapes differ: ({self.dim},{self.degree}) vs "
-                f"({other.dim},{other.degree})"
-            )
-
-    def __add__(self, other: "MultiJet") -> "MultiJet":
-        if not isinstance(other, MultiJet):
-            return NotImplemented
-        self._check_compatible(other)
-        out = dict(self.coeffs)
-        for a, c in other.coeffs.items():
-            out[a] = out.get(a, 0j) + c
-        return MultiJet(self.dim, self.degree, out)
-
-    def __sub__(self, other: "MultiJet") -> "MultiJet":
-        if not isinstance(other, MultiJet):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "MultiJet":
-        return MultiJet(self.dim, self.degree, {a: -c for a, c in self.coeffs.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, MultiJet):
-            self._check_compatible(other)
-            # a*b and b*a run one loop over the same sorted terms, so the
-            # product commutes exactly, rounding included
-            first, second = sorted((self, other), key=_term_order)
-            terms = sorted((sum(b), b, cb) for b, cb in second.coeffs.items())
-            out: dict[tuple[int, ...], complex] = {}
-            for a, ca in sorted(first.coeffs.items()):
-                room = self.degree - sum(a)
-                for db, b, cb in terms:
-                    if db > room:
-                        break
-                    g = tuple(map(add, a, b))
-                    out[g] = out.get(g, 0j) + ca * cb
-            return MultiJet(self.dim, self.degree, out)
-        if isinstance(other, (int, float, complex)):
-            s = complex(other)
-            return MultiJet(self.dim, self.degree, {a: s * c for a, c in self.coeffs.items()})
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def truncated(self, degree: int) -> "MultiJet":
-        """Re-truncate; raising the degree treats absent coefficients as 0."""
-        return MultiJet(self.dim, degree, {a: c for a, c in self.coeffs.items() if sum(a) <= degree})
-
-    def derivative(self, var: int) -> "MultiJet":
-        if not 0 <= var < self.dim:
-            raise JetShapeError(f"variable index {var} out of range for dim {self.dim}")
-        out: dict[tuple[int, ...], complex] = {}
-        for a, c in self.coeffs.items():
-            if a[var] == 0:
-                continue
-            b = list(a)
-            b[var] -= 1
-            out[tuple(b)] = c * a[var]
-        return MultiJet(self.dim, max(self.degree - 1, 0), out)
 
     # -- evaluation -------------------------------------------------------
 
@@ -290,14 +209,6 @@ class JetMap:
                 out[i, j] = comp.coefficient(e)
         return out
 
-    def truncated(self, degree: int) -> "JetMap":
-        return JetMap(tuple(c.truncated(degree) for c in self.components), self.normalization)
-
-    def with_normalization(self, normalization: Normalization, tol: float = 1e-8) -> "JetMap":
-        out = JetMap(self.components, normalization)
-        assert_normalization(out, tol)
-        return out
-
     def __call__(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=np.complex128)
         vals = [comp(z) for comp in self.components]
@@ -322,61 +233,6 @@ def check_normalization(constant: np.ndarray, linear: np.ndarray, sign: float, t
         raise DomainError(
             f"linear part deviates from {'+' if sign > 0 else '-'}identity by {dev:.3e}"
         )
-
-
-# -- constructors ---------------------------------------------------------
-
-
-def variable_jet(dim: int, degree: int, var: int) -> MultiJet:
-    if not 0 <= var < dim:
-        raise JetShapeError(f"variable index {var} out of range for dim {dim}")
-    if degree < 1:
-        raise JetShapeError("degree must be >= 1 to hold a linear term")
-    e = tuple(1 if k == var else 0 for k in range(dim))
-    return MultiJet(dim, degree, {e: 1.0 + 0j})
-
-
-def series_in_var(dim: int, degree: int, var: int, coeffs: Sequence[complex]) -> MultiJet:
-    """Jet of ``sum_k coeffs[k] * z_var**k`` truncated at ``degree``."""
-    if not 0 <= var < dim:
-        raise JetShapeError(f"variable index {var} out of range for dim {dim}")
-    out: dict[tuple[int, ...], complex] = {}
-    for k, c in enumerate(coeffs):
-        if k > degree:
-            break
-        a = tuple(k if j == var else 0 for j in range(dim))
-        out[a] = complex(c)
-    return MultiJet(dim, degree, out)
-
-
-def analytic_jet(kind: str, dim: int, degree: int, var: int, u: complex | None = None) -> MultiJet:
-    """Jet of a stock one-variable analytic function of ``z_var``.
-
-    Kinds: ``log1p`` for log(1+z); ``geometric`` for 1/(1-z); ``mobius``
-    for (u+z)/(u-z) with ``u`` on the unit circle.
-    """
-    if kind == "log1p":
-        coeffs = [0.0] + [(-1.0) ** (k + 1) / k for k in range(1, degree + 1)]
-    elif kind == "geometric":
-        coeffs = [1.0] * (degree + 1)
-    elif kind == "mobius":
-        if u is None:
-            raise DomainError("mobius jet needs the unimodular parameter u")
-        u = complex(u)
-        if abs(abs(u) - 1.0) > 1e-12:
-            raise DomainError(f"mobius parameter must lie on the unit circle, got |u|={abs(u)}")
-        coeffs = [1.0 + 0j] + [2.0 / u**k for k in range(1, degree + 1)]
-    else:
-        raise DomainError(f"unknown analytic jet kind {kind!r}")
-    return series_in_var(dim, degree, var, coeffs)
-
-
-# -- derivatives ----------------------------------------------------------
-
-
-def jacobian(f: JetMap) -> tuple[tuple[MultiJet, ...], ...]:
-    """Matrix of partial-derivative jets, truncated one degree lower."""
-    return tuple(tuple(comp.derivative(j) for j in range(f.dim)) for comp in f.components)
 
 
 # -- rotations ------------------------------------------------------------

@@ -28,9 +28,12 @@ MB of indices).  One composition forms 132,220 products at (3, 8) and
 of degree >= 1 gathers the full table.  The precondition inner(0) = 0 is
 checked on entry: ``compose_arrays`` and ``rk4_jet_arrays`` raise
 ``DomainError`` without it.  ``compose`` is the same engine on ``JetMap``
-operands.  The tests check the engine against products and compositions
-of dict jets (``MultiJet`` arithmetic), which never touch the pair
-tables.  ``benchmarks/bench_kernels.py`` times the engine.
+operands.  ``mul_arrays`` and ``compose_arrays`` (with ``rk4_jet_arrays``
+built on the latter) are the only jet products in the program: the
+catalog writes its jets as coefficient tables, and ``jets`` holds values
+only.  The tests check the engine against the dict-jet ring of
+``tests/oracles.py``, whose products never touch the pair tables.
+``benchmarks/bench_kernels.py`` times the engine.
 """
 
 from __future__ import annotations

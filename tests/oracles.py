@@ -1,8 +1,17 @@
 """Slow, independent reference implementations that the tests check the program against.
 
 None of these is on a path the program runs; each computes its result a
-different way from the engine it checks:
+different way from the engine it checks.  The dict-jet ring, and the
+catalog jets and compositions built on it, use nothing of the program but
+its jet values (``MultiJet``, ``JetMap``):
 
+- the dict-jet ring: ``add``, ``neg``, ``sub``, ``mul``, ``scaled``,
+  ``truncated``, ``derivative`` and ``jacobian`` on ``MultiJet`` values,
+  with the constructors ``variable_jet``, ``series_in_var`` and
+  ``geometric_jet``: the reference for ``kernels.mul_arrays`` and the
+  pair tables;
+- ``catalog_jet``: the catalog's jets built by the ring from their
+  closed forms, the reference for the coefficient tables of ``catalog``;
 - ``compose`` and ``compose_scalar``: composition by dict-jet products,
   independent of the sparse pair tables of ``kernels.compose_arrays``;
 - ``matrix_solve``: the order-by-order jet solve A(z) x(z) = b(z), the
@@ -33,9 +42,110 @@ from polyloewner import (
     evolve_jet,
     jet_from_json,
     multiindices,
-    variable_jet,
 )
 from polyloewner.jets import rotation_phases
+
+
+# -- the dict-jet ring -----------------------------------------------------
+#
+# Sums, products and negations follow Python's complex arithmetic term by
+# term, signed zeros included: a product or a sum into a fresh key starts
+# from 0j, and a negation flips the sign of both parts.
+
+
+def _check_compatible(a: MultiJet, b: MultiJet) -> None:
+    if a.dim != b.dim or a.degree != b.degree:
+        raise JetShapeError(
+            f"jet shapes differ: ({a.dim},{a.degree}) vs ({b.dim},{b.degree})"
+        )
+
+
+def add(a: MultiJet, b: MultiJet) -> MultiJet:
+    _check_compatible(a, b)
+    out = dict(a.coeffs)
+    for alpha, c in b.coeffs.items():
+        out[alpha] = out.get(alpha, 0j) + c
+    return MultiJet(a.dim, a.degree, out)
+
+
+def neg(a: MultiJet) -> MultiJet:
+    return MultiJet(a.dim, a.degree, {alpha: -c for alpha, c in a.coeffs.items()})
+
+
+def sub(a: MultiJet, b: MultiJet) -> MultiJet:
+    return add(a, neg(b))
+
+
+def scaled(s: complex, a: MultiJet) -> MultiJet:
+    s = complex(s)
+    return MultiJet(a.dim, a.degree, {alpha: s * c for alpha, c in a.coeffs.items()})
+
+
+def _term_order(jet: MultiJet) -> list:
+    return sorted((alpha, c.real, c.imag) for alpha, c in jet.coeffs.items())
+
+
+def mul(a: MultiJet, b: MultiJet) -> MultiJet:
+    """Truncated Cauchy product of two jets of one shape."""
+    _check_compatible(a, b)
+    # a*b and b*a run one loop over the same sorted terms, so the product
+    # commutes exactly, rounding included
+    first, second = sorted((a, b), key=_term_order)
+    terms = sorted((sum(beta), beta, cb) for beta, cb in second.coeffs.items())
+    out: dict[tuple[int, ...], complex] = {}
+    for alpha, ca in sorted(first.coeffs.items()):
+        room = a.degree - sum(alpha)
+        for dbeta, beta, cb in terms:
+            if dbeta > room:
+                break
+            g = tuple(x + y for x, y in zip(alpha, beta))
+            out[g] = out.get(g, 0j) + ca * cb
+    return MultiJet(a.dim, a.degree, out)
+
+
+def truncated(a: MultiJet, degree: int) -> MultiJet:
+    """Re-truncate; raising the degree treats absent coefficients as 0."""
+    kept = {alpha: c for alpha, c in a.coeffs.items() if sum(alpha) <= degree}
+    return MultiJet(a.dim, degree, kept)
+
+
+def derivative(a: MultiJet, var: int) -> MultiJet:
+    if not 0 <= var < a.dim:
+        raise JetShapeError(f"variable index {var} out of range for dim {a.dim}")
+    out: dict[tuple[int, ...], complex] = {}
+    for alpha, c in a.coeffs.items():
+        if alpha[var]:
+            beta = list(alpha)
+            beta[var] -= 1
+            out[tuple(beta)] = c * alpha[var]
+    return MultiJet(a.dim, max(a.degree - 1, 0), out)
+
+
+def jacobian(f: JetMap) -> tuple[tuple[MultiJet, ...], ...]:
+    """Matrix of partial-derivative jets, truncated one degree lower."""
+    return tuple(tuple(derivative(comp, j) for j in range(f.dim)) for comp in f.components)
+
+
+def variable_jet(dim: int, degree: int, var: int) -> MultiJet:
+    if not 0 <= var < dim:
+        raise JetShapeError(f"variable index {var} out of range for dim {dim}")
+    return MultiJet(dim, degree, {tuple(int(k == var) for k in range(dim)): 1.0 + 0j})
+
+
+def series_in_var(dim: int, degree: int, var: int, coeffs: Sequence[complex]) -> MultiJet:
+    """Jet of ``sum_k coeffs[k] * z_var**k`` truncated at ``degree``."""
+    if not 0 <= var < dim:
+        raise JetShapeError(f"variable index {var} out of range for dim {dim}")
+    out = {
+        tuple(k if j == var else 0 for j in range(dim)): complex(c)
+        for k, c in enumerate(coeffs[: degree + 1])
+    }
+    return MultiJet(dim, degree, out)
+
+
+def geometric_jet(dim: int, degree: int, var: int) -> MultiJet:
+    """Jet of 1/(1 - z_var)."""
+    return series_in_var(dim, degree, var, [1.0] * (degree + 1))
 
 
 def zero_jet(dim: int, degree: int) -> MultiJet:
@@ -48,6 +158,68 @@ def constant_jet(dim: int, degree: int, value: complex) -> MultiJet:
 
 def identity_map(dim: int, degree: int) -> JetMap:
     return JetMap(tuple(variable_jet(dim, degree, j) for j in range(dim)), Normalization.UNIVALENT)
+
+
+# -- the catalog by the ring ------------------------------------------------
+
+
+def _log_quotient_jet(dim: int, degree: int, va: int, vb: int) -> MultiJet:
+    """Jet of (log(1+a) - log(1+b))/(a - b) in variables a = z_va, b = z_vb."""
+    coeffs: dict[tuple[int, ...], complex] = {}
+    for k in range(1, degree + 2):
+        for i in range(k):
+            j = k - 1 - i
+            if i + j > degree:
+                continue
+            alpha = [0] * dim
+            alpha[va] = i
+            alpha[vb] = j
+            key = tuple(alpha)
+            coeffs[key] = coeffs.get(key, 0j) + (-1.0) ** (k + 1) / k
+    return MultiJet(dim, degree, coeffs)
+
+
+def catalog_jet(name: str, dim: int, degree: int) -> JetMap:
+    """The jet of catalog entry ``name`` built by ring products of its closed form.
+
+    F maps extend by identity coordinates and H generators by negated ones.
+    """
+    z0, z1 = variable_jet(dim, degree, 0), variable_jet(dim, degree, 1)
+    z2 = variable_jet(dim, degree, 2) if dim > 2 else None
+    one_plus_z1 = series_in_var(dim, degree, 1, [1.0, 1.0])
+    geo0, geo1 = geometric_jet(dim, degree, 0), geometric_jet(dim, degree, 1)
+    cayley = [1.0] + [2.0 * (-1.0) ** k for k in range(1, degree + 1)]  # (1-z)/(1+z)
+    damp = [0.0] + [(-1.0) ** (k + 1) for k in range(1, degree + 1)]  # z/(1+z)
+    sq1 = mul(z1, z1)
+    rings = {
+        "F1": lambda: [mul(mul(z0, geo0), geo0)],
+        "F2": lambda: [mul(mul(z0, one_plus_z1), one_plus_z1)],
+        "F3": lambda: [mul(mul(z0, one_plus_z1), geo1), mul(z1, geo1)],
+        "F4": lambda: [add(z0, sq1)],
+        "F5": lambda: [mul(add(sub(z0, mul(z0, z1)), sq1), geo1), mul(z1, geo1)],
+        "F6": lambda: [add(z0, mul(z1, z2))],
+        "F7": lambda: [
+            add(z0, mul(mul(z1, z2), _log_quotient_jet(dim, degree, 1, 2))),
+            series_in_var(dim, degree, 1, damp),
+            series_in_var(dim, degree, 2, damp),
+        ],
+        "H1": lambda: [neg(mul(z0, series_in_var(dim, degree, 0, cayley)))],
+        "H2": lambda: [neg(mul(z0, series_in_var(dim, degree, 1, cayley)))],
+        "H3": lambda: [neg(mul(z0, series_in_var(dim, degree, 1, cayley))), add(neg(z1), sq1)],
+        "H4": lambda: [add(neg(z0), sq1)],
+        "H5": lambda: [add(neg(z0), sq1), add(neg(z1), sq1)],
+        "H6": lambda: [add(neg(z0), mul(z1, z2))],
+        "H7": lambda: [
+            add(neg(z0), mul(z1, z2)),
+            sub(neg(z1), sq1),
+            sub(neg(z2), mul(z2, z2)),
+        ],
+    }
+    comps = rings[name]()
+    tail = [variable_jet(dim, degree, j) for j in range(len(comps), dim)]
+    if name.startswith("F"):
+        return JetMap(tuple(comps + tail), Normalization.UNIVALENT)
+    return JetMap(tuple(comps + [neg(z) for z in tail]), Normalization.GENERATOR)
 
 
 # -- composition ----------------------------------------------------------
@@ -65,7 +237,7 @@ def _monomial_table(inner: JetMap, degree: int) -> dict[tuple[int, ...], MultiJe
         var = next(j for j, a in enumerate(alpha) if a > 0)
         parent = list(alpha)
         parent[var] -= 1
-        table[alpha] = table[tuple(parent)] * inner.components[var].truncated(degree)
+        table[alpha] = mul(table[tuple(parent)], truncated(inner.components[var], degree))
     return table
 
 
@@ -87,7 +259,7 @@ def compose_scalar(outer: MultiJet, inner: JetMap) -> MultiJet:
     for alpha, c in outer.coeffs.items():
         if sum(alpha) > degree:
             continue
-        acc = acc + c * table[alpha]
+        acc = add(acc, scaled(c, table[alpha]))
     return acc
 
 
@@ -108,7 +280,7 @@ def compose(outer: JetMap, inner: JetMap) -> JetMap:
         for alpha, c in comp.coeffs.items():
             if sum(alpha) > degree:
                 continue
-            acc = acc + c * table[alpha]
+            acc = add(acc, scaled(c, table[alpha]))
         comps.append(acc)
     return JetMap(tuple(comps))
 
@@ -239,7 +411,7 @@ def scaled_transition(
     """e^(t-s) * phi_{s,t}: the normalized transition jet (Df(0) = I)."""
     raw = evolve_jet(field, s, t, degree=degree, step=step)
     scale = math.exp(t - s)
-    comps = tuple(scale * c for c in raw.components)
+    comps = tuple(scaled(scale, c) for c in raw.components)
     return JetMap(comps, Normalization.UNIVALENT)
 
 

@@ -1,5 +1,7 @@
 """The named extremal maps and their generator identities."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from polyloewner import (
     verify_catalog,
 )
 from polyloewner import catalog
-from oracles import ring_jacobian
+from oracles import catalog_jet, ring_jacobian
 
 PAIRS = [(f"F{j}", f"H{j}") for j in range(1, 8)]
 
@@ -145,6 +147,33 @@ def test_margin_dependency_sets():
     for name, deps in expected.items():
         g = catalog_generator(name)
         assert tuple(set(d) for d in g.margin_deps) == deps
+
+
+def _signed_terms(jet: JetMap) -> tuple:
+    """Each coefficient as (re, im, sign of re, sign of im): 0.0 and -0.0 differ."""
+    terms = [
+        {
+            alpha: (c.real, c.imag, math.copysign(1, c.real), math.copysign(1, c.imag))
+            for alpha, c in comp.coeffs.items()
+        }
+        for comp in jet.components
+    ]
+    return jet.normalization, terms
+
+
+def _ring_shapes(name):
+    """The minimal dim and dim 3 at degrees 2, 4 and 8, and dim 2 at 16."""
+    dims = sorted({minimal_dimension(name), 3})
+    return [(d, degree) for d in dims for degree in (2, 4, 8)] + [(2, 16)] * (2 in dims)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_coefficient_tables_equal_the_ring_construction(name):
+    # the tables are written by hand; the oracle multiplies out the closed
+    # forms, and both must give the same bits, signed zeros included
+    for dim, degree in _ring_shapes(name):
+        got = catalog_get(name, dim, degree).jet
+        assert _signed_terms(got) == _signed_terms(catalog_jet(name, dim, degree)), (dim, degree)
 
 
 HIGH_DEGREE_SHAPES = [(2, d) for d in (13, 14, 15, 16, 17, 24, 32, 43)] + [

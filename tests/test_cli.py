@@ -202,6 +202,35 @@ class TestCheckGenerator:
         assert err.startswith("polyloewner: error:") and "not finite" in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_overflowing_starlike_series_is_bad_input(self, tmp_path):
+        # (z1 + 1e300 z2^3, z2 + 1e200 z2^2): the series of -Df^-1 f overflows;
+        # a separate process shows the numpy warnings that pytest would catch
+        starlike = {
+            "kind": "polynomial",
+            "components": [
+                {
+                    "dim": 2,
+                    "degree": 3,
+                    "coeffs": [{"alpha": [1, 0], "re": 1.0}, {"alpha": [0, 3], "re": 1e300}],
+                },
+                {
+                    "dim": 2,
+                    "degree": 3,
+                    "coeffs": [{"alpha": [0, 1], "re": 1.0}, {"alpha": [0, 2], "re": 1e200}],
+                },
+            ],
+        }
+        gen = tmp_path / "overflow.json"
+        gen.write_text(json.dumps({"kind": "from-starlike", "map": starlike}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "polyloewner.cli", "check-generator", "--file", str(gen)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("polyloewner: error:") and "not finite" in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
+
     def test_pole_behind_the_self_check_fails_with_its_witness(self, run_json, tmp_path):
         # z + 2z^3 has det Df = 0 at |z_1| = 1/sqrt(6), which aliases the
         # evaluator/jet probe at radius 0.4; the shell scan finds the pole

@@ -535,23 +535,17 @@ class TestExactTail:
 
 
 class TestReport:
-    def test_report_estimate_and_points(self, rng):
+    def test_report_estimate_and_payload(self):
         field = HerglotzField.build(
             [catalog_generator("H1"), catalog_generator("H2")], [0.8]
         )
-        z = rng.uniform(-0.4, 0.4, size=(3, 2)) + 1j * rng.uniform(-0.4, 0.4, size=(3, 2))
-        rep = evolve_report(field, 0.0, 1.5, points=z, degree=3)
+        rep = evolve_report(field, 0.0, 1.5, degree=3)
         assert rep.error_estimate < 1e-8
-        want = evolve_point(field, 0.0, 1.5, z)
-        assert np.max(np.abs(rep.points_out - want)) < 1e-14
         payload = rep.to_json()
         assert payload["s"] == 0.0 and payload["t"] == 1.5
         assert payload["error_estimate"] == rep.error_estimate
-        assert len(payload["points"]) == 3
-        assert set(payload["points"][0]) == {"z", "phi"}
 
     def test_report_without_points(self):
         field = HerglotzField.constant(catalog_generator("H4"))
         rep = evolve_report(field, 0.0, 1.0, degree=3)
-        assert rep.points_in is None and rep.points_out is None
-        assert "points" not in rep.to_json()
+        assert set(rep.to_json()) == {"s", "t", "degree", "step", "jet", "error_estimate"}

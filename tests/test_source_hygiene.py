@@ -1,6 +1,6 @@
 """Every name a module of the package imports is used there or exported, and every
-definition of the package is reached by the program, its acceptance tests or its
-benchmarks."""
+definition of the package, methods and properties included, is reached by the
+program, its acceptance tests or its benchmarks."""
 
 import ast
 from pathlib import Path
@@ -108,26 +108,45 @@ def _references(tree: ast.Module) -> set[str]:
 
 
 def _unreached(modules: dict[str, ast.Module], callers: set[str]) -> list[str]:
-    """``module.name`` of each top-level function or class that nothing references.
+    """Each definition that nothing references: ``module.name`` for a top-level
+    function or class, ``module.Class.name`` for a method or property.
 
     A definition is reached when its own module references it outside its
     body, or another module of ``modules`` does, or its name is in ``callers``.
+    A member is also reached from the other statements of its class body.
+    Dunder methods are exempt: the language calls them.
     """
+
+    def refs(node: ast.stmt) -> set[str]:
+        return _references(ast.Module(body=[node], type_ignores=[]))
+
     # names each top-level statement reads, per module
-    parts = {
-        name: [(node, _references(ast.Module(body=[node], type_ignores=[]))) for node in tree.body]
-        for name, tree in modules.items()
-    }
-    definition = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    parts = {name: [(node, refs(node)) for node in tree.body] for name, tree in modules.items()}
+    function = (ast.FunctionDef, ast.AsyncFunctionDef)
     out = []
     for name, own in parts.items():
         elsewhere = callers.union(
             *(refs for other, nodes in parts.items() if other != name for _, refs in nodes)
         )
+
+        def reached(node, scope) -> bool:
+            return node.name in elsewhere or any(
+                node.name in refs for other, refs in scope if other is not node
+            )
+
         for node, _ in own:
-            if isinstance(node, definition) and node.name not in elsewhere:
-                if not any(node.name in refs for other, refs in own if other is not node):
-                    out.append(f"{name}.{node.name}")
+            if isinstance(node, function + (ast.ClassDef,)) and not reached(node, own):
+                out.append(f"{name}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                scope = [part for part in own if part[0] is not node]
+                scope += [(member, refs(member)) for member in node.body]
+                for member in node.body:
+                    if not isinstance(member, function) or (
+                        member.name.startswith("__") and member.name.endswith("__")
+                    ):
+                        continue
+                    if not reached(member, scope):
+                        out.append(f"{name}.{node.name}.{member.name}")
     return out
 
 
@@ -144,3 +163,21 @@ def test_the_check_sees_an_unreached_definition():
         "b": ast.parse("from .a import used\n\nx: 'Kept' = used()\n\ndef looped(): pass\n"),
     }
     assert _unreached(modules, callers={"looped"}) == ["a.alone"]
+
+
+def test_the_check_sees_an_unreached_method():
+    modules = {
+        "a": ast.parse(
+            "class C:\n"
+            "    def __init__(self): self.helper()\n"
+            "    def helper(self): pass\n"
+            "    def alone(self): return self.alone()\n"
+            "    @property\n"
+            "    def shown(self): return 1\n"
+            "    def called(self): pass\n"
+            "\n"
+            "x = C()\n"
+        ),
+        "b": ast.parse("from .a import C\n\nC().called()\n"),
+    }
+    assert _unreached(modules, callers={"shown"}) == ["a.C.alone"]
