@@ -14,10 +14,12 @@ the ``Generator`` constructor on H1: the full-FFT oracle (one exp per mesh
 point, ``np.fft.fftn``, dict jets and ``map_distance``) against the array
 route ``fourier.torus_error`` (points from a cached ring, truncated DFT).
 Then, at (2, 3) and (3, 3), the generator constructors a search or a
-description calls: ``product_form`` and ``from_starlike`` without their
-torus check, ``convex_combination`` of a rotated and a plain catalog
-generator, ``rotate_generator``, and the ``Generator`` constructor on a
-catalog jet.  Last, the pointwise limit that ``bounds --field`` evaluates:
+description calls: ``product_form`` (``TRUSTED``, no torus check),
+``convex_combination`` of a rotated and a plain catalog generator,
+``rotate_generator``, ``from_starlike`` with the torus check it runs on
+its result, and the ``Generator`` constructor on a catalog jet, once as
+``TRUSTED`` and once as ``TORUS``, whose difference is the constructor's
+torus check.  Last, the pointwise limit that ``bounds --field`` evaluates:
 ``limit_evaluator`` at horizon 15 (RK4 to the breakpoint, then the tail's
 exact Koenigs map) against RK4 all the way, ``exp(T) * evolve_point``, on
 two-piece rotated fields of dim 2 (H1, H4) and dim 3 (H6, H7) at 50
@@ -45,6 +47,7 @@ from polyloewner.evolution import (
 )
 from polyloewner.fourier import torus_error, torus_grid
 from polyloewner.generators import (
+    Admission,
     AtomicMeasure,
     Generator,
     convex_combination,
@@ -77,7 +80,9 @@ def _best_solve(repeats: int, gen: Generator, degree: int) -> float:
     """Best time of the series solve: ``koenigs_pair`` on fresh, uncached copies of ``gen``."""
     best = float("inf")
     for _ in range(repeats):
-        fresh = Generator(gen.jet_array(degree), gen.evaluate, {"kind": "copy"}, check=False)
+        fresh = Generator(
+            gen.jet_array(degree), gen.evaluate, {"kind": "copy"}, admission=Admission.TRUSTED
+        )
         t0 = time.perf_counter()
         fresh.koenigs_pair(degree)
         best = min(best, time.perf_counter() - t0)
@@ -179,7 +184,7 @@ def main() -> None:
 
     header = (
         f"{'dim':>3} {'deg':>3} {'product_form (us)':>18} {'convex_comb (us)':>17} "
-        f"{'rotate (us)':>12} {'from_starlike (us)':>19} {'Generator (us)':>15}"
+        f"{'rotate (us)':>12} {'from_starlike (us)':>19} {'TRUSTED (us)':>13} {'TORUS (us)':>11}"
     )
     print()
     print(header)
@@ -192,16 +197,17 @@ def main() -> None:
         f1 = catalog_get("F1", dim=dim, degree=degree)
         rotated = rotate_generator(h1, angles[:dim])
         calls = (
-            lambda: product_form(selectors, measures[:dim], degree=degree, check=False),
+            lambda: product_form(selectors, measures[:dim], degree=degree),
             lambda: convex_combination([rotated, h2], [0.3, 0.7]),
             lambda: rotate_generator(h1, angles[:dim]),
-            lambda: from_starlike(f1, check=False),
-            lambda: Generator(h1.jet, h1.evaluate, {"kind": "test"}, check=False),
+            lambda: from_starlike(f1),
+            lambda: Generator(h1.jet, h1.evaluate, {"kind": "test"}, admission=Admission.TRUSTED),
+            lambda: Generator(h1.jet, h1.evaluate, {"kind": "test"}),
         )
         times = [_best_of(args.repeats, call) for call in calls]
         print(
             f"{dim:>3} {degree:>3} "
-            + " ".join(f"{1e6 * s:>{w}.1f}" for s, w in zip(times, (18, 17, 12, 19, 15)))
+            + " ".join(f"{1e6 * s:>{w}.1f}" for s, w in zip(times, (18, 17, 12, 19, 13, 11)))
         )
 
     header = f"{'dim':>3} {'pieces':>9} {'exact tail (ms)':>16} {'RK4 to T (ms)':>14} {'rel gap':>8}"

@@ -32,6 +32,7 @@ from .generators import (
     MEMBERSHIP_TOL,
     REFERENCE_GRID,
     SHELL_GRID,
+    Admission,
     AtomicMeasure,
     Generator,
     GridSpec,
@@ -100,8 +101,8 @@ __all__ = [
     "basis_tables", "compose", "default_backend",
     "torus_array", "torus_grid",
     # generators
-    "CHECK_TOL", "MEMBERSHIP_TOL", "REFERENCE_GRID", "SHELL_GRID", "AtomicMeasure", "Generator",
-    "GridSpec", "MembershipCertificate", "MembershipError",
+    "CHECK_TOL", "MEMBERSHIP_TOL", "REFERENCE_GRID", "SHELL_GRID", "Admission", "AtomicMeasure",
+    "Generator", "GridSpec", "MembershipCertificate", "MembershipError",
     "convex_combination", "dilation_generator", "from_starlike",
     "membership_check", "product_form", "require_admissible",
     "rotate_generator", "shear_linear", "shear_quadratic",

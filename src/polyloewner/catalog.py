@@ -29,6 +29,7 @@ from .bounds import coeff_bound_report
 from .fourier import torus_error
 from .generators import (
     MEMBERSHIP_TOL,
+    Admission,
     Generator,
     MembershipCertificate,
     from_starlike,
@@ -479,7 +480,7 @@ def _cached_entry(key: str, n: int, degree: int) -> NamedMap:
 
 
 def catalog_generator(name: str, dim: Optional[int] = None, degree: int = 4) -> Generator:
-    """Catalog generator wrapped for the evolution engine (trusted member).
+    """Catalog generator wrapped for the evolution engine (a ``TRUSTED`` member).
 
     Cached like ``catalog_get``: every call form returns the same object.
     Its Koenigs map is the matching F_j, fetched only when first asked for.
@@ -497,8 +498,7 @@ def _cached_generator(key: str, n: int, degree: int) -> Generator:
         named.evaluator,
         {"kind": "catalog", "name": named.name, "dim": named.dim},
         margin_deps=named.margin_deps,
-        trusted=True,
-        check=False,
+        admission=Admission.TRUSTED,
         koenigs_map=lambda: _starlike_pair("F" + key[1:], n, degree),
     )
 

@@ -26,10 +26,9 @@ sup-norm shell of 0.95*D^n is therefore the supremum over the torus
 The premise fails for ``from_starlike``: -Df^{-1} f has a pole wherever
 det Df vanishes inside the polydisc, and the torus can miss it (for
 f(z) = z + 2z^3 the pole sits at |z| = 1/sqrt(6) while every torus margin
-is negative).  Generators built by ``from_starlike``, and rotations,
-convex combinations and shears of them, carry ``may_have_poles`` and are
-scanned on ``SHELL_GRID`` instead: ten sup-norm shells from 0.1 to 0.95,
-the other coordinates at moduli 0, r/2 and r.
+is negative).  Such generators are scanned on ``SHELL_GRID`` instead:
+ten sup-norm shells from 0.1 to 0.95, the other coordinates at moduli 0,
+r/2 and r, each mesh evaluated in slices of ``_SCAN_SLICE`` points.
 
 Constructions whose margins provably depend on only a few coordinates
 declare those dependency sets, and the scan then meshes only the
@@ -38,19 +37,19 @@ reduction, not a heuristic.  A passing certificate means no violation
 was found on the grid it records; a failing one carries a concrete
 witness point; a margin that is not finite raises ``SingularityError``.
 
-A generator carries no certificate.  ``require_admissible`` is the one
-rule that admits generators where membership is required (field builds,
-``bounds --generator``): it scans every distinct untrusted generator
-once and raises ``MembershipError`` on the first failure.  Catalog
-entries, the dilation, product forms, and rotations and convex
-combinations of trusted generators are trusted by construction; shears,
-polynomials and ``from_starlike`` are not.
+Each generator carries one ``Admission`` value, which says how its
+membership is established; no constructor decides membership.
+``require_admissible`` is the one rule that admits generators where
+membership is required (field builds, ``bounds --generator``): it scans
+every distinct generator that is not ``TRUSTED`` once and raises
+``MembershipError`` on the first failure.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import IntEnum
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -79,6 +78,7 @@ __all__ = [
     "MembershipError",
     "require_admissible",
     "AtomicMeasure",
+    "Admission",
     "Generator",
     "dilation_generator",
     "membership_check",
@@ -93,6 +93,8 @@ __all__ = [
 MEMBERSHIP_TOL = 1e-9
 # h(0), Dh(0) + I and the evaluator's torus coefficients off the array are refused above this
 CHECK_TOL = 1e-8
+# the most mesh points a membership scan evaluates at once
+_SCAN_SLICE = 2**16
 
 
 @dataclass(frozen=True)
@@ -242,6 +244,29 @@ def _basis_degree(shape: tuple[int, ...]) -> int:
     raise JetShapeError(f"no (dim, degree) jet basis gives an array of shape {shape}")
 
 
+class Admission(IntEnum):
+    """How a generator's membership is established, in increasing order.
+
+    ``TRUSTED``: a member by construction (catalog entries, the dilation,
+    product forms); ``require_admissible`` skips it.  ``TORUS``: holomorphic
+    on 0.95*D^n, so ``membership_check`` scans ``REFERENCE_GRID``.
+    ``SHELLS``: may have poles inside (``from_starlike`` inverts Df), so it
+    scans ``SHELL_GRID``.  A rotation keeps its base's value, a convex
+    combination takes its parts' largest and a shear at least ``TORUS``.
+    """
+
+    TRUSTED = 0
+    TORUS = 1
+    SHELLS = 2
+
+
+def _require_torus_agreement(g: "Generator", message: str) -> None:
+    """``DomainError`` unless g's evaluator gives its array to ``CHECK_TOL`` on the probe torus."""
+    err = torus_error(g.evaluate, g.jet_array(g.degree), kernels.basis_tables(g.dim, g.degree))
+    if not err <= CHECK_TOL:
+        raise DomainError(f"{message}: coefficient error {err:.3e}")
+
+
 class Generator:
     """An infinitesimal generator: coefficient array + evaluator + provenance.
 
@@ -255,21 +280,11 @@ class Generator:
 
     ``margin_deps`` optionally lists, per component j, the coordinate
     indices that Re(h_j(z)/z_j) actually depends on; ``None`` means scan
-    everything.  ``trusted`` marks membership as guaranteed by the
-    construction (catalog formulas, rotations, products, convex sums of
-    trusted parts), which lets ``require_admissible`` skip the scan.
-    ``may_have_poles`` marks an evaluator not known to be holomorphic on
-    the closed polydisc 0.95*D^n (``from_starlike`` inverts Df, which may
-    vanish inside); ``membership_check`` scans such generators on
-    ``SHELL_GRID`` instead of the torus.  With ``check``, the coefficients
-    read off the evaluator on a torus (``fourier.torus_array``) must match
-    the array to ``CHECK_TOL``.  The torus follows the degree
-    (``fourier.torus_grid``): radius 0.4 with 32 samples per axis up to
-    degree 12, 0.6 with 64 up to 16, 0.8 with 160 up to 43, and higher
-    degrees raise ``DomainError``.  Where the generator may have poles and
-    they disagree, the evaluator is scanned on ``SHELL_GRID`` first, and a
-    violation found there raises ``MembershipError`` with its witness (a
-    pole just outside the torus radius aliases the probe).
+    everything.  ``admission`` (an ``Admission``) says how membership is
+    established.  At ``TORUS``, the default for a caller's own generator,
+    the constructor checks the evaluator against the array on the probe
+    torus of ``fourier.torus_grid`` and raises ``DomainError`` if they
+    disagree; ``TRUSTED`` and ``SHELLS`` run no probe.
 
     ``rotation`` is (base, angles, phases) for ``rotate_generator(base,
     angles)``, phases the (n, B) array of ``rotation_phases``, and None
@@ -289,9 +304,7 @@ class Generator:
         provenance: dict,
         *,
         margin_deps: Optional[Sequence[Iterable[int]]] = None,
-        trusted: bool = False,
-        may_have_poles: bool = False,
-        check: bool = True,
+        admission: Admission = Admission.TORUS,
         rotation: Optional[tuple["Generator", tuple[float, ...], np.ndarray]] = None,
         koenigs_map: Optional[Callable[[], tuple[Callable, Callable]]] = None,
     ):
@@ -317,17 +330,9 @@ class Generator:
             if len(margin_deps) != self.dim:
                 raise JetShapeError("margin_deps needs one entry per component")
         self.margin_deps = margin_deps
-        self.trusted = bool(trusted)
-        self.may_have_poles = bool(may_have_poles)
-        if check:
-            err = torus_error(self.evaluate, arr, tables)
-            if not err <= CHECK_TOL:
-                message = f"generator evaluator and jet disagree: coefficient error {err:.3e}"
-                if self.may_have_poles:
-                    cert = membership_check(self)
-                    if not cert.passed:
-                        raise MembershipError(f"{message}; the shell scan finds a pole", cert)
-                raise DomainError(message)
+        self.admission = Admission(admission)
+        if self.admission is Admission.TORUS:
+            _require_torus_agreement(self, "generator evaluator and jet disagree")
 
     @property
     def jet(self) -> JetMap:
@@ -437,23 +442,19 @@ def _membership_mesh(
         if k == j:
             v = r * circle if j in deps else np.array([r + 0j])
         elif k in deps:
-            parts = []
-            for f in grid.companion_factors:
-                if f == 0.0:
-                    parts.append(np.array([0j]))
-                else:
-                    parts.append(f * r * circle)
-            v = np.concatenate(parts)
+            v = np.concatenate(
+                [f * r * circle if f else np.array([0j]) for f in grid.companion_factors]
+            )
         else:
             continue
         axes_coords.append(k)
         axes_vals.append(v)
-    mesh = np.meshgrid(*axes_vals, indexing="ij")
-    count = mesh[0].size
-    pts = np.zeros((count, dim), dtype=np.complex128)
-    for coord, axis_vals in zip(axes_coords, mesh):
-        pts[:, coord] = axis_vals.reshape(-1)
-    return pts
+    # the "ij" mesh, axis 0 slowest, written by broadcasting with no copies of its axes
+    shape = tuple(len(v) for v in axes_vals)
+    pts = np.zeros(shape + (dim,), dtype=np.complex128)
+    for axis, (coord, v) in enumerate(zip(axes_coords, axes_vals)):
+        pts[..., coord] = v.reshape((-1,) + (1,) * (len(shape) - 1 - axis))
+    return pts.reshape(-1, dim)
 
 
 def membership_check(
@@ -463,16 +464,16 @@ def membership_check(
 
     The default grid is the torus 0.95*T^n, whose maximum is the maximum
     over the whole closed polydisc 0.95*D^n when h is holomorphic there
-    (see the module docstring).  A generator with ``may_have_poles`` is
-    scanned on ``SHELL_GRID`` whenever ``REFERENCE_GRID`` is asked for;
-    any other grid is scanned as given.  The certificate records the grid
-    scanned.
+    (see the module docstring).  A ``SHELLS`` generator is scanned on
+    ``SHELL_GRID`` whenever ``REFERENCE_GRID`` is asked for; any other grid
+    is scanned as given.  The certificate records the grid scanned.
 
     The scan is deterministic; the witness is the first grid point (in
-    coordinate, radius, mesh order) attaining the worst margin.  A margin
-    that is not finite raises ``SingularityError`` naming its point.
+    coordinate, radius, mesh order) attaining the worst margin, whatever
+    the slices the mesh is evaluated in.  A margin that is not finite
+    raises ``SingularityError`` naming its point.
     """
-    if g.may_have_poles and grid == REFERENCE_GRID:
+    if g.admission is Admission.SHELLS and grid == REFERENCE_GRID:
         grid = SHELL_GRID
     n = g.dim
     worst = -math.inf
@@ -481,20 +482,22 @@ def membership_check(
     for j in range(n):
         deps = g.margin_deps[j] if g.margin_deps is not None else frozenset(range(n))
         for r in grid.radii:
-            pts = _membership_mesh(n, j, deps, r, grid)
-            margins = np.real(g.evaluate(pts)[:, j] / pts[:, j])
-            finite = np.isfinite(margins)
-            if not finite.all():
-                where = [complex(c) for c in pts[int(np.argmin(finite))]]
-                raise SingularityError(
-                    f"membership margin of component {j} is not finite at z = {where}"
-                )
-            k = int(np.argmax(margins))
-            m = float(margins[k])
-            if m > worst:
-                worst = m
-                wit_point = tuple(complex(c) for c in pts[k])
-                wit_coord = j
+            mesh = _membership_mesh(n, j, deps, r, grid)
+            for start in range(0, len(mesh), _SCAN_SLICE):
+                pts = mesh[start : start + _SCAN_SLICE]
+                margins = np.real(g.evaluate(pts)[:, j] / pts[:, j])
+                finite = np.isfinite(margins)
+                if not finite.all():
+                    where = [complex(c) for c in pts[int(np.argmin(finite))]]
+                    raise SingularityError(
+                        f"membership margin of component {j} is not finite at z = {where}"
+                    )
+                k = int(np.argmax(margins))
+                m = float(margins[k])
+                if m > worst:
+                    worst = m
+                    wit_point = tuple(complex(c) for c in pts[k])
+                    wit_coord = j
     return MembershipCertificate(
         passed=bool(worst <= tol),
         worst_margin=worst,
@@ -509,14 +512,14 @@ def require_admissible(gens: Iterable[Generator]) -> None:
     """Raise ``MembershipError`` unless every generator is in the class M.
 
     This is the one admissibility rule of the program: each distinct
-    generator that is not ``trusted`` is scanned once by
+    generator that is not ``TRUSTED`` is scanned once by
     ``membership_check`` at its defaults (``REFERENCE_GRID`` at
-    ``MEMBERSHIP_TOL``, or ``SHELL_GRID`` where it may have poles), and the
-    first failure raises with its certificate.
+    ``MEMBERSHIP_TOL``, or ``SHELL_GRID`` for ``SHELLS``), and the first
+    failure raises with its certificate.
     """
     seen: set[int] = set()
     for g in gens:
-        if g.trusted or id(g) in seen:
+        if g.admission is Admission.TRUSTED or id(g) in seen:
             continue
         seen.add(id(g))
         cert = membership_check(g)
@@ -541,8 +544,7 @@ def dilation_generator(dim: int, degree: int = 4) -> Generator:
         evaluator,
         {"kind": "dilation", "dim": dim},
         margin_deps=[frozenset()] * dim,
-        trusted=True,
-        check=False,
+        admission=Admission.TRUSTED,
         koenigs_map=identity_pair,
     )
 
@@ -560,7 +562,7 @@ def _polynomial_jacobian_fn(
     return lambda z: np.stack([row(z) for row in rows], axis=-2)
 
 
-def from_starlike(f, *, degree: Optional[int] = None, check: bool = True) -> Generator:
+def from_starlike(f, *, degree: Optional[int] = None) -> Generator:
     """Generator -Df(z)^{-1} f(z) of a normalized starlike map.
 
     ``f`` is either a catalog starlike map (``catalog.NamedMap``, with
@@ -575,7 +577,10 @@ def from_starlike(f, *, degree: Optional[int] = None, check: bool = True) -> Gen
     result solves Df * x = f order by order, the evaluator comes from
     pointwise linear solves; a singular Jacobian raises
     ``SingularityError``.  Df may vanish inside the polydisc, so the
-    result has ``may_have_poles``.  Its Koenigs map is f itself:
+    result is ``SHELLS``.  Its evaluator is checked against its array on
+    the probe torus: a pole of -Df^-1 f near that torus makes them
+    disagree, and such an f is not univalent, hence not starlike, so the
+    disagreement raises ``DomainError``.  Its Koenigs map is f itself:
     Df.h = -f.
     """
     polynomial = isinstance(f, JetMap)
@@ -611,14 +616,15 @@ def from_starlike(f, *, degree: Optional[int] = None, check: bool = True) -> Gen
             raise SingularityError(f"Jacobian of the starlike map is singular near {where}")
         return -np.linalg.solve(jac_vals, vals[..., None])[..., 0]
 
-    return Generator(
+    g = Generator(
         -x,
         evaluator,
         {"kind": "from-starlike", "map": source},
-        may_have_poles=True,
-        check=check,
+        admission=Admission.SHELLS,
         koenigs_map=lambda: (fev, fjac),
     )
+    _require_torus_agreement(g, "-Df^-1 f and its series disagree, so f is not starlike")
+    return g
 
 
 def rotate_generator(g: Generator, angles: Sequence[float]) -> Generator:
@@ -662,9 +668,7 @@ def rotate_generator(g: Generator, angles: Sequence[float]) -> Generator:
         evaluator,
         {"kind": "rotation", "angles": list(angles_out), "base": base.provenance},
         margin_deps=base.margin_deps,
-        trusted=base.trusted,
-        may_have_poles=base.may_have_poles,
-        check=False,
+        admission=base.admission,
         rotation=(base, angles_out, rot_phases),
     )
 
@@ -673,13 +677,13 @@ def product_form(
     selectors: Sequence[int],
     measures: Sequence[Optional[AtomicMeasure]],
     degree: int = 4,
-    check: bool = True,
 ) -> Generator:
     """Generator with components h_k(z) = -z_k p_k(z_{selectors[k]}).
 
     Each p_k is the Herglotz transform of an atomic measure (``None``
     means p_k = 1).  Such maps are generators for any selector choice,
-    so the result is membership-trusted.  Component k of the array is -1
+    so the result is ``TRUSTED``, and its two closed forms are compared in
+    the tests, not at each build.  Component k of the array is -1
     at z_k and -c_m at z_k z_s^m, s = selectors[k], with c_m the
     measure's ``herglotz_coefficient(m)``.
     """
@@ -719,8 +723,7 @@ def product_form(
             "measures": [m.to_json() if m is not None else None for m in measures],
         },
         margin_deps=margin_deps,
-        trusted=True,
-        check=check,
+        admission=Admission.TRUSTED,
     )
 
 
@@ -760,9 +763,7 @@ def convex_combination(parts: Sequence[Generator], weights: Sequence[float]) -> 
             "parts": [p.provenance for p in parts],
         },
         margin_deps=margin_deps,
-        trusted=all(p.trusted for p in parts),
-        may_have_poles=any(p.may_have_poles for p in parts),
-        check=False,
+        admission=max(p.admission for p in parts),
     )
 
 
@@ -798,7 +799,7 @@ def _sheared(
     first: Callable[[np.ndarray, np.ndarray], np.ndarray],
     first_deps: frozenset,
 ) -> Generator:
-    """g with h_1 replaced: untrusted, so scanned wherever it is required.
+    """g with h_1 replaced: at least ``TORUS``, so scanned wherever it is required.
 
     Row 0 of the array is -z_1 plus g's row-0 coefficients c at the
     exponents ``keep``, and h_1(z) is ``first(z, c)``; row 1 and h_2 are
@@ -826,7 +827,7 @@ def _sheared(
         evaluator,
         {"kind": kind, "base": g.provenance},
         margin_deps=[first_deps, base_deps],
-        may_have_poles=g.may_have_poles,
+        admission=max(Admission.TORUS, g.admission),
     )
 
 
@@ -835,7 +836,7 @@ def shear_linear(g: Generator) -> Generator:
 
     The array keeps the coefficients c_{(1,k)}, k <= degree-1, of g; the
     evaluator realizes the full series by circle averaging.  The result
-    is untrusted: ``require_admissible`` scans it where it is used.
+    is not ``TRUSTED``: ``require_admissible`` scans it where it is used.
     """
     profile = _sheared_profile_fn(g)
     keep = [(1, k) for k in range(1, g.degree)]
@@ -845,7 +846,7 @@ def shear_linear(g: Generator) -> Generator:
 
 
 def shear_quadratic(g: Generator) -> Generator:
-    """Replace h_1 by -z_1 + c_{(0,2)} z_2^2, keep h_2 (untrusted, like ``shear_linear``)."""
+    """Replace h_1 by -z_1 + c_{(0,2)} z_2^2, keep h_2 (scanned, like ``shear_linear``)."""
     return _sheared(
         g, "shear-quadratic", [(0, 2)], lambda z, c: -z[..., 0] + c[0] * z[..., 1] ** 2,
         frozenset({0, 1}),

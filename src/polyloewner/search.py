@@ -96,8 +96,6 @@ class SearchSpace:
                 raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         if not (1.0 < self.horizon <= self.certify_horizon):
             raise DomainError("need 1 < horizon <= certify_horizon")
-        if self.degree < 2:
-            raise DomainError("jet degree must be at least 2")
         names = tuple(self.names) or tuple(
             n for n in catalog_names() if n.startswith("H") and minimal_dimension(n) <= self.dim
         )
@@ -209,7 +207,7 @@ def decode_field(space: SearchSpace, params: Params) -> HerglotzField:
                 angles = chunk[0::2]
                 weights = _normalized(chunk[1::2])
                 measures.append(AtomicMeasure(tuple(zip(angles, weights))))
-            gens.append(product_form(selectors, measures, degree=deg, check=False))
+            gens.append(product_form(selectors, measures, degree=deg))
         else:
             parts = []
             raw_weights = []

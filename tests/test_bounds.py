@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from polyloewner import (
     AtomicMeasure,
     BoundCheck,
-    BoundReport,
     DomainError,
     JetMap,
     JetShapeError,

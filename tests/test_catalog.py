@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from polyloewner import (
+    Admission,
     DomainError,
     JetMap,
     MultiJet,
@@ -119,7 +120,7 @@ def test_catalog_generator_role_check():
     with pytest.raises(DomainError):
         catalog_generator("F1")
     g = catalog_generator("H5")
-    assert g.trusted
+    assert g.admission is Admission.TRUSTED
     assert g.provenance["name"] == "H5"
 
 

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from polyloewner import SHELL_GRID, search
+from polyloewner import search
 from polyloewner.bounds import CSV_HEADER
 from polyloewner.cli import main
 from polyloewner.jets import map_distance
@@ -231,9 +231,11 @@ class TestCheckGenerator:
         assert proc.stderr.startswith("polyloewner: error:") and "not finite" in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1
 
-    def test_pole_behind_the_self_check_fails_with_its_witness(self, run_json, tmp_path):
+    @pytest.mark.parametrize("flags", [[], ["--tol", "10"]], ids=["default-tol", "tol-10"])
+    def test_pole_behind_the_self_check_is_bad_input(self, run, tmp_path, flags):
         # z + 2z^3 has det Df = 0 at |z_1| = 1/sqrt(6), which aliases the
-        # evaluator/jet probe at radius 0.4; the shell scan finds the pole
+        # evaluator/jet probe at radius 0.4: the map is not starlike, so the
+        # description is bad input at any --tol, and no certificate is printed
         cubic = {
             "kind": "polynomial",
             "components": [
@@ -247,15 +249,10 @@ class TestCheckGenerator:
         }
         gen = tmp_path / "pole.json"
         gen.write_text(json.dumps({"kind": "from-starlike", "map": cubic}))
-        code, payload, err = run_json("check-generator", "--file", str(gen))
-        assert code == 1 and err == ""
-        assert payload["passed"] is False and "disagree" in payload["report"]["error"]
-        cert = payload["report"]["certificate"]
-        assert cert["passed"] is False and cert["witness_coordinate"] == 0
-        assert cert["grid"]["radii"] == list(SHELL_GRID.radii)
-        first = cert["witness_point"][0]
-        assert first["re"] == pytest.approx(0.0, abs=1e-12)
-        assert first["im"] == pytest.approx(0.5, abs=1e-12)
+        code, out, err = run("check-generator", "--file", str(gen), *flags)
+        assert code == 2 and out == ""
+        assert err.startswith("polyloewner: error:") and "not starlike" in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_tolerance_applies_to_a_shear(self, run_json, tmp_path):
         # the scan runs at --tol, not at the tolerance of an earlier scan

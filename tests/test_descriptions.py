@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from polyloewner import (
+    Admission,
     AtomicMeasure,
     DomainError,
     MembershipError,
@@ -112,7 +113,7 @@ class TestGeneratorDescriptions:
         h4 = catalog_generator("H4")
         g = generator_from_json({"kind": "polynomial", "components": jet_payload(h4)})
         assert map_distance(g.jet, h4.jet) < 1e-14
-        assert not g.trusted
+        assert g.admission is Admission.TORUS
         s = generator_from_json(
             {"kind": "from-starlike", "map": {"kind": "catalog", "name": "F1"}}
         )

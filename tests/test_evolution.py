@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from polyloewner import (
+    Admission,
     DomainError,
     Generator,
     HerglotzField,
@@ -101,7 +102,7 @@ class TestSchedule:
     def test_untrusted_valid_generator_is_screened_then_accepted(self):
         h4 = catalog_generator("H4")
         g = Generator(h4.jet, h4.jet, {"kind": "polynomial"})
-        assert not g.trusted
+        assert g.admission is Admission.TORUS
         field = HerglotzField.constant(g)
         assert field.generator_at(0.0) is g
 
@@ -360,7 +361,11 @@ class TestLimit:
 def _unrotated_copy(g):
     """The same generator as a fresh object: not a rotation, nothing cached."""
     return Generator(
-        g.jet, g.evaluate, dict(g.provenance), margin_deps=g.margin_deps, trusted=True, check=False
+        g.jet,
+        g.evaluate,
+        dict(g.provenance),
+        margin_deps=g.margin_deps,
+        admission=Admission.TRUSTED,
     )
 
 
@@ -524,7 +529,7 @@ class TestExactTail:
             calls.append(1)
             return h4.koenigs_map()
 
-        gen = Generator(h4.jet, h4.evaluate, {"kind": "test"}, check=False, koenigs_map=koenigs_map)
+        gen = Generator(h4.jet, h4.evaluate, {"kind": "test"}, koenigs_map=koenigs_map)
         field = HerglotzField.constant(gen)
         parametric_limit(field, horizon=6.0, degree=3)
         assert calls == []

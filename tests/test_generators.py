@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from polyloewner import (
     CHECK_TOL,
+    Admission,
     AtomicMeasure,
     DomainError,
     Generator,
@@ -35,6 +36,7 @@ from polyloewner import (
     shear_quadratic,
     torus_array,
 )
+from polyloewner import generators
 from polyloewner.kernels import basis_tables, map_to_array
 from oracles import (
     add,
@@ -73,9 +75,21 @@ def cubic_starlike_map(dim):
 
 
 def cubic_starlike_inverse(dim):
-    """from_starlike of z + 2z^3: the generator has a pole at |z_1| = 1/sqrt(6)."""
-    # the jet check would fail: the pole lies just outside its torus of radius 0.4
-    return from_starlike(cubic_starlike_map(dim), check=False)
+    """-Df^-1 f of z + 2z^3 as a SHELLS generator: a pole at |z_1| = 1/sqrt(6).
+
+    h_1 = -(z + 2z^3)/(1 + 6z^2) in closed form, with array -z + 4z^3, and
+    h_k = -z_k; ``from_starlike`` refuses this map, whose pole aliases its
+    probe torus of radius 0.4.
+    """
+    arr = -map_to_array(cubic_starlike_map(dim), basis_tables(dim, 3))
+    arr[0, basis_tables(dim, 3).index[(3,) + (0,) * (dim - 1)]] = 4.0
+
+    def evaluator(z):
+        out = -z.copy()
+        out[..., 0] = -(z[..., 0] + 2 * z[..., 0] ** 3) / (1 + 6 * z[..., 0] ** 2)
+        return out
+
+    return Generator(arr, evaluator, {"kind": "test"}, admission=Admission.SHELLS)
 
 
 class TestMembership:
@@ -137,11 +151,22 @@ class TestMembership:
         with pytest.raises(DomainError, match="not finite"):
             Generator(jet, jet, {"kind": "polynomial"})
         with pytest.raises(DomainError, match="not finite"):
-            Generator(jet, jet, {"kind": "polynomial"}, check=False)
+            Generator(jet, jet, {"kind": "polynomial"}, admission=Admission.TRUSTED)
         # a finite array with the NaN map as its evaluator reaches the scan
         finite = dilation_generator(2, degree=3).jet
+        unprobed = Generator(finite, jet, {"kind": "polynomial"}, admission=Admission.TRUSTED)
         with pytest.raises(SingularityError):
-            membership_check(Generator(finite, jet, {"kind": "polynomial"}, check=False))
+            membership_check(unprobed)
+
+    def test_slices_leave_the_certificates_unchanged(self, monkeypatch):
+        # the witness is the first grid point of the worst margin, however
+        # the mesh is cut into slices
+        subjects = [violator_generator(), catalog_generator("H6", dim=3), cubic_starlike_inverse(2)]
+        monkeypatch.setattr(generators, "_SCAN_SLICE", 2**40)
+        whole = [membership_check(g) for g in subjects]
+        monkeypatch.setattr(generators, "_SCAN_SLICE", 7)
+        assert [membership_check(g) for g in subjects] == whole
+        assert whole[2].grid == SHELL_GRID and not whole[2].passed
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_pole_inside_is_found_by_the_shells(self, dim):
@@ -156,11 +181,17 @@ class TestMembership:
     def test_pole_marker_follows_the_constructions(self):
         h1 = catalog_generator("H1")
         star = from_starlike(catalog_get("F4"))
-        assert not h1.may_have_poles and star.may_have_poles
-        assert rotate_generator(star, (0.3, 0.1)).may_have_poles
-        assert convex_combination([h1, star], [0.5, 0.5]).may_have_poles
-        assert not convex_combination([h1, h1], [0.5, 0.5]).may_have_poles
-        assert shear_quadratic(star).may_have_poles
+        poly = violator_generator()
+        assert [g.admission for g in (h1, poly, star)] == list(Admission)
+        assert dilation_generator(2).admission is Admission.TRUSTED
+        measure = AtomicMeasure(((0.3, 1.0),))
+        assert product_form([1, 0], [measure, None]).admission is Admission.TRUSTED
+        for g in (h1, poly, star):
+            assert rotate_generator(g, (0.3, 0.1)).admission is g.admission
+            assert shear_quadratic(g).admission is max(Admission.TORUS, g.admission)
+            for other in (h1, poly, star):
+                combo = convex_combination([g, other], [0.5, 0.5])
+                assert combo.admission is max(g.admission, other.admission)
         assert membership_check(shear_linear(star)).grid == SHELL_GRID
         assert membership_check(shear_linear(h1)).grid == REFERENCE_GRID
 
@@ -222,7 +253,7 @@ class TestRotation:
 
     def test_rotation_keeps_trust(self):
         h1 = catalog_generator("H1")
-        assert rotate_generator(h1, (1.0, 2.0)).trusted
+        assert rotate_generator(h1, (1.0, 2.0)).admission is Admission.TRUSTED
 
     def test_rotated_arrays_and_the_lazy_dict_jet(self, rng):
         for k in range(1, 8):
@@ -250,7 +281,7 @@ class TestProductForm:
             got = g.jet.coefficient(0, (1, k))
             assert got == pytest.approx(want, abs=1e-12)
         assert g.jet.coefficient(1, (0, 1)) == pytest.approx(-1.0)
-        assert g.trusted
+        assert g.admission is Admission.TRUSTED
 
     def test_self_selector_gives_pure_power_series(self):
         measure = AtomicMeasure(((0.0, 1.0),))
@@ -281,7 +312,7 @@ class TestProductForm:
         # k * angle overflows past 1e308, a power of exp(i angle) does not
         m = AtomicMeasure(((1e308, 1.0),))
         assert all(abs(m.herglotz_coefficient(k)) == pytest.approx(2.0) for k in range(1, 6))
-        g = product_form([1, 0], [m, None], degree=5, check=False)
+        g = product_form([1, 0], [m, None], degree=5)
         assert np.isfinite(g.jet_array(5)).all()
 
 
@@ -292,7 +323,7 @@ class TestConvexCombination:
         want = 0.25 * h1.jet.coefficient(0, (2, 0))
         assert g.jet.coefficient(0, (2, 0)) == pytest.approx(want)
         assert g.jet.coefficient(0, (0, 2)) == pytest.approx(0.75)
-        assert g.trusted
+        assert g.admission is Admission.TRUSTED
         assert membership_check(g).passed
 
     def test_weight_validation(self):
@@ -311,8 +342,8 @@ class TestShears:
         sheared = shear_linear(h2)
         # H2 already has the sheared shape, so the jet is unchanged
         assert map_distance(sheared.jet, h2.jet) < 1e-12
-        # a shear is untrusted: it is scanned wherever membership is required
-        assert not sheared.trusted
+        # a shear is not trusted: it is scanned wherever membership is required
+        assert sheared.admission is Admission.TORUS
         assert membership_check(sheared).passed
 
     def test_shear_linear_of_h4_drops_the_square_term(self):
@@ -355,22 +386,24 @@ class TestFromStarlike:
         assert map_distance(g.jet, catalog_generator("H4").jet) < 1e-12
 
     @pytest.mark.parametrize("dim", [1, 2])
-    def test_pole_behind_the_self_check_is_a_membership_failure(self, dim):
-        # the pole at |z_1| = 1/sqrt(6) aliases the radius-0.4 probe; the
-        # shell scan run behind the failed probe finds it
-        with pytest.raises(MembershipError, match="disagree") as exc:
+    def test_pole_behind_the_self_check_is_bad_input(self, dim):
+        # the pole at |z_1| = 1/sqrt(6) aliases the radius-0.4 probe: a map
+        # whose Df vanishes inside the polydisc is not starlike, so this is
+        # bad input, and no scan runs
+        with pytest.raises(DomainError, match="not starlike") as exc:
             from_starlike(cubic_starlike_map(dim))
-        cert = exc.value.certificate
-        assert cert.grid == SHELL_GRID and not cert.passed
-        assert cert.witness_point[0] == pytest.approx(0.5j, abs=1e-12)
+        assert not isinstance(exc.value, MembershipError)
 
     def test_failed_self_check_with_a_passing_scan_is_bad_input(self):
-        # an admissible evaluator that is not the jet's: the scan passes, so
-        # the disagreement stays a malformed-input error
+        # an admissible evaluator that is not the jet's: the constructor
+        # decides no membership, so the disagreement is a malformed-input error
         h4 = catalog_generator("H4")
         with pytest.raises(DomainError, match="disagree") as exc:
-            Generator(h4.jet, lambda z: -z, {"kind": "test"}, may_have_poles=True)
+            Generator(h4.jet, lambda z: -z, {"kind": "test"})
         assert not isinstance(exc.value, MembershipError)
+        # TRUSTED and SHELLS run no probe
+        for admission in (Admission.TRUSTED, Admission.SHELLS):
+            Generator(h4.jet, lambda z: -z, {"kind": "test"}, admission=admission)
 
     def test_rejects_unnormalized_maps(self):
         f = JetMap(
@@ -394,7 +427,7 @@ class TestGeneratorObject:
             return out
 
         with pytest.raises(DomainError):
-            Generator(h4.jet, wrong, {"kind": "test"}, check=True)
+            Generator(h4.jet, wrong, {"kind": "test"})
 
     @pytest.mark.parametrize("dim,degree", [(2, 4), (3, 8), (2, 20)])
     def test_check_catches_a_product_form_jet_moved_by_1e_6(self, dim, degree):
@@ -411,9 +444,9 @@ class TestGeneratorObject:
         coeffs = dict(comp.coeffs)
         coeffs[top] += 1e-6
         moved = JetMap((MultiJet(dim, degree, coeffs),) + jet.components[1:], jet.normalization)
-        Generator(jet, base.evaluate, {"kind": "test"}, check=True)
+        Generator(jet, base.evaluate, {"kind": "test"})
         with pytest.raises(DomainError, match="disagree"):
-            Generator(moved, base.evaluate, {"kind": "test"}, check=True)
+            Generator(moved, base.evaluate, {"kind": "test"})
 
     def test_jet_array_degree_cap(self):
         h4 = catalog_generator("H4", degree=3)
@@ -532,6 +565,9 @@ class TestArrayConstructors:
                     p = add(p, scaled(w, series_in_var(dim, degree, selectors[k], mobius)))
                 comps.append(neg(mul(zk, p)))
             _assert_same_array(g.jet_array(degree), JetMap(tuple(comps)))
+            # the TRUSTED build runs no probe: an untrusted copy compares its
+            # evaluator with its array on the probe torus
+            Generator(g.jet_array(degree), g.evaluate, {"kind": "copy"})
 
     @pytest.mark.parametrize("dim,degree", ORACLE_SHAPES)
     def test_convex_combination(self, rng, dim, degree):
@@ -570,7 +606,7 @@ class TestArrayConstructors:
             f = catalog_get(name, dim=dim, degree=degree)
             x = matrix_solve(jacobian(f.jet), f.jet.components)
             want = JetMap(tuple(neg(c) for c in x))
-            _assert_same_array(from_starlike(f, check=False).jet_array(degree), want)
+            _assert_same_array(from_starlike(f).jet_array(degree), want)
 
     @pytest.mark.parametrize("dim,degree", ORACLE_SHAPES)
     def test_every_kind_serves_views_of_one_read_only_array(self, rng, dim, degree):
@@ -601,11 +637,11 @@ class TestArrayConstructors:
         arr[0, 5] = 7.0  # the generator holds its own copy
         assert g.dim == 2 and g.degree == 4 and g.jet == h4.jet
         with pytest.raises(JetShapeError):
-            Generator(arr[:, :-1], h4.evaluate, {"kind": "test"}, check=False)
+            Generator(arr[:, :-1], h4.evaluate, {"kind": "test"}, admission=Admission.TRUSTED)
         moved = h4.jet_array(4).copy()
         moved[1, 0] = 1e-3
         with pytest.raises(DomainError, match="constant term"):
-            Generator(moved, h4.evaluate, {"kind": "test"}, check=False)
+            Generator(moved, h4.evaluate, {"kind": "test"}, admission=Admission.TRUSTED)
 
     def test_huge_rotation_angles_are_refused(self):
         h4 = catalog_generator("H4")

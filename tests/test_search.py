@@ -16,7 +16,6 @@ from polyloewner import (
     maximize,
     objective,
     parametric_limit,
-    rotate_generator,
 )
 from polyloewner import search
 from polyloewner.search import _sample_params
@@ -48,6 +47,8 @@ class TestSpace:
             SearchSpace(dim=2, alpha=(1, 1), horizon=20.0, certify_horizon=15.0)
         with pytest.raises(DomainError):
             SearchSpace(dim=2, alpha=(0, 4), degree=3)
+        with pytest.raises(DomainError):
+            SearchSpace(dim=2, alpha=(1, 1), degree=1)
 
     @pytest.mark.parametrize("field", ["horizon", "certify_horizon"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])

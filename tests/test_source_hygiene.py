@@ -1,6 +1,6 @@
-"""Every name a module of the package imports is used there or exported, and every
-definition of the package, methods and properties included, is reached by the
-program, its acceptance tests or its benchmarks."""
+"""Every name a module of the package or of the tests imports is used there or
+exported, and every definition of the package, methods and properties included,
+is reached by the program, its acceptance tests or its benchmarks."""
 
 import ast
 from pathlib import Path
@@ -10,6 +10,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "polyloewner"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted((ROOT / "tests").glob("*.py"))
 # files outside the package whose references keep a definition in it
 CALLERS = sorted(
     [ROOT / "tests" / "test_acceptance.py"]
@@ -64,7 +65,9 @@ def _exported(tree: ast.Module) -> set[str]:
     return set()
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", MODULES + TEST_MODULES, ids=lambda p: p.name if p.parent == PACKAGE else f"tests/{p.name}"
+)
 def test_every_import_is_used_or_exported(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     kept = _used(tree) | _exported(tree)
