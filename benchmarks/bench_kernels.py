@@ -8,23 +8,28 @@ same generator, which is the cached base pair times the rotation phases.
 Then, for a rotated constant field and a 2-piece rotated field (pairs
 cached), ``parametric_limit`` at horizon 12 against the exact T = inf
 limit that a search objective reads.  Then one Koenigs solve of H1 at
-(4, 10), the largest dim-4 shape the basis cap admits.  Last, per shape,
-the torus check of
-the ``Generator`` constructor on H1: the full-FFT oracle (one exp per mesh
-point, ``np.fft.fftn``, dict jets and ``map_distance``) against the array
-route ``fourier.torus_error`` (points from a cached ring, truncated DFT).
+(4, 10), the largest dim-4 shape the basis cap admits.  Then, per shape,
+the torus check of the ``Generator`` constructor on H1: the full-FFT
+oracle (one exp per mesh point, ``np.fft.fftn``, dict jets and
+``map_distance``) against the array route ``fourier.torus_error`` (points
+from a cached ring, truncated DFT).
 Then, at (2, 3) and (3, 3), the generator constructors a search or a
 description calls: ``product_form`` (``TRUSTED``, no torus check),
 ``convex_combination`` of a rotated and a plain catalog generator,
 ``rotate_generator``, ``from_starlike`` with the torus check it runs on
 its result, and the ``Generator`` constructor on a catalog jet, once as
 ``TRUSTED`` and once as ``TORUS``, whose difference is the constructor's
-torus check.  Last, the pointwise limit that ``bounds --field`` evaluates:
+torus check.  Then the pointwise limit that ``bounds --field`` evaluates:
 ``limit_evaluator`` at horizon 15 (RK4 to the breakpoint, then the tail's
 exact Koenigs map) against RK4 all the way, ``exp(T) * evolve_point``, on
 two-piece rotated fields of dim 2 (H1, H4) and dim 3 (H6, H7) at 50
-points, with the largest relative gap between the two.  Run from the repo
-root:
+points, with the largest relative gap between the two.  Last, the
+starlike probe: ``from_starlike`` of F6 and F7 at (3, 4), the map's
+evaluator and Jacobian on its 32**3-point probe torus, the vectorized LU
+that solves Df x = f there and gives det Df (``generators._lu_solve``)
+against the per-point LAPACK route ``np.linalg.det`` plus
+``np.linalg.solve`` on the same Jacobians, and ``verify_catalog()``.  Run
+from the repo root:
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py
 """
@@ -37,7 +42,7 @@ import time
 
 import numpy as np
 
-from polyloewner.catalog import catalog_generator, catalog_get
+from polyloewner.catalog import catalog_generator, catalog_get, verify_catalog
 from polyloewner.evolution import (
     HerglotzField,
     _scaled_flow,
@@ -45,11 +50,12 @@ from polyloewner.evolution import (
     limit_evaluator,
     parametric_limit,
 )
-from polyloewner.fourier import torus_error, torus_grid
+from polyloewner.fourier import _torus_points, torus_error, torus_grid
 from polyloewner.generators import (
     Admission,
     AtomicMeasure,
     Generator,
+    _lu_solve,
     convex_combination,
     from_starlike,
     product_form,
@@ -65,6 +71,7 @@ CONSTRUCTOR_SHAPES = ((2, 3), (3, 3))
 LIMIT_FIELDS = {2: ("H1", "H4"), 3: ("H6", "H7")}
 LIMIT_HORIZON = 15.0
 LIMIT_POINTS = 50
+STARLIKE_SHAPE = (3, 4)
 
 
 def _best_of(repeats: int, fn) -> float:
@@ -234,6 +241,29 @@ def main() -> None:
         exact_ms = 1e3 * _best_of(args.repeats, exact)
         rk4_ms = 1e3 * _best_of(args.repeats, rk4)
         print(f"{dim:>3} {'/'.join(names):>9} {exact_ms:>16.2f} {rk4_ms:>14.2f} {gap:>8.1e}")
+
+    dim, degree = STARLIKE_SHAPE
+    probe = _torus_points(dim, *torus_grid(degree), slice(None))
+    header = (
+        f"{'map':>3} {'from_starlike (ms)':>19} {'F (ms)':>7} {'DF (ms)':>8} "
+        f"{'LU (ms)':>8} {'det+solve (ms)':>15}"
+    )
+    print(f"\nstarlike probe at ({dim}, {degree}), {len(probe)} torus points")
+    print(header)
+    print("-" * len(header))
+    for name in ("F6", "F7"):
+        f = catalog_get(name, dim, degree)
+        jac, vals = f.jacobian(probe), f.evaluator(probe)
+        calls = (
+            lambda: from_starlike(f),
+            lambda: f.evaluator(probe),
+            lambda: f.jacobian(probe),
+            lambda: _lu_solve(jac, vals),
+            lambda: (np.linalg.det(jac), np.linalg.solve(jac, vals[..., None])),
+        )
+        times = [1e3 * _best_of(args.repeats, call) for call in calls]
+        print(f"{name:>3} " + " ".join(f"{ms:>{w}.2f}" for ms, w in zip(times, (19, 7, 8, 8, 15))))
+    print(f"verify_catalog(): {1e3 * _best_of(args.repeats, verify_catalog):.1f} ms")
 
 
 if __name__ == "__main__":

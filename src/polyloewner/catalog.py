@@ -88,37 +88,48 @@ def _eye_jac(m: int, dim: int) -> np.ndarray:
     return out
 
 
+def _near_diagonal(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """a - b, the points with |a - b| < 1e-4, and a - b with 1 there (a safe divisor)."""
+    d = a - b
+    near = np.abs(d) < 1e-4
+    return d, near, np.where(near, 1.0, d)
+
+
 def _log_quotient_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(log(1+a) - log(1+b))/(a-b), series-continued across a == b."""
-    d = a - b
-    near = np.abs(d) < 1e-4
-    safe = np.where(near, 1.0, d)
-    direct = (np.log(1.0 + a) - np.log(1.0 + b)) / safe
-    w = d / (1.0 + b)
-    ser = np.zeros_like(a)
-    term = np.ones_like(a)
-    for m in range(8):
-        ser = ser + term / (m + 1.0)
-        term = term * (-w)
-    ser = ser / (1.0 + b)
-    return np.where(near, ser, direct)
+    """S(a, b) = (log(1+a) - log(1+b))/(a-b), series-continued across a == b.
+
+    The series runs only on the points with |a - b| < 1e-4.  Off them
+    S(b, a) equals S(a, b) to the bit: both differences only change sign.
+    """
+    d, near, safe = _near_diagonal(a, b)
+    out = (np.log(1.0 + a) - np.log(1.0 + b)) / safe
+    if near.any():
+        w = d[near] / (1.0 + b[near])
+        ser = np.zeros_like(w)
+        term = np.ones_like(w)
+        for m in range(8):
+            ser = ser + term / (m + 1.0)
+            term = term * (-w)
+        out[near] = ser / (1.0 + b[near])
+    return out
 
 
-def _log_quotient_da(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Partial derivative in the first argument of the quotient above."""
-    d = a - b
-    near = np.abs(d) < 1e-4
-    safe = np.where(near, 1.0, d)
-    S = _log_quotient_values(a, b)
-    direct = (1.0 / (1.0 + a) - S) / safe
-    w = d / (1.0 + b)
-    ser = np.zeros_like(a)
-    term = np.ones_like(a)
-    for m in range(1, 9):
-        ser = ser + m * term / (m + 1.0)
-        term = term * (-w)
-    ser = -ser / (1.0 + b) ** 2
-    return np.where(near, ser, direct)
+def _log_quotient_da(a: np.ndarray, b: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Partial derivative in the first argument of S, given S = S(a, b) or S(b, a).
+
+    Only the points off the near set read ``S``, where the two are equal.
+    """
+    d, near, safe = _near_diagonal(a, b)
+    out = (1.0 / (1.0 + a) - S) / safe
+    if near.any():
+        w = d[near] / (1.0 + b[near])
+        ser = np.zeros_like(w)
+        term = np.ones_like(w)
+        for m in range(1, 9):
+            ser = ser + m * term / (m + 1.0)
+            term = term * (-w)
+        out[near] = -ser / (1.0 + b[near]) ** 2
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -324,8 +335,8 @@ def _build_starlike(name: str, dim: int, degree: int):
             J = _eye_jac(len(w), dim)
             a, b = w[:, 1], w[:, 2]
             S = _log_quotient_values(a, b)
-            J[:, 0, 1] = b * S + a * b * _log_quotient_da(a, b)
-            J[:, 0, 2] = a * S + a * b * _log_quotient_da(b, a)
+            J[:, 0, 1] = b * S + a * b * _log_quotient_da(a, b, S)
+            J[:, 0, 2] = a * S + a * b * _log_quotient_da(b, a, S)
             J[:, 1, 1] = 1.0 / (1.0 + a) ** 2
             J[:, 2, 2] = 1.0 / (1.0 + b) ** 2
             return J

@@ -95,6 +95,8 @@ MEMBERSHIP_TOL = 1e-9
 CHECK_TOL = 1e-8
 # the most mesh points a membership scan evaluates at once
 _SCAN_SLICE = 2**16
+# the most points ``_lu_solve`` factors at once
+_LU_SLICE = 2**12
 
 
 @dataclass(frozen=True)
@@ -562,6 +564,54 @@ def _polynomial_jacobian_fn(
     return lambda z: np.stack([row(z) for row in rows], axis=-2)
 
 
+def _lu_solve(jac: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x = jac^-1 rhs and det jac at every point: (..., n, n), (..., n) -> (..., n), (...).
+
+    One LU factorization with partial pivoting per point, vectorized over
+    the points and run on slices of ``_LU_SLICE`` of them.  The pivot is
+    the first entry of largest |Re| + |Im| in its column, as LAPACK's
+    izamax picks it.  A zero pivot (its column is zero from the diagonal
+    down) eliminates nothing and makes det 0; the solve then divides by
+    it, so x there is not finite, and no warning is raised for it.
+    """
+    n = rhs.shape[-1]
+    lead = rhs.shape[:-1]
+    jac = jac.reshape(-1, n, n)
+    rhs = rhs.reshape(-1, n)
+    x = np.empty(rhs.shape, dtype=np.complex128)
+    det = np.empty(len(rhs), dtype=np.complex128)
+    with np.errstate(all="ignore"):
+        for start in range(0, len(rhs), _LU_SLICE):
+            part = slice(start, start + _LU_SLICE)
+            count = len(rhs[part])
+            # rows x (columns, rhs) x points: each entry is a contiguous run of points
+            m = np.empty((n, n + 1, count), dtype=np.complex128)
+            m[:, :n] = jac[part].transpose(1, 2, 0)
+            m[:, n] = rhs[part].T
+            d = np.ones(count, dtype=np.complex128)
+            for k in range(n):
+                mag = np.abs(m[k:, k].real) + np.abs(m[k:, k].imag)
+                p, top = np.zeros(count, dtype=np.intp), mag[0]
+                for r in range(1, n - k):
+                    larger = mag[r] > top
+                    p, top = np.where(larger, r, p), np.where(larger, mag[r], top)
+                for r in range(1, n - k):
+                    swap = p == r
+                    if swap.any():
+                        row, other = m[k, k:], m[k + r, k:]
+                        m[k, k:], m[k + r, k:] = np.where(swap, other, row), np.where(swap, row, other)
+                pivot = m[k, k]
+                d = np.where(p > 0, -d, d) * pivot
+                scale = m[k + 1 :, k] / np.where(pivot == 0, 1.0, pivot)
+                m[k + 1 :, k + 1 :] -= scale[:, None] * m[k, k + 1 :]
+            xs = np.empty((n, count), dtype=np.complex128)
+            for i in range(n - 1, -1, -1):
+                xs[i] = (m[i, n] - (m[i, i + 1 : n] * xs[i + 1 :]).sum(axis=0)) / m[i, i]
+            x[part] = xs.T
+            det[part] = d
+    return x.reshape(lead + (n,)), det.reshape(lead)
+
+
 def from_starlike(f, *, degree: Optional[int] = None) -> Generator:
     """Generator -Df(z)^{-1} f(z) of a normalized starlike map.
 
@@ -574,9 +624,11 @@ def from_starlike(f, *, degree: Optional[int] = None) -> Generator:
     records the map as a description (``catalog`` with its name, dim and
     degree, or ``polynomial`` with the truncated jet), so it can be fed
     back to ``descriptions.generator_from_json``.  The array of the
-    result solves Df * x = f order by order, the evaluator comes from
-    pointwise linear solves; a singular Jacobian raises
-    ``SingularityError``.  Df may vanish inside the polydisc, so the
+    result solves Df * x = f order by order.  The evaluator solves
+    Df(z) x = f(z) at every point with one LU factorization (``_lu_solve``,
+    vectorized over the points), which also gives det Df(z); where
+    |det Df| < 1e-12 it raises ``SingularityError`` naming the first such
+    point in input order.  Df may vanish inside the polydisc, so the
     result is ``SHELLS``.  Its evaluator is checked against its array on
     the probe torus: a pole of -Df^-1 f near that torus makes them
     disagree, and such an f is not univalent, hence not starlike, so the
@@ -609,12 +661,12 @@ def from_starlike(f, *, degree: Optional[int] = None) -> Generator:
     def evaluator(z: np.ndarray) -> np.ndarray:
         vals = np.asarray(fev(z), dtype=np.complex128)
         jac_vals = np.asarray(fjac(z), dtype=np.complex128)
-        dets = np.linalg.det(jac_vals)
+        sol, dets = _lu_solve(jac_vals, vals)
         bad = np.abs(dets) < 1e-12
         if np.any(bad):
             where = z[bad][0] if z.ndim > 1 else z
             raise SingularityError(f"Jacobian of the starlike map is singular near {where}")
-        return -np.linalg.solve(jac_vals, vals[..., None])[..., 0]
+        return -sol
 
     g = Generator(
         -x,

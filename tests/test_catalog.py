@@ -18,7 +18,7 @@ from polyloewner import (
     minimal_dimension,
     verify_catalog,
 )
-from polyloewner import catalog
+from polyloewner import catalog, fourier
 from oracles import catalog_jet, ring_jacobian
 
 PAIRS = [(f"F{j}", f"H{j}") for j in range(1, 8)]
@@ -214,3 +214,61 @@ def test_check_catches_a_top_coefficient_moved_by_1e_8(monkeypatch, name, dim, d
     monkeypatch.setattr(catalog, build.__name__, moved)
     with pytest.raises(DomainError, match="consistency check"):
         build_entry(name, dim, degree)
+
+
+def _series_everywhere(a, b):
+    """S(a, b) = (log(1+a) - log(1+b))/(a-b) and its two partials, the series on every point.
+
+    The reference route for F7's row 0: the quotient is evaluated once for
+    the value and three times for the Jacobian, each time with the series
+    over all points, and the near set picked out by ``np.where``.
+    """
+
+    def values(a, b):
+        d = a - b
+        near = np.abs(d) < 1e-4
+        direct = (np.log(1.0 + a) - np.log(1.0 + b)) / np.where(near, 1.0, d)
+        w = d / (1.0 + b)
+        ser, term = np.zeros_like(a), np.ones_like(a)
+        for m in range(8):
+            ser, term = ser + term / (m + 1.0), term * (-w)
+        return np.where(near, ser / (1.0 + b), direct)
+
+    def da(a, b):
+        d = a - b
+        near = np.abs(d) < 1e-4
+        direct = (1.0 / (1.0 + a) - values(a, b)) / np.where(near, 1.0, d)
+        w = d / (1.0 + b)
+        ser, term = np.zeros_like(a), np.ones_like(a)
+        for m in range(1, 9):
+            ser, term = ser + m * term / (m + 1.0), term * (-w)
+        return np.where(near, -ser / (1.0 + b) ** 2, direct)
+
+    return values(a, b), da(a, b), da(b, a)
+
+
+def _f7_point_sets(rng):
+    sets = {"probe torus": fourier._torus_points(3, *fourier.torus_grid(4), slice(None))}
+    z = rng.normal(size=(2000, 3)) + 1j * rng.normal(size=(2000, 3))
+    sets["interior"] = 0.95 * rng.uniform(size=(2000, 1)) * z / np.max(np.abs(z), axis=1, keepdims=True)
+    near = sets["interior"][:400].copy()
+    gaps = 10.0 ** rng.uniform(-15, -4.01, 400) * np.exp(2j * np.pi * rng.uniform(size=400))
+    near[:, 2] = near[:, 1] + gaps
+    assert np.all((np.abs(near[:, 1] - near[:, 2]) > 0) & (np.abs(near[:, 1] - near[:, 2]) < 1e-4))
+    sets["near the diagonal"] = near
+    sets["mixed"] = np.concatenate([near[:100], sets["interior"][:100]])[rng.permutation(200)]
+    return sets
+
+
+@pytest.mark.parametrize("degree", [4, 8])
+def test_f7_row_zero_is_bit_identical_to_the_series_everywhere(rng, degree):
+    # the series runs only on the near set, and the Jacobian shares one
+    # quotient between its two partials; neither may move a bit
+    f7 = catalog_get("F7", 3, degree)
+    for label, w in _f7_point_sets(rng).items():
+        a, b = w[:, 1], w[:, 2]
+        S, da, db = _series_everywhere(a, b)
+        value = w[:, 0] + a * b * S
+        jac = np.stack([np.ones_like(a), b * S + a * b * da, a * S + a * b * db], axis=-1)
+        assert f7.evaluator(w)[:, 0].tobytes() == value.tobytes(), label
+        assert f7.jacobian(w)[:, 0].tobytes() == jac.tobytes(), label

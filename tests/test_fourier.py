@@ -14,6 +14,7 @@ from polyloewner import (
     torus_array,
     torus_grid,
 )
+from polyloewner import fourier
 from polyloewner.kernels import array_to_map
 from oracles import ring_jacobian
 
@@ -102,3 +103,42 @@ def test_torus_array_matches_explicit_grid_arguments():
     default = torus_array(koebe_pair, tables)
     assert np.max(np.abs(default - fft_torus_array(koebe_pair, tables, 0.4, 32))) < 2e-11
     assert np.max(np.abs(default[0, tables.index[(5, 0)]] - 5.0)) < 1e-9
+
+
+def whole_mesh_transform(evaluator, tables):
+    """The truncated DFT of the whole mesh evaluated at once, axis 0 first."""
+    dim, degree = tables.dim, tables.degree
+    radius, samples = torus_grid(degree)
+    vals = np.asarray(evaluator(fourier._torus_points(dim, radius, samples, slice(None))))
+    rows = fourier._dft_matrix(degree, samples)
+    hat = vals.reshape((samples,) * dim + (dim,))
+    for axis in range(dim):
+        lead, rest = hat.shape[:axis], hat.shape[axis + 1 :]
+        hat = (rows @ hat.reshape((-1, samples, int(np.prod(rest))))).reshape(lead + (degree + 1,) + rest)
+    coeffs = hat[tuple(tables.alpha_matrix.T)].T
+    return coeffs / np.array([radius**d for d in range(degree + 1)])[tables.degrees]
+
+
+@pytest.mark.parametrize("name,dim,degree", [("F7", 3, 4), ("F6", 3, 12), ("F3", 2, 12), ("H5", 2, 16)])
+def test_slabs_give_the_whole_mesh_transform(monkeypatch, name, dim, degree):
+    entry = catalog_get(name, dim, degree)
+    tables = basis_tables(dim, degree)
+    radius, samples = torus_grid(degree)
+    calls = []
+
+    def evaluator(z):
+        calls.append(len(z))
+        return entry.evaluator(z)
+
+    # a mesh of at most _TORUS_SLAB points is one slab, transformed as a whole
+    one = torus_array(evaluator, tables)
+    assert calls == [samples**dim]
+    assert one.tobytes() == whole_mesh_transform(entry.evaluator, tables).tobytes()
+    for slab in (1, 7 * samples, samples**dim // 3):
+        monkeypatch.setattr(fourier, "_TORUS_SLAB", slab)
+        calls.clear()
+        multi = torus_array(evaluator, tables)
+        assert sum(calls) == samples**dim and len(calls) > 1
+        assert max(calls) == max(slab - slab % samples, samples)
+        # each slab's columns go through the same first pass, in smaller products
+        assert np.max(np.abs(multi - one) * radius**tables.degrees) <= 1e-15

@@ -36,7 +36,7 @@ from polyloewner import (
     shear_quadratic,
     torus_array,
 )
-from polyloewner import generators
+from polyloewner import fourier, generators
 from polyloewner.kernels import basis_tables, map_to_array
 from oracles import (
     add,
@@ -64,13 +64,15 @@ def violator_generator():
     return Generator(jet, jet, {"kind": "polynomial"})
 
 
+def _unit(dim, k, power=1):
+    """The multi-index of z_k**power in dim variables."""
+    return tuple(power * int(i == k) for i in range(dim))
+
+
 def cubic_starlike_map(dim):
     """The polynomial map z + 2z^3 in the first coordinate, identity in the rest."""
-    def unit(k, power=1):
-        return tuple(power * int(i == k) for i in range(dim))
-
-    first = MultiJet(dim, 3, {unit(0): 1.0, unit(0, 3): 2.0})
-    rest = tuple(MultiJet(dim, 3, {unit(k): 1.0}) for k in range(1, dim))
+    first = MultiJet(dim, 3, {_unit(dim, 0): 1.0, _unit(dim, 0, 3): 2.0})
+    rest = tuple(MultiJet(dim, 3, {_unit(dim, k): 1.0}) for k in range(1, dim))
     return JetMap((first,) + rest, Normalization.UNIVALENT)
 
 
@@ -415,6 +417,117 @@ class TestFromStarlike:
         )
         with pytest.raises(DomainError):
             from_starlike(f)
+
+
+def half_square_map(dim):
+    """(z_0 - z_0^2/2, z_1, ...): det Df = 1 - z_0 vanishes at z_0 = 1 only.
+
+    The pole of -Df^-1 f lies outside the probe torus, so ``from_starlike``
+    admits the map, and its evaluator meets the zero only when asked there.
+    """
+    first = MultiJet(dim, 4, {_unit(dim, 0): 1.0, _unit(dim, 0, 2): -0.5})
+    rest = tuple(MultiJet(dim, 4, {_unit(dim, k): 1.0}) for k in range(1, dim))
+    return JetMap((first,) + rest, Normalization.UNIVALENT)
+
+
+def _singular_message(point):
+    return f"Jacobian of the starlike map is singular near {point}"
+
+
+class TestStarlikeEvaluator:
+    """-Df^-1 f at points: one LU per point, and the refusal where det Df is tiny."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_exact_zero_of_det(self, dim):
+        z = np.array([[1.0] + [0.3] * (dim - 1)], dtype=complex)
+        with pytest.raises(SingularityError) as exc:
+            from_starlike(half_square_map(dim)).evaluate(z)
+        assert str(exc.value) == _singular_message(z[0])
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_witness_is_the_first_singular_point_in_input_order(self, dim):
+        g = from_starlike(half_square_map(dim))
+        z = np.array(
+            [[0.2] + [0.1] * (dim - 1), [1.0] + [0.2] * (dim - 1), [1.0] + [0.5] * (dim - 1)],
+            dtype=complex,
+        )
+        with pytest.raises(SingularityError) as exc:
+            g.evaluate(z)
+        assert str(exc.value) == _singular_message(z[1])
+        grid = np.stack([z, z[::-1]])  # leading shape (2, 3): the first bad point is z[1]
+        with pytest.raises(SingularityError) as exc:
+            g.evaluate(grid)
+        assert str(exc.value) == _singular_message(z[1])
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_tiny_nonzero_det_is_singular(self, dim):
+        z = np.array([[1.0 - 1e-13] + [0.1] * (dim - 1)], dtype=complex)
+        assert 0.0 < abs(1.0 - z[0, 0]) < 1e-12
+        with pytest.raises(SingularityError) as exc:
+            from_starlike(half_square_map(dim)).evaluate(z)
+        assert str(exc.value) == _singular_message(z[0])
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_single_point(self, dim):
+        g = from_starlike(half_square_map(dim))
+        z = np.array([1.0] + [0.1] * (dim - 1), dtype=complex)
+        with pytest.raises(SingularityError) as exc:
+            g.evaluate(z)
+        assert str(exc.value) == _singular_message(z)
+        z[0] = 0.5
+        got = g.evaluate(z)
+        assert got.shape == (dim,)
+        assert got[0] == pytest.approx(-(0.5 - 0.125) / 0.5, abs=1e-15)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_nan_point_gives_nan_and_spares_the_others(self, dim):
+        z = np.array([[np.nan] + [0.1] * (dim - 1), [0.3] + [0.1] * (dim - 1)], dtype=complex)
+        with np.errstate(invalid="ignore"):
+            got = from_starlike(half_square_map(dim)).evaluate(z)
+        assert np.isnan(got[0]).all()
+        assert got[1, 0] == pytest.approx(-(0.3 - 0.045) / 0.7, abs=1e-15)
+        assert np.array_equal(got[1, 1:], -z[1, 1:])
+
+    @pytest.mark.parametrize("name", [f"F{j}" for j in range(1, 8)] + ["F2-jet"])
+    def test_evaluator_matches_numpy_on_the_probe_torus(self, name):
+        f = catalog_get("F2").jet if name == "F2-jet" else catalog_get(name)
+        g = from_starlike(f)
+        fev, fjac = g.koenigs_map()
+        z = fourier._torus_points(g.dim, *fourier.torus_grid(g.degree), slice(None))
+        want = -np.linalg.solve(fjac(z), fev(z)[..., None])[..., 0]
+        scale = np.max(np.abs(want), axis=-1, keepdims=True)
+        assert np.max(np.abs(g.evaluate(z) - want) / scale) <= 1e-13
+
+    @pytest.mark.parametrize("lead", [(), (9,), (3, 5)])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("piece", [4, None])
+    def test_lu_solve_matches_numpy(self, rng, monkeypatch, n, lead, piece):
+        if piece is not None:
+            monkeypatch.setattr(generators, "_LU_SLICE", piece)  # several slices, the last short
+        a = rng.normal(size=lead + (n, n)) + 1j * rng.normal(size=lead + (n, n))
+        b = rng.normal(size=lead + (n,)) + 1j * rng.normal(size=lead + (n,))
+        if n > 1:
+            # zero leading entries force row swaps: a row-reversed upper
+            # triangle has one nonzero in column 0, on its last row
+            flat = a.reshape(-1, n, n)
+            flat[0::2] = np.triu(flat[0::2])[:, ::-1]
+            flat[1::2, 0, 0] = 0.0
+        x, det = generators._lu_solve(a, b)
+        want_x = np.linalg.solve(a, b[..., None])[..., 0]
+        want_det = np.linalg.det(a)
+        assert x.shape == want_x.shape and det.shape == want_det.shape
+        scale = np.max(np.abs(want_x), axis=-1, keepdims=True)
+        assert np.all(np.abs(x - want_x) <= 1e-12 * scale)
+        assert np.all(np.abs(det - want_det) <= 1e-12 * np.abs(want_det))
+
+    def test_lu_solve_zero_pivot_gives_det_zero_quietly(self):
+        a = np.array([[[0.0, 1.0], [0.0, 2.0]], [[2.0, 1.0], [1.0, 3.0]]], dtype=complex)
+        b = np.ones((2, 2), dtype=complex)
+        with np.errstate(all="raise"):
+            x, det = generators._lu_solve(a, b)
+        assert det[0] == 0.0 and not np.isfinite(x[0]).all()
+        assert det[1] == pytest.approx(5.0, abs=1e-15)
+        assert np.allclose(x[1], np.linalg.solve(a[1], b[1]), rtol=0, atol=1e-15)
 
 
 class TestGeneratorObject:
