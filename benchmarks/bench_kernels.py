@@ -1,4 +1,4 @@
-"""Benchmark the jet engine: composition, RK4 steps and Koenigs pairs.
+"""Benchmark the jet engine: composition, RK4 steps, Koenigs pairs and chains.
 
 Times the hot paths on a few representative shapes and prints the best
 of several repeats, with the bytes of index arrays the shape's monomial
@@ -7,7 +7,14 @@ solve of a Koenigs pair (K, L), and the pair of a fresh rotation of the
 same generator, which is the cached base pair times the rotation phases.
 Then, for a rotated constant field and a 2-piece rotated field (pairs
 cached), ``parametric_limit`` at horizon 12 against the exact T = inf
-limit that a search objective reads.  Then one Koenigs solve of H1 at
+limit that a search objective reads.  Then the transition jet that the
+``evolve`` verb reports: ``evolve_report`` (the exact Koenigs chain, one
+composition per piece plus one to chain it on) against the route it
+replaced, RK4 ``evolve_jet`` at the step and again at half the step for
+a Richardson figure, on a 3-piece rotated field (H1, H2, H4, breakpoints
+0.7 and 1.3) from s = 0.5 to t = 1.5, with the largest gap between the
+chain and RK4 at the step.  RK4 stays in ``evolve_jet`` and
+``evolve_point``, as the chain's oracle.  Then one Koenigs solve of H1 at
 (4, 10), the largest dim-4 shape the basis cap admits.  Then, per shape,
 the torus check of the ``Generator`` constructor on H1: the full-FFT
 oracle (one exp per mesh point, ``np.fft.fftn``, dict jets and
@@ -46,7 +53,9 @@ from polyloewner.catalog import catalog_generator, catalog_get, verify_catalog
 from polyloewner.evolution import (
     HerglotzField,
     _scaled_flow,
+    evolve_jet,
     evolve_point,
+    evolve_report,
     limit_evaluator,
     parametric_limit,
 )
@@ -72,6 +81,10 @@ LIMIT_FIELDS = {2: ("H1", "H4"), 3: ("H6", "H7")}
 LIMIT_HORIZON = 15.0
 LIMIT_POINTS = 50
 STARLIKE_SHAPE = (3, 4)
+EVOLVE_SHAPES = ((2, 4), (3, 4), (3, 8))
+EVOLVE_FIELD = (("H1", "H2", "H4"), (0.7, 1.3))
+EVOLVE_WINDOW = (0.5, 1.5)
+EVOLVE_STEP = 1e-2
 
 
 def _best_of(repeats: int, fn) -> float:
@@ -155,10 +168,10 @@ def main() -> None:
                 [4.0],
             ),
         ):
-            _scaled_flow(field, (math.inf,), tables, 12.0)  # cache the rotations' pairs
+            _scaled_flow(field, 0.0, (math.inf,), tables, 12.0)  # cache the rotations' pairs
             for limit in (
                 lambda: parametric_limit(field, horizon=12.0, degree=degree),
-                lambda: _scaled_flow(field, (math.inf,), tables, 12.0),
+                lambda: _scaled_flow(field, 0.0, (math.inf,), tables, 12.0),
             ):
                 limits_us.append(1e6 * _best_of(args.repeats, limit))
         print(
@@ -166,6 +179,29 @@ def main() -> None:
             f"{compose_us:>13.1f} {rk4_ms:>16.2f} {solve_us:>15.1f} {rotate_us:>16.1f} "
             + " ".join(f"{us:>{w}.1f}" for us, w in zip(limits_us, (14, 15, 14, 15)))
         )
+
+    header = f"{'dim':>3} {'deg':>3} {'chain (ms)':>11} {'RK4 + half step (ms)':>21} {'gap':>8}"
+    print()
+    print(header)
+    print("-" * len(header))
+    s, t = EVOLVE_WINDOW
+    names, breaks = EVOLVE_FIELD
+    for dim, degree in EVOLVE_SHAPES:
+        field = HerglotzField.build(
+            [rotate_generator(catalog_generator(n, dim=dim, degree=degree), angles[:dim]) for n in names],
+            breaks,
+        )
+
+        def chain(field=field, degree=degree):
+            return evolve_report(field, s, t, degree=degree, step=EVOLVE_STEP)
+
+        def rk4(field=field, degree=degree):
+            return [evolve_jet(field, s, t, degree=degree, step=h) for h in (EVOLVE_STEP, EVOLVE_STEP / 2)]
+
+        gap = map_distance(chain().jet, rk4()[0])  # also solves the pieces' Koenigs pairs
+        chain_ms = 1e3 * _best_of(args.repeats, chain)
+        rk4_ms = 1e3 * _best_of(args.repeats, rk4)
+        print(f"{dim:>3} {degree:>3} {chain_ms:>11.2f} {rk4_ms:>21.2f} {gap:>8.1e}")
 
     dim, degree = LARGE_SHAPE
     tables = basis_tables(dim, degree)

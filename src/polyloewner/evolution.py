@@ -4,29 +4,32 @@ A field assigns a generator to every t >= 0: finitely many pieces, each
 active up to its breakpoint, then a tail generator forever.
 ``HerglotzField.build`` admits its generators by the one rule
 ``generators.require_admissible``; this module makes no membership
-decision of its own.  Transition maps (``evolve_jet``, ``evolve_point``)
-are integrated with classic RK4 on points and on truncated jets.  ``limit_evaluator`` integrates RK4 only
-up to the last breakpoint T_last and finishes with the tail's pointwise
-Koenigs map F where the tail knows it (DF.h = -F, so F(phi_{T_last,T}(w))
-= e^-(T-T_last) F(w)): e^T phi_{0,T}(z) is e^T F^-1(e^-(T-T_last) F(w)),
-with F^-1 a guarded Newton solve.  Tails without F, and points whose
-solve is refused, keep RK4 to the horizon, which stays the test oracle.
+decision of its own.
 
-Limit jets (``parametric_limit``) need no integration.  Every generator
-has Dh(0) = -I, so on each constant piece the flow is conjugate to the
-dilation z -> e^-t z through the Koenigs map K of h (DK.h = -K,
-K = z + ...), and e^t phi_{0,t} is a short chain of jet compositions,
-exact in the truncated jet ring.  The limit itself, T = inf, is the
-same chain up to the tail's K (``search.objective`` reads it).  The RK4
-jet path stays as the test oracle.  The Koenigs data belongs to the
-generator: this module reads the series pair (K, L) from
-``Generator.koenigs_pair`` and the pointwise F from
+Jets need no integration.  Every generator has Dh(0) = -I, so on each
+constant piece the flow is conjugate to the dilation z -> e^-t z through
+the Koenigs map K of h (DK.h = -K, K = z + ...): phi_{a,t} = L(e^-(t-a) K)
+with L = K^-1.  One chain of jet compositions over the pieces
+(``_scaled_flow``), exact in the truncated jet ring, gives both the
+transition jet phi_{s,t} of ``evolve_report`` and the normalized map
+e^t phi_{0,t} of ``parametric_limit``; the limit itself, T = inf, is the
+same chain up to the tail's K (``search.objective`` reads it).  The
+Koenigs data belongs to the generator: this module reads the series pair
+(K, L) from ``Generator.koenigs_pair`` and the pointwise F from
 ``Generator.koenigs_map``, and never looks inside a generator (a
 rotation's pair is its base's times phases, so a whole search over
-rotated catalog generators solves one pair per catalog entry).  Limits
-and their normalization checks stay on the generators' (n, B)
-coefficient arrays; no generator's dict jet is built here, only
-``LimitResult.jet`` is.
+rotated catalog generators solves one pair per catalog entry).  The
+chain stays on the generators' (n, B) coefficient arrays.
+
+RK4 remains where no closed form is used.  ``evolve_jet`` and
+``evolve_point`` integrate transition maps with classic RK4 on truncated
+jets and on points; the jet path is the chain's test oracle.
+``limit_evaluator`` integrates RK4 only up to the last breakpoint T_last
+and finishes with the tail's pointwise Koenigs map F where the tail
+knows it (DF.h = -F, so F(phi_{T_last,T}(w)) = e^-(T-T_last) F(w)):
+e^T phi_{0,T}(z) is e^T F^-1(e^-(T-T_last) F(w)), with F^-1 a guarded
+Newton solve.  Tails without F, and points whose solve is refused, keep
+RK4 to the horizon, which stays the test oracle.
 
 Step placement: every integration between s and t uses the nodes
 {k * step} intersected with (s, t), plus the field's breakpoints, plus
@@ -45,7 +48,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .generators import Generator, require_admissible
-from .jets import DomainError, JetMap, Normalization, map_distance, map_to_json
+from .jets import DomainError, JetMap, Normalization, map_to_json
 from .kernels import (
     BasisTables,
     array_to_map,
@@ -162,17 +165,21 @@ class HerglotzField:
         return {"dim": self.dim, "schedule": entries}
 
 
-def _step_times(s: float, t: float, step: float, breakpoints: Sequence[float]) -> np.ndarray:
+def _check_window(s: float, t: float, step: float) -> None:
     if not 0.0 < step < math.inf:
         raise DomainError("step must be positive and finite")
     if not (math.isfinite(s) and math.isfinite(t)):
         raise DomainError(f"evolution times must be finite, got s={s}, t={t}")
+    if t < s:
+        raise DomainError("backward evolution is not defined (need t >= s)")
+
+
+def _step_times(s: float, t: float, step: float, breakpoints: Sequence[float]) -> np.ndarray:
+    _check_window(s, t, step)
     if (t - s) / step > _MAX_STEPS:
         raise DomainError(
             f"evolving from {s} to {t} at step {step} takes more than {_MAX_STEPS} steps"
         )
-    if t < s:
-        raise DomainError("backward evolution is not defined (need t >= s)")
     if t == s:
         return np.array([s], dtype=np.float64)
     first = math.floor(s / step) + 1
@@ -309,50 +316,60 @@ def _rescaled(f: np.ndarray, tables: BasisTables, s: float) -> np.ndarray:
 
 
 def _scaled_flow(
-    field: HerglotzField, times: Sequence[float], tables: BasisTables, drift_until: float
-) -> list[np.ndarray]:
-    """Psi_t = e^t phi_{0,t} at increasing times, piece by piece.
+    field: HerglotzField,
+    s: float,
+    times: Sequence[float],
+    tables: BasisTables,
+    drift_until: float,
+) -> tuple[list[np.ndarray], float]:
+    """Psi_t = e^(t-s) phi_{s,t} at increasing times t > s, piece by piece.
 
     On a piece [a, b) driven by h, phi_{a,t} = L(e^-(t-a) K), hence
-    Psi_t = L^[t] o K^[a] o Psi_a.  The first piece starts from the
-    identity, so its inner map is K itself, with no composition.  A time
-    of ``math.inf`` asks for the limit lim e^t phi_{0,t}: L^[t] tends to
-    the identity, so it is the tail piece's K_tail^[T_last] o Psi_T_last,
-    exact in the truncated jet ring (L^[inf] is never formed, since its
-    rescaling would read 0 * inf).  The returned arrays may be a
-    generator's cached K: read them, never write to them.
+    Psi_t = L^[t-s] o K^[a-s] o Psi_a.  The piece that holds s starts
+    from the identity, so its inner map is K itself, with no composition.
+    A time of ``math.inf`` asks for the limit lim e^(t-s) phi_{s,t}:
+    L^[t-s] tends to the identity, so it is the tail piece's
+    K_tail^[T_last-s] o Psi_T_last, exact in the truncated jet ring
+    (L^[inf] is never formed, since its rescaling would read 0 * inf).
+    The returned arrays may be a generator's cached K: read them, never
+    write to them.
 
-    Raises IntegrationError when the last jet lost its normalization:
-    its linear part is off I, or the first-order linear drift that
-    taking Dh(0) = -I leaves out, the sum over pieces of |Dh(0) + I|
-    times the time each acts before the finite ``drift_until``, exceeds
-    1e-6, or a coefficient is not finite.
+    Also returns the first-order linear drift that taking Dh(0) = -I
+    leaves out: the sum over pieces of |Dh(0) + I| times the time each
+    acts between s and the finite ``drift_until``.  Raises
+    IntegrationError when the last jet lost its normalization: its
+    linear part is off I, or that drift exceeds 1e-6, or a coefficient
+    is not finite.
     """
     pending = list(times)
     eye = np.eye(field.dim)
     psi: Optional[np.ndarray] = None  # None is the identity
-    start, drift, out = 0.0, 0.0, []
+    start, drift, out = s, 0.0, []
     for end, gen in field.pieces + ((math.inf, field.tail),):
+        if end <= s:
+            continue
         K, L = gen.koenigs_pair(tables.degree)
         linear = gen.jet_array(tables.degree)[:, tables.linear]
         drift += float(np.max(np.abs(linear + eye))) * max(0.0, min(end, drift_until) - start)
-        inner = K if psi is None else compose_arrays(_rescaled(K, tables, start), psi, tables)
+        inner = K if psi is None else compose_arrays(_rescaled(K, tables, start - s), psi, tables)
         while pending and pending[0] <= end:
             t = pending.pop(0)
             out.append(
-                inner if t == math.inf else compose_arrays(_rescaled(L, tables, t), inner, tables)
+                inner
+                if t == math.inf
+                else compose_arrays(_rescaled(L, tables, t - s), inner, tables)
             )
         if not pending:
             break
-        psi = compose_arrays(_rescaled(L, tables, end), inner, tables)
+        psi = compose_arrays(_rescaled(L, tables, end - s), inner, tables)
         start = end
     last = out[-1]
     dev = float(np.max(np.abs(last[:, tables.linear] - eye))) + drift
     if not (dev <= 1e-6 and np.all(np.isfinite(last))):
         raise IntegrationError(
-            f"scaled limit lost normalization (deviation {dev:.3e})", time=drift_until
+            f"scaled flow lost normalization (deviation {dev:.3e})", time=drift_until
         )
-    return out
+    return out, drift
 
 
 def parametric_limit(
@@ -376,7 +393,7 @@ def parametric_limit(
     if not 0.0 < step < math.inf:
         raise DomainError("step must be positive")
     tables = basis_tables(field.dim, degree)
-    mid, end = _scaled_flow(field, (horizon - 1.0, horizon), tables, horizon)
+    (mid, end), _ = _scaled_flow(field, 0.0, (horizon - 1.0, horizon), tables, horizon)
     tail = float(np.max(np.abs(end - mid)))
     jet = array_to_map(end, tables, Normalization.UNIVALENT)
     return LimitResult(jet=jet, tail_bound=tail, horizon=horizon, degree=degree, step=step)
@@ -462,11 +479,14 @@ def limit_evaluator(
 
 @dataclass(frozen=True)
 class EvolutionResult:
-    """Transition jet plus an error estimate.
+    """Transition jet phi_{s,t} from the exact Koenigs chain, with its error bound.
 
-    ``error_estimate`` is a Richardson extrapolation figure: the jet is
-    recomputed at half the step and the coefficientwise gap (about 15/16
-    of the full-step error for a fourth-order scheme) is reported.
+    ``error_estimate`` is the linear drift that the chain leaves out by
+    taking Dh(0) = -I on every piece, the sum over pieces of
+    |Dh(0) + I| times the time each acts in [s, t]; it is 0 for catalog
+    pieces.  ``step`` is the RK4 step the caller asked for; it is
+    validated and recorded but does not enter the chain, and
+    ``evolve_jet`` at that step is the RK4 route to the same jet.
     """
 
     s: float
@@ -494,13 +514,19 @@ def evolve_report(
     degree: int = 4,
     step: float = 1e-2,
 ) -> EvolutionResult:
-    jet = evolve_jet(field, s, t, degree=degree, step=step)
-    finer = evolve_jet(field, s, t, degree=degree, step=0.5 * step)
+    """phi_{s,t} = e^-(t-s) Psi_t from the Koenigs chain started at s; s == t is the identity."""
+    tables = basis_tables(field.dim, degree)
+    _check_window(s, t, step)
+    if t == s:
+        state, drift = identity_array(tables), 0.0
+    else:
+        (psi,), drift = _scaled_flow(field, s, (t,), tables, t)
+        state = math.exp(s - t) * psi
     return EvolutionResult(
         s=s,
         t=t,
         degree=degree,
         step=step,
-        jet=jet,
-        error_estimate=map_distance(jet, finer),
+        jet=array_to_map(state, tables, Normalization.GENERAL),
+        error_estimate=drift,
     )

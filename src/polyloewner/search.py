@@ -232,7 +232,7 @@ def objective(space: SearchSpace, params: Params) -> float:
     IntegrationError as ``parametric_limit`` does at that horizon.
     """
     tables = basis_tables(space.dim, space.degree)
-    (end,) = _scaled_flow(decode_field(space, params), (math.inf,), tables, space.horizon)
+    (end,), _ = _scaled_flow(decode_field(space, params), 0.0, (math.inf,), tables, space.horizon)
     return float(end[0, tables.index[space.alpha]].real)
 
 

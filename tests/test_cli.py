@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from polyloewner import search
@@ -350,13 +351,18 @@ class TestEvolveAndLimit:
         assert err.startswith("polyloewner: error:") and "backend" in err
         assert len(err.splitlines()) == 1
 
-    def test_runaway_step_is_bad_input(self, run, field_file):
-        # the second run's linear part is NaN, which a plain `dev > tol` lets through
+    def test_runaway_step_evolves_exactly(self, run_json, field_file):
+        # the Koenigs chain takes no steps and forms no e^(t-s): the jet is
+        # finite and its linear part e^(s-t) I underflows to 0.0
         for t, step in (("1e9", "1e8"), ("1e12", "1e11")):
-            code, out, err = run("evolve", "--field", field_file, "--t", t, "--step", step)
-            assert code == 2 and out == ""
-            assert err.startswith("polyloewner: error:") and "linear-part" in err
-            assert len(err.splitlines()) == 1
+            code, payload, err = run_json("evolve", "--field", field_file, "--t", t, "--step", step)
+            assert code == 0 and err == ""
+            report = payload["report"]
+            assert report["error_estimate"] == 0.0 and report["step"] == float(step)
+            jet = map_from_json(report["jet"])
+            assert np.array_equal(jet.linear_part(), math.exp(-float(t)) * np.eye(2))
+            coeffs = [c for comp in report["jet"]["components"] for c in comp["coeffs"]]
+            assert all(math.isfinite(c["re"]) and math.isfinite(c["im"]) for c in coeffs)
 
 
 class TestBounds:

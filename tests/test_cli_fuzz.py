@@ -120,6 +120,16 @@ def test_every_input_gets_an_envelope_or_one_error_line(field_file, argv):
     _assert_contract([field_file if a == FIELD else a for a in argv])
 
 
+# the Koenigs chain takes no steps, yet it validates --step as RK4 does
+@pytest.mark.parametrize(
+    "flag",
+    ["--t=nan", "--t=inf", "--t=-inf", "--t=-1.0",
+     "--step=nan", "--step=inf", "--step=0.0", "--step=-0.1"],
+)
+def test_evolve_refuses_times_and_steps_outside_their_range(field_file, flag):
+    assert _assert_contract(["evolve", "--field", field_file, flag, "--degree", "2"]) == 2
+
+
 GENERATORS = {
     "product-form": {
         "kind": "product-form",

@@ -554,3 +554,110 @@ class TestReport:
         field = HerglotzField.constant(catalog_generator("H4"))
         rep = evolve_report(field, 0.0, 1.0, degree=3)
         assert set(rep.to_json()) == {"s", "t", "degree", "step", "jet", "error_estimate"}
+
+
+CHAIN_KINDS = {
+    "catalog": lambda rng: catalog_generator("H1"),
+    "rotated": lambda rng: _rotated("H4", 2, rng),
+    "product-form": lambda rng: product_form(
+        [1, 0], [AtomicMeasure(((0.3, 0.6), (2.0, 0.4))), AtomicMeasure(((-1.1, 1.0),))]
+    ),
+    "convex-combination": lambda rng: convex_combination(
+        [_rotated("H1", 2, rng), catalog_generator("H5")], [0.3, 0.7]
+    ),
+    "from-starlike": lambda rng: from_starlike(catalog_get("F2").jet),
+    "dilation": lambda rng: dilation_generator(2),
+}
+
+
+def _chain_gap(field, s, t, degree=3):
+    """e^(t-s) times the largest gap between the chain and RK4 at step 1e-3."""
+    tables = basis_tables(field.dim, degree)
+    chain = map_to_array(evolve_report(field, s, t, degree=degree).jet, tables)
+    rk4 = map_to_array(evolve_jet(field, s, t, degree=degree, step=1e-3), tables)
+    return math.exp(t - s) * float(np.max(np.abs(chain - rk4)))
+
+
+class TestTransitionChain:
+    """evolve_report's Koenigs chain against RK4 evolve_jet, its oracle."""
+
+    @pytest.mark.parametrize("kind", sorted(CHAIN_KINDS))
+    def test_agrees_with_rk4_for_every_piece_kind(self, rng, kind):
+        # breakpoints 0.8 and 1.5: s = 0.3 inside the first piece, s = 0.8 on a breakpoint
+        gen = CHAIN_KINDS[kind](rng)
+        field = HerglotzField(((0.8, gen), (1.5, _rotated("H2", 2, rng))), gen)
+        for s in (0.3, 0.8):
+            assert _chain_gap(field, s, s + 1.0) <= 1e-12
+
+    def test_agrees_with_rk4_over_every_span(self, rng):
+        field = HerglotzField.build(
+            [_rotated(name, 2, rng) for name in ("H1", "H2", "H4")], [0.7, 1.3]
+        )
+        for s in (0.4, 0.7):
+            for span in (1e-6, 0.3, 1.0, 5.0):
+                assert _chain_gap(field, s, s + span) <= 1e-12
+        assert _chain_gap(field, 0.4, 30.4) <= 1e-12
+
+    def test_equal_times_give_the_identity(self, rng):
+        field = HerglotzField.build([_rotated("H1", 2, rng), catalog_generator("H4")], [0.7])
+        tables = basis_tables(2, 4)
+        for s in (0.0, 0.3, 0.7, 2.0):
+            rep = evolve_report(field, s, s)
+            assert np.array_equal(map_to_array(rep.jet, tables), identity_array(tables))
+            assert rep.error_estimate == 0.0
+
+    def test_two_sided_semigroup_identity(self, rng):
+        field = HerglotzField.build(
+            [_rotated(name, 2, rng) for name in ("H1", "H2", "H4")], [0.7, 1.3]
+        )
+        for s, t, u in ((0.2, 0.7, 2.5), (0.3, 1.0, 1.6), (0.7, 1.3, 4.0)):
+            whole = evolve_report(field, s, u).jet
+            first = evolve_report(field, s, t).jet
+            second = evolve_report(field, t, u).jet
+            assert map_distance(whole, compose(second, first)) <= 1e-14
+
+    def test_limit_scale_of_the_chain_is_parametric_limit(self, rng):
+        # both callers share one chain: e^T phi_{0,T} is the limit jet to roundoff
+        field = HerglotzField.build([_rotated("H1", 2, rng), catalog_generator("H4")], [0.7])
+        tables = basis_tables(2, 4)
+        phi = map_to_array(evolve_report(field, 0.0, 6.0).jet, tables)
+        limit = map_to_array(parametric_limit(field, horizon=6.0).jet, tables)
+        assert np.max(np.abs(math.exp(6.0) * phi - limit)) <= 1e-13
+
+    def test_error_estimate_is_the_linear_drift_bound(self):
+        # Dh(0) = -(1 - 5e-9) I: the chain takes Dh(0) = -I, RK4 does not
+        jet = JetMap(
+            (
+                MultiJet(2, 3, {(1, 0): -1.0 + 5e-9, (2, 0): 0.5}),
+                MultiJet(2, 3, {(0, 1): -1.0 + 5e-9}),
+            ),
+            Normalization.GENERATOR,
+        )
+        field = HerglotzField.constant(Generator(jet, jet, {"kind": "polynomial"}))
+        tables = basis_tables(2, 3)
+        for s, t in ((0.0, 1.0), (0.5, 3.0)):
+            rep = evolve_report(field, s, t, degree=3)
+            assert rep.error_estimate == pytest.approx(5e-9 * (t - s), rel=1e-6)
+            rk4 = map_to_array(evolve_jet(field, s, t, degree=3, step=1e-3), tables)
+            gap = float(np.max(np.abs(map_to_array(rep.jet, tables) - rk4)))
+            assert 0.0 < gap <= rep.error_estimate
+        # past 1e-6 of drift the chain refuses, as parametric_limit does at its horizon
+        with pytest.raises(IntegrationError):
+            evolve_report(field, 0.0, 300.0, degree=3)
+
+    def test_window_validation(self):
+        field = HerglotzField.constant(catalog_generator("H1"))
+        for s, t, step in (
+            (0.0, 1.0, 0.0), (0.0, 1.0, -1e-2), (0.0, 1.0, math.nan), (0.0, 1.0, math.inf),
+            (0.0, math.nan, 1e-2), (0.0, math.inf, 1e-2), (1.0, 0.5, 1e-2),
+        ):
+            with pytest.raises(DomainError):
+                evolve_report(field, s, t, step=step)
+        assert evolve_report(field, 0.0, 1.0, step=0.25).step == 0.25
+
+    def test_rk4_keeps_its_runaway_guard(self):
+        # RK4 at a step past its stability limit ends in a non-finite state
+        field = HerglotzField.build([catalog_generator("H1"), catalog_generator("H4")], [1.0])
+        for t, step in ((1e9, 1e8), (1e12, 1e11)):
+            with pytest.raises(IntegrationError, match="linear-part"):
+                evolve_jet(field, 0.0, t, step=step)
