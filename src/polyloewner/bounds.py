@@ -137,8 +137,8 @@ def caratheodory_check(p: MultiJet, tol: float = 1e-6, subject: str = "p") -> Bo
     """
     if p.dim != 1:
         raise JetShapeError(f"Caratheodory check takes one-variable jets, got dim {p.dim}")
-    if abs(p.constant_term() - 1.0) > 1e-12:
-        raise DomainError(f"expected p(0) = 1, got {p.constant_term()}")
+    if abs(p.coefficient((0,)) - 1.0) > 1e-12:
+        raise DomainError(f"expected p(0) = 1, got {p.coefficient((0,))}")
     checks = []
     for k in range(1, p.degree + 1):
         attained = abs(p.coefficient((k,)))

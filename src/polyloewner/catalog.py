@@ -247,8 +247,8 @@ def _build_starlike(name: str, dim: int, degree: int):
         def ev(w):
             out = w.copy()
             den = 1.0 - w[:, 1]
-            out[:, 0] = _guarded_ratio(w[:, 0] * (1.0 + w[:, 1]), den, w, jet.components[0])
-            out[:, 1] = _guarded_ratio(w[:, 1], den, w, jet.components[1])
+            out[:, 0] = _guarded_ratio(w[:, 0] * (1.0 + w[:, 1]), den, w, jet.component(0))
+            out[:, 1] = _guarded_ratio(w[:, 1], den, w, jet.component(1))
             return out
 
         def jac(w):
@@ -283,8 +283,8 @@ def _build_starlike(name: str, dim: int, degree: int):
             out = w.copy()
             den = 1.0 - w[:, 1]
             num = w[:, 0] - w[:, 0] * w[:, 1] + w[:, 1] ** 2
-            out[:, 0] = _guarded_ratio(num, den, w, jet.components[0])
-            out[:, 1] = _guarded_ratio(w[:, 1], den, w, jet.components[1])
+            out[:, 0] = _guarded_ratio(num, den, w, jet.component(0))
+            out[:, 1] = _guarded_ratio(w[:, 1], den, w, jet.component(1))
             return out
 
         def jac(w):
@@ -327,8 +327,8 @@ def _build_starlike(name: str, dim: int, degree: int):
             out = w.copy()
             a, b = w[:, 1], w[:, 2]
             out[:, 0] = w[:, 0] + a * b * _log_quotient_values(a, b)
-            out[:, 1] = _guarded_ratio(a, 1.0 + a, w, jet.components[1])
-            out[:, 2] = _guarded_ratio(b, 1.0 + b, w, jet.components[2])
+            out[:, 1] = _guarded_ratio(a, 1.0 + a, w, jet.component(1))
+            out[:, 2] = _guarded_ratio(b, 1.0 + b, w, jet.component(2))
             return out
 
         def jac(w):
@@ -357,7 +357,7 @@ def _build_generator(name: str, dim: int, degree: int):
         def ev(w):
             out = -w.copy()
             den = 1.0 + w[:, 0]
-            out[:, 0] = _guarded_ratio(-w[:, 0] * (1.0 - w[:, 0]), den, w, jet.components[0])
+            out[:, 0] = _guarded_ratio(-w[:, 0] * (1.0 - w[:, 0]), den, w, jet.component(0))
             return out
 
     elif name == "H2":
@@ -367,7 +367,7 @@ def _build_generator(name: str, dim: int, degree: int):
         def ev(w):
             out = -w.copy()
             den = 1.0 + w[:, 1]
-            out[:, 0] = _guarded_ratio(-w[:, 0] * (1.0 - w[:, 1]), den, w, jet.components[0])
+            out[:, 0] = _guarded_ratio(-w[:, 0] * (1.0 - w[:, 1]), den, w, jet.component(0))
             return out
 
     elif name == "H3":
@@ -380,7 +380,7 @@ def _build_generator(name: str, dim: int, degree: int):
         def ev(w):
             out = -w.copy()
             den = 1.0 + w[:, 1]
-            out[:, 0] = _guarded_ratio(-w[:, 0] * (1.0 - w[:, 1]), den, w, jet.components[0])
+            out[:, 0] = _guarded_ratio(-w[:, 0] * (1.0 - w[:, 1]), den, w, jet.component(0))
             out[:, 1] = -w[:, 1] * (1.0 - w[:, 1])
             return out
 
@@ -474,7 +474,7 @@ def _cached_entry(key: str, n: int, degree: int) -> NamedMap:
         jac = None
     assert_normalization(jet, tol=1e-12)
     tables = kernels.basis_tables(n, degree)
-    err = torus_error(evaluator, kernels.map_to_array(jet, tables), tables)
+    err = torus_error(evaluator, jet.array, tables)
     if not err <= 1e-10:
         raise DomainError(f"catalog entry {key} failed its consistency check: {err:.3e}")
     return NamedMap(

@@ -19,7 +19,8 @@ Koenigs data belongs to the generator: this module reads the series pair
 ``Generator.koenigs_map``, and never looks inside a generator (a
 rotation's pair is its base's times phases, so a whole search over
 rotated catalog generators solves one pair per catalog entry).  The
-chain stays on the generators' (n, B) coefficient arrays.
+chain stays on the generators' (n, B) coefficient arrays, and each
+result's jet is a read-only view of the array the chain ends with.
 
 RK4 remains where no closed form is used.  ``evolve_jet`` and
 ``evolve_point`` integrate transition maps with classic RK4 on truncated
@@ -49,14 +50,7 @@ import numpy as np
 
 from .generators import Generator, require_admissible
 from .jets import DomainError, JetMap, Normalization, map_to_json
-from .kernels import (
-    BasisTables,
-    array_to_map,
-    basis_tables,
-    compose_arrays,
-    identity_array,
-    rk4_jet_arrays,
-)
+from .kernels import BasisTables, basis_tables, compose_arrays, identity_array, rk4_jet_arrays
 
 __all__ = [
     "IntegrationError",
@@ -170,6 +164,8 @@ def _check_window(s: float, t: float, step: float) -> None:
         raise DomainError("step must be positive and finite")
     if not (math.isfinite(s) and math.isfinite(t)):
         raise DomainError(f"evolution times must be finite, got s={s}, t={t}")
+    if s < 0.0:
+        raise DomainError(f"a field is a schedule on [0, inf), so s must be >= 0, got s={s}")
     if t < s:
         raise DomainError("backward evolution is not defined (need t >= s)")
 
@@ -277,7 +273,7 @@ def evolve_jet(
         raise IntegrationError(
             f"transition jet lost its linear-part invariant (deviation {dev:.3e})", time=t
         )
-    return array_to_map(state, tables, Normalization.GENERAL)
+    return JetMap.from_array(state)
 
 
 @dataclass(frozen=True)
@@ -288,7 +284,8 @@ class LimitResult:
     jets at horizon-1 and horizon; the scaled family converges at rate
     e^-t, so this overestimates the remaining drift roughly e-fold.
     ``step`` is the RK4 step the caller asked for; it is recorded but
-    does not enter the Koenigs construction of the jet.
+    does not enter the Koenigs construction of the jet.  ``jet`` is a
+    read-only view of the chain's array at the horizon.
     """
 
     jet: JetMap
@@ -395,7 +392,7 @@ def parametric_limit(
     tables = basis_tables(field.dim, degree)
     (mid, end), _ = _scaled_flow(field, 0.0, (horizon - 1.0, horizon), tables, horizon)
     tail = float(np.max(np.abs(end - mid)))
-    jet = array_to_map(end, tables, Normalization.UNIVALENT)
+    jet = JetMap.from_array(end, Normalization.UNIVALENT)
     return LimitResult(jet=jet, tail_bound=tail, horizon=horizon, degree=degree, step=step)
 
 
@@ -487,6 +484,7 @@ class EvolutionResult:
     pieces.  ``step`` is the RK4 step the caller asked for; it is
     validated and recorded but does not enter the chain, and
     ``evolve_jet`` at that step is the RK4 route to the same jet.
+    ``jet`` is a read-only view of the chain's array at t.
     """
 
     s: float
@@ -527,6 +525,6 @@ def evolve_report(
         t=t,
         degree=degree,
         step=step,
-        jet=array_to_map(state, tables, Normalization.GENERAL),
+        jet=JetMap.from_array(state),
         error_estimate=drift,
     )

@@ -234,18 +234,6 @@ class AtomicMeasure:
         return AtomicMeasure(atoms)
 
 
-def _basis_degree(shape: tuple[int, ...]) -> int:
-    """The degree D >= 1 of an (n, B) coefficient array: B = C(n + D, n)."""
-    if len(shape) == 2 and shape[0] >= 1:
-        n, size = shape
-        degree = 1
-        while math.comb(n + degree, n) < size:
-            degree += 1
-        if math.comb(n + degree, n) == size:
-            return degree
-    raise JetShapeError(f"no (dim, degree) jet basis gives an array of shape {shape}")
-
-
 class Admission(IntEnum):
     """How a generator's membership is established, in increasing order.
 
@@ -273,12 +261,12 @@ class Generator:
     """An infinitesimal generator: coefficient array + evaluator + provenance.
 
     ``jet`` is a ``JetMap`` or an (n, B) array on the basis of
-    ``kernels.basis_tables(n, degree)``, stored as one read-only array.
-    A coefficient that is not finite raises ``DomainError`` before any
+    ``kernels.basis_tables(n, degree)``; it is copied once, and the
+    attribute ``jet`` is a read-only view of that copy.  A
+    coefficient that is not finite raises ``DomainError`` before any
     other check; then h(0) = 0 and Dh(0) = -I are checked to
     ``CHECK_TOL``.  A lower degree's basis is a prefix of the graded-lex
-    one, so ``jet_array(d)`` is a view of the first columns; the dict
-    ``jet`` is built on first read.
+    one, so ``jet_array(d)`` is a view of the first columns.
 
     ``margin_deps`` optionally lists, per component j, the coordinate
     indices that Re(h_j(z)/z_j) actually depends on; ``None`` means scan
@@ -310,18 +298,13 @@ class Generator:
         rotation: Optional[tuple["Generator", tuple[float, ...], np.ndarray]] = None,
         koenigs_map: Optional[Callable[[], tuple[Callable, Callable]]] = None,
     ):
-        if isinstance(jet, JetMap):
-            jet = kernels.map_to_array(jet, kernels.basis_tables(jet.dim, jet.degree))
-        arr = np.array(jet, dtype=np.complex128)
-        self.degree = _basis_degree(arr.shape)
-        self.dim = arr.shape[0]
+        arr = np.array(jet.array if isinstance(jet, JetMap) else jet, dtype=np.complex128)
+        self.jet = JetMap.from_array(arr, Normalization.GENERATOR)
+        self.dim, self.degree = self.jet.dim, self.jet.degree
         if not np.isfinite(arr).all():
             raise DomainError("generator jet has coefficients that are not finite")
         tables = kernels.basis_tables(self.dim, self.degree)
         check_normalization(arr[:, 0], arr[:, tables.linear], -1.0, CHECK_TOL)
-        arr.flags.writeable = False
-        self._array = arr
-        self._jet: Optional[JetMap] = None
         self.rotation = rotation
         self._koenigs_source = koenigs_map
         self._koenigs_pairs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -335,14 +318,6 @@ class Generator:
         self.admission = Admission(admission)
         if self.admission is Admission.TORUS:
             _require_torus_agreement(self, "generator evaluator and jet disagree")
-
-    @property
-    def jet(self) -> JetMap:
-        """The coefficient array as a dict ``JetMap``, built on first read."""
-        if self._jet is None:
-            tables = kernels.basis_tables(self.dim, self.degree)
-            self._jet = kernels.array_to_map(self._array, tables, Normalization.GENERATOR)
-        return self._jet
 
     def evaluate(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=np.complex128)
@@ -401,7 +376,7 @@ class Generator:
             raise JetShapeError(
                 f"generator jet holds degrees 1 to {self.degree}, cannot serve degree {degree}"
             )
-        return self._array[:, : math.comb(self.dim + degree, self.dim)]
+        return self.jet.array[:, : math.comb(self.dim + degree, self.dim)]
 
     def to_json(self) -> dict:
         return {"provenance": self.provenance, "jet": map_to_json(self.jet)}
@@ -560,7 +535,7 @@ def _polynomial_jacobian_fn(
     ``BasisTables.deriv_gather`` and evaluated pointwise.
     """
     col, factor = tables.deriv_gather
-    rows = [kernels.array_to_map(f[i, col] * factor, tables) for i in range(tables.dim)]
+    rows = [JetMap.from_array(f[i, col] * factor) for i in range(tables.dim)]
     return lambda z: np.stack([row(z) for row in rows], axis=-2)
 
 
@@ -637,9 +612,10 @@ def from_starlike(f, *, degree: Optional[int] = None) -> Generator:
     """
     polynomial = isinstance(f, JetMap)
     fjet = f if polynomial else f.jet
-    # the basis of ``degree`` drops the terms past it
     tables = kernels.basis_tables(fjet.dim, fjet.degree if degree is None else degree)
-    farr = kernels.map_to_array(fjet, tables)
+    # a lower degree's basis is a prefix of a higher one's: cut or zero-pad the columns
+    farr = fjet.array[:, : tables.size]
+    farr = np.pad(farr, ((0, 0), (0, tables.size - farr.shape[1])))
     check_normalization(farr[:, 0], farr[:, tables.linear], 1.0, 1e-10)
 
     # x <- x + Df(0)^-1 (f - Df x): Df - Df(0) raises the degree, so each
@@ -652,7 +628,7 @@ def from_starlike(f, *, degree: Optional[int] = None) -> Generator:
             x = x + inv_linear @ (farr - kernels.jacobian_times(farr, x, tables))
 
     if polynomial:
-        fev, fjac = kernels.array_to_map(farr, tables), _polynomial_jacobian_fn(farr, tables)
+        fev, fjac = JetMap.from_array(farr), _polynomial_jacobian_fn(farr, tables)
         source = {"kind": "polynomial", "components": map_to_json(fev)["components"]}
     else:
         fev, fjac = f.evaluator, f.jacobian

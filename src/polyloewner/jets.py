@@ -3,14 +3,17 @@
 A jet stores the Taylor coefficients of a holomorphic function of ``dim``
 complex variables through total degree ``degree``; everything of higher
 order is discarded.  Multi-indices are plain integer tuples ordered
-graded-lexicographically (by total degree, then lexicographic), which is
-the order of the dense array basis in ``kernels`` and of serialization.
+graded-lexicographically (by total degree, then lexicographic).  Only
+this module knows how a jet is stored: as a read-only view of a complex
+array on that basis, one row for a ``MultiJet`` and one per component for
+a ``JetMap``: the (n, B) array of ``kernels``.  A lower degree's basis is
+a prefix, so truncation is a column slice.
 
-This module holds jet values only: construction, coefficient reads, the
-constant and linear parts, pointwise evaluation, distances and JSON.  It
-has no arithmetic: every product, composition and evolution step runs on
-the dense arrays of ``kernels``.  A dict-jet ring (sums, products and
-derivatives) stays in the tests as that engine's oracle.
+This module holds jet values only: construction (from {alpha: c} dicts,
+or from an engine array), coefficient reads, the constant and linear
+parts, pointwise evaluation, distances and JSON.  It has no arithmetic:
+every product, composition and evolution step runs on the arrays in
+``kernels``.  A dict-jet ring stays in the tests as that engine's oracle.
 """
 
 from __future__ import annotations
@@ -18,8 +21,9 @@ from __future__ import annotations
 import cmath
 import enum
 import itertools
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+import math
+from functools import lru_cache
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -80,6 +84,13 @@ def multiindices(dim: int, degree: int) -> list[tuple[int, ...]]:
     return out
 
 
+@lru_cache(maxsize=None)
+def _basis(dim: int, degree: int) -> tuple[tuple[tuple[int, ...], ...], dict]:
+    """The graded-lex multi-indices of (dim, degree) and the column of each."""
+    alphas = tuple(multiindices(dim, degree))
+    return alphas, {a: k for k, a in enumerate(alphas)}
+
+
 def check_jet_shape(dim: int, degree: int) -> None:
     """Refuse a jet shape whose basis has more than ``MAX_BASIS_SIZE`` monomials.
 
@@ -109,53 +120,92 @@ def _validate_alpha(alpha: Sequence[int], dim: int, degree: int) -> tuple[int, .
     return a
 
 
-@dataclass(frozen=True)
-class MultiJet:
-    """A scalar-valued jet: coefficients of a truncated power series.
+def _fill(obj: "_Jet", array: np.ndarray, **fields) -> None:
+    """Set a jet's fields once; its ``array`` becomes a read-only view."""
+    array = np.asarray(array, dtype=np.complex128).view()
+    array.flags.writeable = False
+    obj.__dict__.update(array=array, **fields)  # past the read-only __setattr__
 
-    ``coeffs`` maps multi-indices to complex coefficients; exact zeros are
-    never stored.  Instances are immutable.
+
+def _basis_degree(shape: tuple[int, ...]) -> int:
+    """The degree D of an (n, B) array on the graded-lex basis: B = C(n + D, n)."""
+    if len(shape) == 2 and shape[0] >= 1:
+        n, size = shape
+        degree = 0
+        while math.comb(n + degree, n) < size:
+            degree += 1
+        if math.comb(n + degree, n) == size:
+            return degree
+    raise JetShapeError(f"no (dim, degree) jet basis gives an array of shape {shape}")
+
+
+def _row_values(row: np.ndarray, alphas: Sequence[tuple[int, ...]], z: np.ndarray) -> np.ndarray:
+    """The polynomial of one row at the points z, over its nonzero columns.
+
+    Each term is c * z_j**p * ... left to right, added in basis order:
+    the bits of a term-by-term loop over the coefficients in that order.
     """
+    out = np.zeros(z.shape[:-1], dtype=np.complex128)
+    for k in np.flatnonzero(row):
+        term = np.full(z.shape[:-1], row[k])
+        for j, p in enumerate(alphas[k]):
+            if p:
+                term = term * z[..., j] ** p
+        out = out + term
+    return out
 
-    dim: int
-    degree: int
-    coeffs: Mapping[tuple[int, ...], complex] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise JetShapeError(f"dim must be >= 1, got {self.dim}")
-        if self.degree < 0:
-            raise JetShapeError(f"degree must be >= 0, got {self.degree}")
-        clean: dict[tuple[int, ...], complex] = {}
-        for alpha, c in self.coeffs.items():
-            a = _validate_alpha(alpha, self.dim, self.degree)
-            c = complex(c)
-            if c != 0:
-                clean[a] = c
-        object.__setattr__(self, "coeffs", clean)
+class _Jet:
+    """Read-only coefficients on the graded-lex basis of (dim, degree)."""
 
-    # -- basic queries ----------------------------------------------------
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only")
 
-    def coefficient(self, alpha: Sequence[int]) -> complex:
-        return self.coeffs.get(tuple(int(x) for x in alpha), 0j)
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and (self.dim, self.degree) == (other.dim, other.degree)
+            and getattr(self, "normalization", None) == getattr(other, "normalization", None)
+            and bool(np.array_equal(self.array, other.array))
+        )
 
-    def constant_term(self) -> complex:
-        return self.coeffs.get((0,) * self.dim, 0j)
+    def _read(self, row: tuple, alpha: Sequence[int]) -> complex:
+        k = _basis(self.dim, self.degree)[1].get(tuple(int(x) for x in alpha))
+        c = 0j if k is None else self.array.item(*row, k)
+        return c if c else 0j  # an exact zero reads +0j, as a term never stored
 
-    # -- evaluation -------------------------------------------------------
-
-    def __call__(self, z) -> np.ndarray:
+    def _values(self, rows: np.ndarray, z) -> list:
         z = np.asarray(z, dtype=np.complex128)
         if z.shape[-1] != self.dim:
             raise JetShapeError(f"points have last axis {z.shape[-1]}, expected {self.dim}")
-        out = np.zeros(z.shape[:-1], dtype=np.complex128)
-        for a, c in self.coeffs.items():
-            term = np.full(z.shape[:-1], c, dtype=np.complex128)
-            for j, p in enumerate(a):
-                if p:
-                    term = term * z[..., j] ** p
-            out = out + term
-        return out
+        alphas = _basis(self.dim, self.degree)[0]
+        return [_row_values(row, alphas, z) for row in rows]
+
+
+class MultiJet(_Jet):
+    """A scalar-valued jet: one row of coefficients on the graded-lex basis.
+
+    ``MultiJet(dim, degree, {alpha: c})`` fills the row once; a multi-index
+    of the wrong length or past ``degree`` raises ``JetShapeError``.
+    """
+
+    def __init__(self, dim: int, degree: int, coeffs: Optional[Mapping] = None) -> None:
+        if dim < 1 or degree < 0:
+            raise JetShapeError(f"need dim >= 1 and degree >= 0, got ({dim}, {degree})")
+        index = _basis(dim, degree)[1]
+        row = np.zeros(len(index), dtype=np.complex128)
+        for alpha, c in (coeffs or {}).items():
+            a = _validate_alpha(alpha, dim, degree)
+            c = complex(c)
+            if c != 0:
+                row[index[a]] = c
+        _fill(self, dim=dim, degree=degree, array=row)
+
+    def coefficient(self, alpha: Sequence[int]) -> complex:
+        return self._read((), alpha)
+
+    def __call__(self, z) -> np.ndarray:
+        return self._values(self.array[None], z)[0]
 
 
 class Normalization(enum.Enum):
@@ -166,53 +216,53 @@ class Normalization(enum.Enum):
     GENERAL = "general"
 
 
-@dataclass(frozen=True)
-class JetMap:
-    """A tuple of ``dim`` scalar jets sharing dim and degree: a map jet."""
+class JetMap(_Jet):
+    """A map jet: a read-only view of one (dim, B) array, one row per component.
 
-    components: tuple[MultiJet, ...]
-    normalization: Normalization = Normalization.GENERAL
+    ``JetMap((MultiJet, ...), normalization)`` stacks its components once;
+    ``JetMap.from_array`` wraps an array the engine already holds, uncopied,
+    and reads the degree off its shape.
+    """
 
-    def __post_init__(self) -> None:
-        comps = tuple(self.components)
-        if not comps:
-            raise JetShapeError("jet map needs at least one component")
-        dim, degree = comps[0].dim, comps[0].degree
-        if len(comps) != dim:
-            raise JetShapeError(f"{len(comps)} components for dim {dim}; maps are square")
-        for c in comps:
-            if c.dim != dim or c.degree != degree:
-                raise JetShapeError("components disagree on dim or degree")
-        object.__setattr__(self, "components", comps)
+    def __init__(
+        self, components: Sequence[MultiJet], normalization: Normalization = Normalization.GENERAL
+    ) -> None:
+        comps = tuple(components)
+        shapes = sorted({(c.dim, c.degree) for c in comps})
+        if len(shapes) != 1 or shapes[0][0] != len(comps):
+            raise JetShapeError(f"need dim components of one shape, got {len(comps)} of {shapes}")
+        array = np.stack([c.array for c in comps])
+        _fill(self, dim=len(comps), degree=shapes[0][1], array=array, normalization=normalization)
 
-    @property
-    def dim(self) -> int:
-        return self.components[0].dim
+    @classmethod
+    def from_array(
+        cls, array: np.ndarray, normalization: Normalization = Normalization.GENERAL
+    ) -> "JetMap":
+        """The map whose row i holds component i on the graded-lex basis."""
+        degree = _basis_degree(array.shape)
+        out = object.__new__(cls)
+        _fill(out, dim=len(array), degree=degree, array=array, normalization=normalization)
+        return out
 
-    @property
-    def degree(self) -> int:
-        return self.components[0].degree
+    def component(self, i: int) -> MultiJet:
+        """Component i as a scalar jet viewing row i."""
+        out = object.__new__(MultiJet)
+        _fill(out, dim=self.dim, degree=self.degree, array=self.array[i])
+        return out
 
     def coefficient(self, i: int, alpha: Sequence[int]) -> complex:
-        return self.components[i].coefficient(alpha)
+        return self._read((i,), alpha)
 
     def constant_terms(self) -> np.ndarray:
-        return np.array([c.constant_term() for c in self.components])
+        return self.array[:, 0].copy()
 
     def linear_part(self) -> np.ndarray:
         """Matrix L with L[i, j] = coefficient of z_j in component i."""
-        n = self.dim
-        out = np.zeros((n, n), dtype=np.complex128)
-        for i, comp in enumerate(self.components):
-            for j in range(n):
-                e = tuple(1 if k == j else 0 for k in range(n))
-                out[i, j] = comp.coefficient(e)
-        return out
+        eye = [tuple(int(v == j) for v in range(self.dim)) for j in range(self.dim)]
+        return np.array([[self.coefficient(i, e) for e in eye] for i in range(self.dim)])
 
     def __call__(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=np.complex128)
-        vals = [comp(z) for comp in self.components]
-        return np.stack(vals, axis=-1)
+        return np.stack(self._values(self.array, z), axis=-1)
 
 
 def assert_normalization(f: JetMap, tol: float = 1e-8) -> None:
@@ -262,23 +312,25 @@ def jet_distance(a: MultiJet, b: MultiJet) -> float:
     """Largest absolute coefficient difference."""
     if a.dim != b.dim or a.degree != b.degree:
         raise JetShapeError("jets must share dim and degree to compare")
-    keys = set(a.coeffs) | set(b.coeffs)
-    return max((abs(a.coefficient(k) - b.coefficient(k)) for k in keys), default=0.0)
+    d = a.array - b.array
+    # hypot, as Python's abs of a complex: np.abs differs from it in the last bit
+    return float(np.max(np.hypot(d.real, d.imag), initial=0.0))
 
 
 def map_distance(f: JetMap, g: JetMap) -> float:
-    if f.dim != g.dim:
-        raise JetShapeError("maps must share dim to compare")
-    return max(jet_distance(a, b) for a, b in zip(f.components, g.components))
+    """Largest absolute coefficient difference over the components."""
+    return jet_distance(f, g)
 
 
 # -- serialization --------------------------------------------------------
 
 
 def jet_to_json(jet: MultiJet) -> dict:
+    """The nonzero coefficients, in basis order, which is graded-lex order."""
     coeffs = [
         {"alpha": list(a), "re": c.real, "im": c.imag}
-        for a, c in sorted(jet.coeffs.items(), key=lambda kv: grlex_key(kv[0]))
+        for a, c in zip(_basis(jet.dim, jet.degree)[0], jet.array.tolist())
+        if c != 0
     ]
     return {"dim": jet.dim, "degree": jet.degree, "coeffs": coeffs}
 
@@ -306,5 +358,5 @@ def map_to_json(f: JetMap) -> dict:
         "dim": f.dim,
         "degree": f.degree,
         "normalization": f.normalization.value,
-        "components": [jet_to_json(c) for c in f.components],
+        "components": [jet_to_json(f.component(i)) for i in range(f.dim)],
     }

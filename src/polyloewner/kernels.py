@@ -27,13 +27,14 @@ MB of indices).  One composition forms 132,220 products at (3, 8) and
 9.3 million at (4, 10), against 492,492 and 43.8 million when every row
 of degree >= 1 gathers the full table.  The precondition inner(0) = 0 is
 checked on entry: ``compose_arrays`` and ``rk4_jet_arrays`` raise
-``DomainError`` without it.  ``compose`` is the same engine on ``JetMap``
-operands.  ``mul_arrays`` and ``compose_arrays`` (with ``rk4_jet_arrays``
-built on the latter) are the only jet products in the program: the
-catalog writes its jets as coefficient tables, and ``jets`` holds values
-only.  The tests check the engine against the dict-jet ring of
-``tests/oracles.py``, whose products never touch the pair tables.
-``benchmarks/bench_kernels.py`` times the engine.
+``DomainError`` without it.  ``mul_arrays`` and ``compose_arrays`` (with
+``rk4_jet_arrays`` built on the latter) are the only jet products in the
+program: the catalog writes its jets as coefficient tables, and ``jets``
+holds values only.  A ``JetMap`` is a read-only view of one such (n, B)
+array, so ``compose`` runs the engine on its operands' arrays and wraps
+the result, converting nothing.  The tests check the engine against the
+dict-jet ring of ``tests/oracles.py``, whose products never touch the
+pair tables.  ``benchmarks/bench_kernels.py`` times the engine.
 """
 
 from __future__ import annotations
@@ -44,21 +45,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .jets import (
-    DomainError,
-    JetMap,
-    JetShapeError,
-    MultiJet,
-    Normalization,
-    check_jet_shape,
-    multiindices,
-)
+from .jets import DomainError, JetMap, JetShapeError, check_jet_shape, multiindices
 
 __all__ = [
     "BasisTables",
     "basis_tables",
-    "map_to_array",
-    "array_to_map",
     "identity_array",
     "default_backend",
     "mul_arrays",
@@ -207,36 +198,6 @@ def basis_tables(dim: int, degree: int) -> BasisTables:
     )
 
 
-# -- conversions ----------------------------------------------------------
-
-
-def map_to_array(f: JetMap, tables: BasisTables) -> np.ndarray:
-    if f.dim != tables.dim:
-        raise JetShapeError(f"map dim {f.dim} does not match tables dim {tables.dim}")
-    out = np.zeros((f.dim, tables.size), dtype=np.complex128)
-    for i, comp in enumerate(f.components):
-        for alpha, c in comp.coeffs.items():
-            k = tables.index.get(alpha)
-            if k is not None:
-                out[i, k] = c
-    return out
-
-
-def array_to_map(
-    arr: np.ndarray,
-    tables: BasisTables,
-    normalization: Normalization = Normalization.GENERAL,
-) -> JetMap:
-    n, B = arr.shape
-    if n != tables.dim or B != tables.size:
-        raise JetShapeError(f"array shape {arr.shape} does not match tables")
-    comps = []
-    for i in range(n):
-        coeffs = {tables.alphas[k]: complex(arr[i, k]) for k in range(B) if arr[i, k] != 0}
-        comps.append(MultiJet(tables.dim, tables.degree, coeffs))
-    return JetMap(tuple(comps), normalization)
-
-
 def identity_array(tables: BasisTables) -> np.ndarray:
     out = np.zeros((tables.dim, tables.size), dtype=np.complex128)
     for j in range(tables.dim):
@@ -296,16 +257,16 @@ def compose_arrays(outer: np.ndarray, inner: np.ndarray, tables: BasisTables) ->
 def compose(outer: JetMap, inner: JetMap) -> JetMap:
     """Componentwise composition ``outer o inner`` of square jet maps, with inner(0) = 0.
 
-    Both maps are truncated to the lower of their degrees (``map_to_array``
-    drops the terms past the basis).  The shape must have a basis, so
-    degree 0 and bases above ``MAX_BASIS_SIZE`` raise ``JetShapeError``;
-    the dict-jet composition accepted both, but no verb composes such maps.
+    Both maps are truncated to the lower of their degrees, a column slice
+    of their arrays.  The shape must have a basis, so degree 0 and bases
+    above ``MAX_BASIS_SIZE`` raise ``JetShapeError``; the dict-jet
+    composition accepted both, but no verb composes such maps.
     """
     if outer.dim != inner.dim:
         raise JetShapeError(f"dim mismatch in composition: {outer.dim} vs {inner.dim}")
     tables = basis_tables(outer.dim, min(outer.degree, inner.degree))
-    arr = compose_arrays(map_to_array(outer, tables), map_to_array(inner, tables), tables)
-    return array_to_map(arr, tables)
+    cols = slice(tables.size)
+    return JetMap.from_array(compose_arrays(outer.array[:, cols], inner.array[:, cols], tables))
 
 
 def rk4_jet_arrays(

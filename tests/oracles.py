@@ -3,8 +3,13 @@
 None of these is on a path the program runs; each computes its result a
 different way from the engine it checks.  The dict-jet ring, and the
 catalog jets and compositions built on it, use nothing of the program but
-its jet values (``MultiJet``, ``JetMap``):
+its jet values (``MultiJet``, ``JetMap``), read as dicts:
 
+- ``coeffs`` and ``components``: a jet's nonzero terms as {alpha: c} and
+  a map's components, the only places here that read a jet's array;
+- ``dict_evaluate`` and ``dict_jet_to_json``: the evaluation loop and the
+  JSON writer the program ran on dict jets, the references for the
+  nonzero-column evaluation and the basis-order writer of ``jets``;
 - the dict-jet ring: ``add``, ``neg``, ``sub``, ``mul``, ``scaled``,
   ``truncated``, ``derivative`` and ``jacobian`` on ``MultiJet`` values,
   with the constructors ``variable_jet``, ``series_in_var`` and
@@ -27,6 +32,7 @@ its jet values (``MultiJet``, ``JetMap``):
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -43,7 +49,60 @@ from polyloewner import (
     jet_from_json,
     multiindices,
 )
-from polyloewner.jets import rotation_phases
+from polyloewner.jets import grlex_key, rotation_phases
+
+
+# -- dict jets --------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _alphas(dim: int, degree: int) -> tuple:
+    return tuple(multiindices(dim, degree))
+
+
+def coeffs(jet: MultiJet) -> dict[tuple[int, ...], complex]:
+    """The nonzero coefficients of a jet as {alpha: c}, in graded-lex order."""
+    return {a: c for a, c in zip(_alphas(jet.dim, jet.degree), jet.array.tolist()) if c != 0}
+
+
+def components(f: JetMap) -> tuple[MultiJet, ...]:
+    return tuple(f.component(i) for i in range(f.dim))
+
+
+def dict_evaluate(terms: Mapping[tuple[int, ...], complex], z: np.ndarray) -> np.ndarray:
+    """A dict jet at points z, term by term in the dict's order.
+
+    This is the evaluation loop the program ran on its dict jets: each
+    term is its coefficient times z_j**p left to right, every power formed
+    afresh, and the terms are added in turn.
+    """
+    z = np.asarray(z, dtype=np.complex128)
+    out = np.zeros(z.shape[:-1], dtype=np.complex128)
+    for a, c in terms.items():
+        term = np.full(z.shape[:-1], c, dtype=np.complex128)
+        for j, p in enumerate(a):
+            if p:
+                term = term * z[..., j] ** p
+        out = out + term
+    return out
+
+
+def dict_jet_to_json(dim: int, degree: int, terms: Mapping) -> dict:
+    """The JSON of a dict jet as the program wrote it from dicts.
+
+    The dict constructor kept each term of degree at most ``degree`` as
+    ``complex(c)`` unless it was an exact zero; the writer sorted the kept
+    terms by ``grlex_key``.
+    """
+    kept = {tuple(a): complex(c) for a, c in terms.items() if sum(a) <= degree and complex(c) != 0}
+    return {
+        "dim": dim,
+        "degree": degree,
+        "coeffs": [
+            {"alpha": list(a), "re": c.real, "im": c.imag}
+            for a, c in sorted(kept.items(), key=lambda kv: grlex_key(kv[0]))
+        ],
+    }
 
 
 # -- the dict-jet ring -----------------------------------------------------
@@ -62,14 +121,14 @@ def _check_compatible(a: MultiJet, b: MultiJet) -> None:
 
 def add(a: MultiJet, b: MultiJet) -> MultiJet:
     _check_compatible(a, b)
-    out = dict(a.coeffs)
-    for alpha, c in b.coeffs.items():
+    out = dict(coeffs(a))
+    for alpha, c in coeffs(b).items():
         out[alpha] = out.get(alpha, 0j) + c
     return MultiJet(a.dim, a.degree, out)
 
 
 def neg(a: MultiJet) -> MultiJet:
-    return MultiJet(a.dim, a.degree, {alpha: -c for alpha, c in a.coeffs.items()})
+    return MultiJet(a.dim, a.degree, {alpha: -c for alpha, c in coeffs(a).items()})
 
 
 def sub(a: MultiJet, b: MultiJet) -> MultiJet:
@@ -78,11 +137,11 @@ def sub(a: MultiJet, b: MultiJet) -> MultiJet:
 
 def scaled(s: complex, a: MultiJet) -> MultiJet:
     s = complex(s)
-    return MultiJet(a.dim, a.degree, {alpha: s * c for alpha, c in a.coeffs.items()})
+    return MultiJet(a.dim, a.degree, {alpha: s * c for alpha, c in coeffs(a).items()})
 
 
 def _term_order(jet: MultiJet) -> list:
-    return sorted((alpha, c.real, c.imag) for alpha, c in jet.coeffs.items())
+    return sorted((alpha, c.real, c.imag) for alpha, c in coeffs(jet).items())
 
 
 def mul(a: MultiJet, b: MultiJet) -> MultiJet:
@@ -91,9 +150,9 @@ def mul(a: MultiJet, b: MultiJet) -> MultiJet:
     # a*b and b*a run one loop over the same sorted terms, so the product
     # commutes exactly, rounding included
     first, second = sorted((a, b), key=_term_order)
-    terms = sorted((sum(beta), beta, cb) for beta, cb in second.coeffs.items())
+    terms = sorted((sum(beta), beta, cb) for beta, cb in coeffs(second).items())
     out: dict[tuple[int, ...], complex] = {}
-    for alpha, ca in sorted(first.coeffs.items()):
+    for alpha, ca in sorted(coeffs(first).items()):
         room = a.degree - sum(alpha)
         for dbeta, beta, cb in terms:
             if dbeta > room:
@@ -105,7 +164,7 @@ def mul(a: MultiJet, b: MultiJet) -> MultiJet:
 
 def truncated(a: MultiJet, degree: int) -> MultiJet:
     """Re-truncate; raising the degree treats absent coefficients as 0."""
-    kept = {alpha: c for alpha, c in a.coeffs.items() if sum(alpha) <= degree}
+    kept = {alpha: c for alpha, c in coeffs(a).items() if sum(alpha) <= degree}
     return MultiJet(a.dim, degree, kept)
 
 
@@ -113,7 +172,7 @@ def derivative(a: MultiJet, var: int) -> MultiJet:
     if not 0 <= var < a.dim:
         raise JetShapeError(f"variable index {var} out of range for dim {a.dim}")
     out: dict[tuple[int, ...], complex] = {}
-    for alpha, c in a.coeffs.items():
+    for alpha, c in coeffs(a).items():
         if alpha[var]:
             beta = list(alpha)
             beta[var] -= 1
@@ -123,7 +182,7 @@ def derivative(a: MultiJet, var: int) -> MultiJet:
 
 def jacobian(f: JetMap) -> tuple[tuple[MultiJet, ...], ...]:
     """Matrix of partial-derivative jets, truncated one degree lower."""
-    return tuple(tuple(derivative(comp, j) for j in range(f.dim)) for comp in f.components)
+    return tuple(tuple(derivative(comp, j) for j in range(f.dim)) for comp in components(f))
 
 
 def variable_jet(dim: int, degree: int, var: int) -> MultiJet:
@@ -227,7 +286,7 @@ def catalog_jet(name: str, dim: int, degree: int) -> JetMap:
 
 def _monomial_table(inner: JetMap, degree: int) -> dict[tuple[int, ...], MultiJet]:
     """Jets of all monomials ``inner**alpha`` with ``|alpha| <= degree``."""
-    n = len(inner.components)
+    n = inner.dim
     table: dict[tuple[int, ...], MultiJet] = {}
     one = constant_jet(inner.dim, degree, 1.0)
     for alpha in multiindices(n, degree):
@@ -237,7 +296,7 @@ def _monomial_table(inner: JetMap, degree: int) -> dict[tuple[int, ...], MultiJe
         var = next(j for j, a in enumerate(alpha) if a > 0)
         parent = list(alpha)
         parent[var] -= 1
-        table[alpha] = mul(table[tuple(parent)], truncated(inner.components[var], degree))
+        table[alpha] = mul(table[tuple(parent)], truncated(inner.component(var), degree))
     return table
 
 
@@ -247,16 +306,14 @@ def compose_scalar(outer: MultiJet, inner: JetMap) -> MultiJet:
     The inner map must have zero constant term, otherwise the truncated
     coefficients of the composite are not determined by the operands.
     """
-    if outer.dim != len(inner.components):
-        raise JetShapeError(
-            f"outer takes {outer.dim} variables, inner supplies {len(inner.components)}"
-        )
+    if outer.dim != inner.dim:
+        raise JetShapeError(f"outer takes {outer.dim} variables, inner supplies {inner.dim}")
     if np.max(np.abs(inner.constant_terms())) != 0:
         raise DomainError("inner map of a composition must have zero constant term")
     degree = min(outer.degree, inner.degree)
     table = _monomial_table(inner, degree)
     acc = zero_jet(inner.dim, degree)
-    for alpha, c in outer.coeffs.items():
+    for alpha, c in coeffs(outer).items():
         if sum(alpha) > degree:
             continue
         acc = add(acc, scaled(c, table[alpha]))
@@ -275,9 +332,9 @@ def compose(outer: JetMap, inner: JetMap) -> JetMap:
     degree = min(outer.degree, inner.degree)
     table = _monomial_table(inner, degree)
     comps = []
-    for comp in outer.components:
+    for comp in components(outer):
         acc = zero_jet(inner.dim, degree)
-        for alpha, c in comp.coeffs.items():
+        for alpha, c in coeffs(comp).items():
             if sum(alpha) > degree:
                 continue
             acc = add(acc, scaled(c, table[alpha]))
@@ -309,7 +366,7 @@ def matrix_solve(
     for entry in [e for row in A for e in row] + list(b):
         if entry.dim != dim:
             raise JetShapeError("matrix entries and rhs must share dim")
-    A0 = np.array([[A[i][j].constant_term() for j in range(n)] for i in range(n)])
+    A0 = np.array([[A[i][j].coefficient((0,) * dim) for j in range(n)] for i in range(n)])
     try:
         A0_inv = np.linalg.inv(A0)
     except np.linalg.LinAlgError as exc:
@@ -320,7 +377,7 @@ def matrix_solve(
         rhs = np.array([b[i].coefficient(gamma) for i in range(n)], dtype=np.complex128)
         for i in range(n):
             for j in range(n):
-                for beta, c in A[i][j].coeffs.items():
+                for beta, c in coeffs(A[i][j]).items():
                     if sum(beta) == 0:
                         continue
                     delta = tuple(g - bb for g, bb in zip(gamma, beta))
@@ -351,11 +408,11 @@ def rotate_map(f: JetMap, angles: Sequence[float]) -> JetMap:
     if th.shape != (f.dim,):
         raise JetShapeError(f"need {f.dim} angles, got shape {th.shape}")
     comps = []
-    for j, comp in enumerate(f.components):
-        alphas = list(comp.coeffs)
-        exps = np.array(alphas, dtype=np.int64).reshape(len(alphas), f.dim)
+    for j, comp in enumerate(components(f)):
+        terms = coeffs(comp)
+        exps = np.array(list(terms), dtype=np.int64).reshape(len(terms), f.dim)
         phases = rotation_phases(exps, th)[j]
-        out = {a: c * complex(p) for a, c, p in zip(alphas, comp.coeffs.values(), phases)}
+        out = {a: c * complex(p) for (a, c), p in zip(terms.items(), phases)}
         comps.append(MultiJet(f.dim, f.degree, out))
     return JetMap(tuple(comps), f.normalization)
 
@@ -411,7 +468,7 @@ def scaled_transition(
     """e^(t-s) * phi_{s,t}: the normalized transition jet (Df(0) = I)."""
     raw = evolve_jet(field, s, t, degree=degree, step=step)
     scale = math.exp(t - s)
-    comps = tuple(scaled(scale, c) for c in raw.components)
+    comps = tuple(scaled(scale, c) for c in components(raw))
     return JetMap(comps, Normalization.UNIVALENT)
 
 

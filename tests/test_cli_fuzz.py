@@ -123,7 +123,7 @@ def test_every_input_gets_an_envelope_or_one_error_line(field_file, argv):
 # the Koenigs chain takes no steps, yet it validates --step as RK4 does
 @pytest.mark.parametrize(
     "flag",
-    ["--t=nan", "--t=inf", "--t=-inf", "--t=-1.0",
+    ["--t=nan", "--t=inf", "--t=-inf", "--t=-1.0", "--s=-5", "--s=-1e-300",
      "--step=nan", "--step=inf", "--step=0.0", "--step=-0.1"],
 )
 def test_evolve_refuses_times_and_steps_outside_their_range(field_file, flag):

@@ -17,8 +17,8 @@ from polyloewner import (
     field_from_json,
     from_starlike,
     generator_from_json,
-    jet_to_json,
     map_distance,
+    map_to_json,
     product_form,
     rotate_generator,
     shear_linear,
@@ -27,7 +27,7 @@ from polyloewner import (
 
 
 def jet_payload(gen):
-    return [jet_to_json(c) for c in gen.jet.components]
+    return map_to_json(gen.jet)["components"]
 
 
 # one generator of every description kind, built by its constructor

@@ -35,7 +35,7 @@ from polyloewner import (
 )
 from polyloewner import evolution
 from polyloewner.evolution import _exact_tail, _rescaled
-from polyloewner.kernels import basis_tables, compose_arrays, identity_array, map_to_array
+from polyloewner.kernels import basis_tables, compose_arrays, identity_array
 from oracles import rotate_map, scaled_transition
 
 
@@ -144,6 +144,15 @@ class TestPointFlow:
                 evolve_point(field, 0.0, t, z, step=step)
             with pytest.raises(DomainError):
                 evolve_jet(field, 0.0, t, degree=2, step=step)
+
+    def test_start_before_the_schedule_is_refused(self):
+        # a field is a schedule on [0, inf): H4 must not act on [-5, 1)
+        field = HerglotzField.build([catalog_generator("H4"), dilation_generator(2)], [1.0])
+        z = np.array([0.1, 0.2], dtype=complex)
+        for s in (-5.0, -1e-300):
+            with pytest.raises(DomainError, match="s must be >= 0"):
+                evolve_point(field, s, 0.5, z)
+        assert np.array_equal(evolve_point(field, -0.0, 0.5, z), evolve_point(field, 0.0, 0.5, z))
 
     def test_diverging_flow_raises(self):
         # the dataclass constructor builds a field without the admissibility screen
@@ -311,7 +320,7 @@ class TestLimit:
         ]
         for pieces, breaks in ((gens[:1], []), (gens, [1.7])):
             field = HerglotzField.build(pieces, breaks)
-            got = map_to_array(parametric_limit(field, horizon=T, degree=4).jet, tables)
+            got = parametric_limit(field, horizon=T, degree=4).jet.array
             K, L = pieces[0].koenigs_pair(4)
             psi = compose_arrays(K, ident, tables)
             assert np.array_equal(psi, K)
@@ -411,14 +420,13 @@ class TestRotatedKoenigsPairs:
 
     def test_cold_and_warm_limits_agree_to_the_bit(self):
         base = _unrotated_copy(catalog_generator("H2", degree=4))
-        tables = basis_tables(2, 4)
         pieces = [(0.7, -1.9), (2.3, 0.4), (-0.6, 1.1)]
 
         def new_field():
             return HerglotzField.build([rotate_generator(base, th) for th in pieces], [1.2, 3.5])
 
         def limit_array(field):
-            return map_to_array(parametric_limit(field, horizon=6.0, degree=4).jet, tables)
+            return parametric_limit(field, horizon=6.0, degree=4).jet.array
 
         field = new_field()
         assert not base._koenigs_pairs
@@ -572,9 +580,8 @@ CHAIN_KINDS = {
 
 def _chain_gap(field, s, t, degree=3):
     """e^(t-s) times the largest gap between the chain and RK4 at step 1e-3."""
-    tables = basis_tables(field.dim, degree)
-    chain = map_to_array(evolve_report(field, s, t, degree=degree).jet, tables)
-    rk4 = map_to_array(evolve_jet(field, s, t, degree=degree, step=1e-3), tables)
+    chain = evolve_report(field, s, t, degree=degree).jet.array
+    rk4 = evolve_jet(field, s, t, degree=degree, step=1e-3).array
     return math.exp(t - s) * float(np.max(np.abs(chain - rk4)))
 
 
@@ -603,7 +610,7 @@ class TestTransitionChain:
         tables = basis_tables(2, 4)
         for s in (0.0, 0.3, 0.7, 2.0):
             rep = evolve_report(field, s, s)
-            assert np.array_equal(map_to_array(rep.jet, tables), identity_array(tables))
+            assert np.array_equal(rep.jet.array, identity_array(tables))
             assert rep.error_estimate == 0.0
 
     def test_two_sided_semigroup_identity(self, rng):
@@ -619,9 +626,8 @@ class TestTransitionChain:
     def test_limit_scale_of_the_chain_is_parametric_limit(self, rng):
         # both callers share one chain: e^T phi_{0,T} is the limit jet to roundoff
         field = HerglotzField.build([_rotated("H1", 2, rng), catalog_generator("H4")], [0.7])
-        tables = basis_tables(2, 4)
-        phi = map_to_array(evolve_report(field, 0.0, 6.0).jet, tables)
-        limit = map_to_array(parametric_limit(field, horizon=6.0).jet, tables)
+        phi = evolve_report(field, 0.0, 6.0).jet.array
+        limit = parametric_limit(field, horizon=6.0).jet.array
         assert np.max(np.abs(math.exp(6.0) * phi - limit)) <= 1e-13
 
     def test_error_estimate_is_the_linear_drift_bound(self):
@@ -634,12 +640,11 @@ class TestTransitionChain:
             Normalization.GENERATOR,
         )
         field = HerglotzField.constant(Generator(jet, jet, {"kind": "polynomial"}))
-        tables = basis_tables(2, 3)
         for s, t in ((0.0, 1.0), (0.5, 3.0)):
             rep = evolve_report(field, s, t, degree=3)
             assert rep.error_estimate == pytest.approx(5e-9 * (t - s), rel=1e-6)
-            rk4 = map_to_array(evolve_jet(field, s, t, degree=3, step=1e-3), tables)
-            gap = float(np.max(np.abs(map_to_array(rep.jet, tables) - rk4)))
+            rk4 = evolve_jet(field, s, t, degree=3, step=1e-3).array
+            gap = float(np.max(np.abs(rep.jet.array - rk4)))
             assert 0.0 < gap <= rep.error_estimate
         # past 1e-6 of drift the chain refuses, as parametric_limit does at its horizon
         with pytest.raises(IntegrationError):

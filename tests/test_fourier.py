@@ -5,7 +5,7 @@ import pytest
 
 from polyloewner import (
     DomainError,
-    Normalization,
+    JetMap,
     basis_tables,
     catalog_get,
     catalog_names,
@@ -15,7 +15,6 @@ from polyloewner import (
     torus_grid,
 )
 from polyloewner import fourier
-from polyloewner.kernels import array_to_map
 from oracles import ring_jacobian
 
 
@@ -39,9 +38,8 @@ def test_torus_coefficients_recover_koebe_expansion():
 def test_torus_array_matches_catalog_jet():
     entry = catalog_get("F5")
     tables = basis_tables(2, 4)
-    got = array_to_map(torus_array(entry.evaluator, tables), tables, Normalization.GENERAL)
-    want = entry.jet
-    assert map_distance(got, want) < 1e-9
+    got = JetMap.from_array(torus_array(entry.evaluator, tables))
+    assert map_distance(got, entry.jet) < 1e-9
 
 
 def test_ring_jacobian_matches_closed_form(rng, make_interior_points):

@@ -5,6 +5,7 @@ oracles of ``tests/oracles.py`` (products, composition, the matrix solve
 and rotations) are checked here against closed forms as well.
 """
 
+import json
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polyloewner import (
+    AtomicMeasure,
     DomainError,
     JetMap,
     JetShapeError,
@@ -20,7 +22,11 @@ from polyloewner import (
     Normalization,
     SingularityError,
     basis_tables,
+    catalog,
+    catalog_get,
     compose,
+    from_starlike,
+    generator_from_json,
     jet_distance,
     jet_from_json,
     jet_to_json,
@@ -32,8 +38,12 @@ from polyloewner.jets import grlex_key
 from polyloewner.kernels import mul_arrays
 from oracles import (
     add,
+    coeffs,
+    components,
     compose_scalar,
     constant_jet,
+    dict_evaluate,
+    dict_jet_to_json,
     geometric_jet,
     identity_map,
     jacobian,
@@ -61,7 +71,7 @@ def test_product_cancels_geometric_series():
     # (1 - z) * (1 + z + z^2 + ...) truncates to exactly 1
     one_minus = series_in_var(1, 6, 0, [1, -1])
     prod = mul(one_minus, geometric_jet(1, 6, 0))
-    assert prod.coeffs == {(0,): 1.0 + 0j}
+    assert coeffs(prod) == {(0,): 1.0 + 0j}
 
 
 def test_evaluation_matches_horner_sum(rng):
@@ -124,10 +134,10 @@ def test_jacobian_of_polynomial_map():
         Normalization.UNIVALENT,
     )
     J = jacobian(f)
-    assert J[0][0].coeffs == {(0, 0): 1.0 + 0j}
-    assert J[0][1].coeffs == {(0, 1): 2.0 + 0j}
-    assert J[1][0].coeffs == {}
-    assert J[1][1].coeffs == {(0, 0): 1.0 + 0j}
+    assert coeffs(J[0][0]) == {(0, 0): 1.0 + 0j}
+    assert coeffs(J[0][1]) == {(0, 1): 2.0 + 0j}
+    assert coeffs(J[1][0]) == {}
+    assert coeffs(J[1][1]) == {(0, 0): 1.0 + 0j}
 
 
 def test_matrix_solve_inverts_jacobian_action():
@@ -139,11 +149,11 @@ def test_matrix_solve_inverts_jacobian_action():
         Normalization.UNIVALENT,
     )
     J = jacobian(f)
-    x = matrix_solve(J, f.components)
+    x = matrix_solve(J, components(f))
     # residual J x - f must vanish up to the truncation degree
     for i in range(2):
         resid = add(mul(truncated(J[i][0], 4), x[0]), mul(truncated(J[i][1], 4), x[1]))
-        assert jet_distance(resid, f.components[i]) < 1e-13
+        assert jet_distance(resid, f.component(i)) < 1e-13
 
 
 def test_matrix_solve_detects_singular_linear_part():
@@ -152,7 +162,7 @@ def test_matrix_solve_detects_singular_linear_part():
     )
     J = jacobian(f)
     with pytest.raises(SingularityError):
-        matrix_solve(J, f.components)
+        matrix_solve(J, components(f))
 
 
 def test_rotation_applies_coefficient_phases():
@@ -189,7 +199,7 @@ def test_rotation_is_an_evaluation_conjugation(rng):
 
 def test_truncation_drops_and_lifts_degrees():
     jet = MultiJet(2, 4, {(1, 0): 1.0, (1, 1): 2.0, (2, 2): 3.0})
-    assert truncated(jet, 2).coeffs == {(1, 0): 1.0 + 0j, (1, 1): 2.0 + 0j}
+    assert coeffs(truncated(jet, 2)) == {(1, 0): 1.0 + 0j, (1, 1): 2.0 + 0j}
     lifted = truncated(truncated(jet, 2), 4)
     assert lifted.degree == 4 and lifted.coefficient((2, 2)) == 0
 
@@ -217,7 +227,7 @@ def test_shape_errors():
 
 def test_json_round_trip_is_exact():
     jet = MultiJet(2, 3, {(1, 0): 1 + 2j, (0, 3): -0.25})
-    assert jet_from_json(jet_to_json(jet)).coeffs == jet.coeffs
+    assert jet_from_json(jet_to_json(jet)) == jet
     f = JetMap((jet, variable_jet(2, 3, 1)), Normalization.GENERAL)
     g = map_from_json(map_to_json(f))
     assert g.normalization == f.normalization
@@ -276,4 +286,127 @@ def test_ring_axioms_hold_exactly_enough(a, b, c):
 def test_distance_is_a_metric_to_zero(a):
     assert jet_distance(a, a) == 0.0
     z = MultiJet(2, 3, {})
-    assert jet_distance(a, z) == max((abs(c) for c in a.coeffs.values()), default=0.0)
+    assert jet_distance(a, z) == max((abs(c) for c in coeffs(a).values()), default=0.0)
+
+
+# -- the array form against the dict jets it replaced --------------------------
+
+# either part may be an exact zero of either sign (the catalog prints -0.0
+# imaginary parts), and a coefficient may be an exact zero, which is dropped
+part_st = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+signed_coeff_st = st.builds(complex, part_st, part_st)
+
+
+@st.composite
+def dict_rows(draw):
+    """(dim, degree, rows): one {alpha: c} per component, in random order,
+    with terms up to two degrees past ``degree``."""
+    dim = draw(st.integers(1, 3))
+    degree = draw(st.integers(0, 4))
+    alpha_st = st.tuples(*[st.integers(0, degree + 2)] * dim)
+    rows = [
+        draw(st.dictionaries(alpha_st, signed_coeff_st, max_size=8)) for _ in range(dim)
+    ]
+    return dim, degree, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=dict_rows(), normalization=st.sampled_from(list(Normalization)))
+@example(case=(1, 0, [{(0,): 1.0 + 0j}]), normalization=Normalization.GENERAL)
+@example(case=(1, 0, [{(0,): complex(-0.0, -0.0)}]), normalization=Normalization.GENERAL)
+@example(
+    case=(
+        2,
+        2,
+        [{(0, 2): 1.0, (0, 1): complex(-1.0, -0.0)}, {(1, 0): complex(0.0, -0.0), (3, 0): 5.0}],
+    ),
+    normalization=Normalization.GENERATOR,
+)
+def test_json_bytes_match_the_dict_writer(case, normalization):
+    dim, degree, rows = case
+    # the catalog's dict constructor, which drops the terms past the degree
+    f = catalog._jet_map(rows, dim, degree, 1.0, normalization)
+    want = {
+        "dim": dim,
+        "degree": degree,
+        "normalization": normalization.value,
+        "components": [dict_jet_to_json(dim, degree, row) for row in rows],
+    }
+    assert json.dumps(map_to_json(f)) == json.dumps(want)
+    for row in rows:
+        kept = {a: c for a, c in row.items() if sum(a) <= degree}
+        jet = MultiJet(dim, degree, kept)
+        assert json.dumps(jet_to_json(jet)) == json.dumps(dict_jet_to_json(dim, degree, row))
+
+
+def test_an_exact_zero_reads_as_a_term_never_stored():
+    # an engine array may hold -0.0; a dict jet never stored an exact zero
+    f = JetMap.from_array(np.array([[0.0, complex(-0.0, -0.0), complex(-1.0, -0.0)]]))
+    for c in (f.coefficient(0, (1,)), f.component(0).coefficient((1,))):
+        assert (math.copysign(1, c.real), math.copysign(1, c.imag)) == (1, 1)
+    assert math.copysign(1, f.coefficient(0, (2,)).imag) == -1
+    assert [e["alpha"] for e in map_to_json(f)["components"][0]["coeffs"]] == [[2]]
+
+
+def test_json_of_a_degree_0_measure_jet_matches_the_dict_writer():
+    p = AtomicMeasure(((0.5, 0.25), (-2.0, 0.75))).transform_jet(1, 0, 0)
+    assert json.dumps(jet_to_json(p)) == json.dumps(dict_jet_to_json(1, 0, {(0,): 1.0 + 0j}))
+
+
+def _assert_same_bits(got, want):
+    """Equal to the bit, signed zeros included."""
+    assert got.shape == want.shape
+    bits = [np.ascontiguousarray(x).view(np.uint64) for x in (got, want)]
+    assert np.array_equal(*bits)
+
+
+@pytest.mark.parametrize("name", ["F3", "F5"])
+@pytest.mark.parametrize("dim,degree", [(2, 4), (2, 8), (3, 6)])
+def test_the_catalog_pole_fallback_evaluates_as_the_dict_loop(rng, name, dim, degree):
+    # points with |1 - w_1| < 1e-6 take the jet instead of the rational form
+    entry = catalog_get(name, dim, degree)
+    m = 64
+    w = 0.6 * (rng.uniform(-1, 1, (m, dim)) + 1j * rng.uniform(-1, 1, (m, dim)))
+    w[:, 1] = 1.0 - 10.0 ** rng.uniform(-9, -6.1, m) * np.exp(1j * rng.uniform(0, 2 * np.pi, m))
+    got = entry.evaluator(w)
+    for i in range(2):
+        _assert_same_bits(got[:, i], dict_evaluate(coeffs(entry.jet.component(i)), w))
+
+
+def test_a_polynomial_generator_evaluates_as_the_dict_loop(rng):
+    # the benchmark's violator, whose JSON terms are the dict the loop ran over
+    a = 2.5 * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+    comps = [
+        {"dim": 2, "degree": 2, "coeffs": [
+            {"alpha": [1, 0], "re": -1.0, "im": 0.0},
+            {"alpha": [1, 1], "re": a.real, "im": a.imag},
+        ]},
+        {"dim": 2, "degree": 2, "coeffs": [{"alpha": [0, 1], "re": -1.0, "im": 0.0}]},
+    ]
+    g = generator_from_json({"kind": "polynomial", "components": comps})
+    z = 0.95 * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (256, 2)))
+    got = g.evaluate(z)
+    for i, comp in enumerate(comps):
+        terms = {tuple(e["alpha"]): complex(e["re"], e["im"]) for e in comp["coeffs"]}
+        _assert_same_bits(got[:, i], dict_evaluate(terms, z))
+
+
+def test_polynomial_starlike_jacobian_rows_evaluate_as_the_dict_loop(rng):
+    f = JetMap(
+        (
+            add(variable_jet(2, 4, 0), MultiJet(2, 4, {(1, 1): 0.3, (0, 2): -0.2j, (2, 1): 0.1})),
+            add(variable_jet(2, 4, 1), MultiJet(2, 4, {(2, 0): 0.25, (0, 3): -0.05})),
+        ),
+        Normalization.UNIVALENT,
+    )
+    fev, fjac = from_starlike(f).koenigs_map()
+    z = 0.5 * (rng.uniform(-1, 1, (128, 2)) + 1j * rng.uniform(-1, 1, (128, 2)))
+    got = fjac(z)
+    for i, row in enumerate(jacobian(f)):
+        for j, entry in enumerate(row):
+            _assert_same_bits(got[:, i, j], dict_evaluate(coeffs(entry), z))
+    for i in range(2):
+        _assert_same_bits(fev(z)[:, i], dict_evaluate(coeffs(f.component(i)), z))

@@ -184,3 +184,37 @@ def test_the_check_sees_an_unreached_method():
         "b": ast.parse("from .a import C\n\nC().called()\n"),
     }
     assert _unreached(modules, callers={"shown"}) == ["a.C.alone"]
+
+
+def _storage_reads(source: str) -> list[str]:
+    """Where a module reads a jet's dict form or names the old conversions.
+
+    ``line: .attr`` for each attribute read ``.coeffs`` or ``.components``,
+    ``line: name`` for each mention of ``map_to_array`` or ``array_to_map``.
+    """
+    tree = ast.parse(source)
+    out = [
+        f"{n.lineno}: .{n.attr}"
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and n.attr in ("coeffs", "components")
+    ]
+    for lineno, text in enumerate(source.splitlines(), start=1):
+        out += [f"{lineno}: {name}" for name in ("map_to_array", "array_to_map") if name in text]
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "jets.py"], ids=lambda p: p.name)
+def test_only_jets_knows_how_a_jet_is_stored(path):
+    reads = _storage_reads(path.read_text())
+    assert not reads, f"{path.name} reads the storage of a jet outside jets.py: {reads}"
+
+
+def test_the_check_sees_a_read_of_jet_storage():
+    source = (
+        "from .kernels import map_to_array\n"
+        "n = len(f.components)\n"
+        "c = {'components': 1}['components']\n"
+        "d = dict(jet.coeffs)\n"
+        "components = coeffs = 0\n"
+    )
+    assert _storage_reads(source) == ["1: map_to_array", "2: .components", "4: .coeffs"]
