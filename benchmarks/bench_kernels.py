@@ -35,8 +35,11 @@ starlike probe: ``from_starlike`` of F6 and F7 at (3, 4), the map's
 evaluator and Jacobian on its 32**3-point probe torus, the vectorized LU
 that solves Df x = f there and gives det Df (``generators._lu_solve``)
 against the per-point LAPACK route ``np.linalg.det`` plus
-``np.linalg.solve`` on the same Jacobians, and ``verify_catalog()``.  Run
-from the repo root:
+``np.linalg.solve`` on the same Jacobians, and ``verify_catalog()``.
+Last, a catalog entry built cold (``catalog._cached_entry`` past its
+cache): H2 at (2, 4) and (3, 4), F2 at (3, 4) and H1 at (4, 3), each
+torus-checked at its minimal dimension 2, and F7 at (3, 4), built at its
+minimal dimension, as the control.  Run from the repo root:
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py
 """
@@ -49,7 +52,7 @@ import time
 
 import numpy as np
 
-from polyloewner.catalog import catalog_generator, catalog_get, verify_catalog
+from polyloewner.catalog import _cached_entry, catalog_generator, catalog_get, verify_catalog
 from polyloewner.evolution import (
     HerglotzField,
     _scaled_flow,
@@ -85,6 +88,7 @@ EVOLVE_SHAPES = ((2, 4), (3, 4), (3, 8))
 EVOLVE_FIELD = (("H1", "H2", "H4"), (0.7, 1.3))
 EVOLVE_WINDOW = (0.5, 1.5)
 EVOLVE_STEP = 1e-2
+CATALOG_COLD = (("H2", 2, 4), ("H2", 3, 4), ("F2", 3, 4), ("H1", 4, 3), ("F7", 3, 4))
 
 
 def _best_of(repeats: int, fn) -> float:
@@ -300,6 +304,18 @@ def main() -> None:
         times = [1e3 * _best_of(args.repeats, call) for call in calls]
         print(f"{name:>3} " + " ".join(f"{ms:>{w}.2f}" for ms, w in zip(times, (19, 7, 8, 8, 15))))
     print(f"verify_catalog(): {1e3 * _best_of(args.repeats, verify_catalog):.1f} ms")
+    _catalog_cold(args.repeats)
+
+
+def _catalog_cold(repeats: int) -> None:
+    """A catalog entry built and checked past the cache, per entry of ``CATALOG_COLD``."""
+    header = f"{'name':>4} {'dim':>3} {'deg':>3} {'cold entry (ms)':>16}"
+    print("\ncatalog entry, cold")
+    print(header)
+    print("-" * len(header))
+    for name, dim, degree in CATALOG_COLD:
+        ms = 1e3 * _best_of(repeats, lambda: _cached_entry.__wrapped__(name, dim, degree))
+        print(f"{name:>4} {dim:>3} {degree:>3} {ms:>16.2f}")
 
 
 if __name__ == "__main__":

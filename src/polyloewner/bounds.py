@@ -172,12 +172,12 @@ def coeff_bound_report(
     checks = []
     quadratic = [a for a in multiindices(f.dim, 2) if sum(a) == 2]
     for i in range(f.dim):
-        for alpha in quadratic:
+        for alpha, c in zip(quadratic, f.coefficients(i, quadratic)):
             checks.append(
                 BoundCheck(
                     _alpha_label("A", i, alpha),
                     bound=_degree2_bound(i, alpha),
-                    attained=abs(f.coefficient(i, alpha)),
+                    attained=abs(c),
                     tol=tol,
                     equality_tol=equality_tol,
                 )
@@ -208,8 +208,9 @@ def generator_coeff_report(
         raise DomainError("generator bounds apply to h(0)=0, Dh(0)=-I")
     n, D = jet.dim, jet.degree
     checks = []
+    quadratic = [a for a in multiindices(n, 2) if sum(a) == 2]
     for i in range(n):
-        rows: list[tuple[int, ...]] = [a for a in multiindices(n, 2) if sum(a) == 2]
+        rows = list(quadratic)
         for m in range(3, D + 1):
             rows.append(tuple(m if v == i else 0 for v in range(n)))
         for l in range(n):
@@ -217,13 +218,13 @@ def generator_coeff_report(
                 continue
             for k in range(2, D):
                 rows.append(tuple(1 if v == i else (k if v == l else 0) for v in range(n)))
-        for alpha in rows:
+        for alpha, c in zip(rows, jet.coefficients(i, rows)):
             bound = _degree2_bound(i, alpha) if sum(alpha) == 2 else 2.0
             checks.append(
                 BoundCheck(
                     _alpha_label("c", i, alpha),
                     bound=bound,
-                    attained=abs(jet.coefficient(i, alpha)),
+                    attained=abs(c),
                     tol=tol,
                     equality_tol=equality_tol,
                 )

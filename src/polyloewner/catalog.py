@@ -9,11 +9,17 @@ and, for the generators, the coordinate dependency sets of their
 membership margins.  Every Taylor coefficient of an entry is a closed-form
 number (an integer, +-2 or +-1/k), so each jet is written directly as a
 table {alpha: c} per component, with no jet arithmetic.  Entries are
-consistency-checked (evaluator against jet on the torus of
-``fourier.torus_grid``, at 1e-10) once per (name, dim, degree) and cached.
+cached per (name, dim, degree).
 
 F/H pairs extend to larger dimensions by appending identity (maps) or
-negated-identity (generators) coordinates.
+negated-identity (generators) coordinates: the builders' tail rows and
+each evaluator's ``out = +-w.copy()`` are that padding.  So an entry is
+consistency-checked (evaluator against jet on the torus of
+``fourier.torus_grid``, at 1e-10) only at its minimal dimension: every
+build, at any dim, builds and checks the minimal entry afresh, and the
+tests prove that the entry at a larger dim is the padded minimal one, bit
+for bit.  Entries of dim 5 or more, whose torus would be too large to
+mesh, exist for that reason.
 """
 
 from __future__ import annotations
@@ -465,28 +471,27 @@ def catalog_get(name: str, dim: Optional[int] = None, degree: int = 4) -> NamedM
 
 @lru_cache(maxsize=None)
 def _cached_entry(key: str, n: int, degree: int) -> NamedMap:
+    """Entry ``key`` at (n, degree); the check runs on the minimal entry, built afresh."""
     starlike = key.startswith("F")
-    if starlike:
-        jet, evaluator, jac = _build_starlike(key, n, degree)
-        deps = None
-    else:
-        jet, evaluator, deps = _build_generator(key, n, degree)
-        jac = None
+    build = _build_starlike if starlike else _build_generator
+    minimal = _MINIMAL_DIM[key]
+    jet, evaluator, extra = build(key, minimal, degree)
     assert_normalization(jet, tol=1e-12)
-    tables = kernels.basis_tables(n, degree)
-    err = torus_error(evaluator, jet.array, tables)
+    err = torus_error(evaluator, jet.array, kernels.basis_tables(minimal, degree))
     if not err <= 1e-10:
         raise DomainError(f"catalog entry {key} failed its consistency check: {err:.3e}")
+    if n > minimal:
+        jet, evaluator, extra = build(key, n, degree)
     return NamedMap(
         name=key,
         role="starlike" if starlike else "generator",
         dim=n,
         degree=degree,
-        minimal_dim=_MINIMAL_DIM[key],
+        minimal_dim=minimal,
         jet=jet,
         evaluator=evaluator,
-        jacobian=jac,
-        margin_deps=deps,
+        jacobian=extra if starlike else None,
+        margin_deps=None if starlike else extra,
     )
 
 

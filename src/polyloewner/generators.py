@@ -274,11 +274,14 @@ class Generator:
     established.  At ``TORUS``, the default for a caller's own generator,
     the constructor checks the evaluator against the array on the probe
     torus of ``fourier.torus_grid`` and raises ``DomainError`` if they
-    disagree; ``TRUSTED`` and ``SHELLS`` run no probe.
+    disagree; ``TRUSTED`` and ``SHELLS`` run no probe, and neither does a
+    rotation.
 
     ``rotation`` is (base, angles, phases) for ``rotate_generator(base,
     angles)``, phases the (n, B) array of ``rotation_phases``, and None
-    otherwise; a rotation derives its Koenigs data from its base's.
+    otherwise; a rotation derives its Koenigs data from its base's.  Its
+    array is the base's times unit phases and its evaluator the base's
+    conjugated by the same rotation, so the base's probe covers it.
 
     ``koenigs_map``, where the construction knows it, is a callable that
     returns the pointwise Koenigs map F of h and its Jacobian DF as a pair
@@ -316,7 +319,7 @@ class Generator:
                 raise JetShapeError("margin_deps needs one entry per component")
         self.margin_deps = margin_deps
         self.admission = Admission(admission)
-        if self.admission is Admission.TORUS:
+        if self.admission is Admission.TORUS and rotation is None:
             _require_torus_agreement(self, "generator evaluator and jet disagree")
 
     def evaluate(self, z) -> np.ndarray:

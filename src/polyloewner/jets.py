@@ -169,10 +169,13 @@ class _Jet:
             and bool(np.array_equal(self.array, other.array))
         )
 
-    def _read(self, row: tuple, alpha: Sequence[int]) -> complex:
-        k = _basis(self.dim, self.degree)[1].get(tuple(int(x) for x in alpha))
-        c = 0j if k is None else self.array.item(*row, k)
-        return c if c else 0j  # an exact zero reads +0j, as a term never stored
+    def _read(self, row: tuple, alphas: Sequence[Sequence[int]]) -> list[complex]:
+        """The coefficients of ``alphas`` in ``row``, gathered in one read."""
+        index = _basis(self.dim, self.degree)[1]
+        ks = [index.get(tuple(map(int, a)), -1) for a in alphas]  # -1: not in the basis
+        vals = self.array[row][ks].tolist()
+        # an exact zero, or a multi-index past the basis, reads +0j, as a term never stored
+        return [c if k >= 0 and c else 0j for k, c in zip(ks, vals)]
 
     def _values(self, rows: np.ndarray, z) -> list:
         z = np.asarray(z, dtype=np.complex128)
@@ -202,7 +205,7 @@ class MultiJet(_Jet):
         _fill(self, dim=dim, degree=degree, array=row)
 
     def coefficient(self, alpha: Sequence[int]) -> complex:
-        return self._read((), alpha)
+        return self._read((), (alpha,))[0]
 
     def __call__(self, z) -> np.ndarray:
         return self._values(self.array[None], z)[0]
@@ -251,7 +254,11 @@ class JetMap(_Jet):
         return out
 
     def coefficient(self, i: int, alpha: Sequence[int]) -> complex:
-        return self._read((i,), alpha)
+        return self._read((i,), (alpha,))[0]
+
+    def coefficients(self, i: int, alphas: Sequence[Sequence[int]]) -> list[complex]:
+        """The coefficients of z^alpha in component i for each of ``alphas``, in one read."""
+        return self._read((i,), alphas)
 
     def constant_terms(self) -> np.ndarray:
         return self.array[:, 0].copy()
@@ -259,7 +266,7 @@ class JetMap(_Jet):
     def linear_part(self) -> np.ndarray:
         """Matrix L with L[i, j] = coefficient of z_j in component i."""
         eye = [tuple(int(v == j) for v in range(self.dim)) for j in range(self.dim)]
-        return np.array([[self.coefficient(i, e) for e in eye] for i in range(self.dim)])
+        return np.array([self.coefficients(i, eye) for i in range(self.dim)])
 
     def __call__(self, z) -> np.ndarray:
         return np.stack(self._values(self.array, z), axis=-1)

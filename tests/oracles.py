@@ -22,6 +22,9 @@ its jet values (``MultiJet``, ``JetMap``), read as dicts:
 - ``matrix_solve``: the order-by-order jet solve A(z) x(z) = b(z), the
   reference for the ``from_starlike`` inversion;
 - ``rotate_map``: a torus rotation applied to a dict jet;
+- ``padded_entry``: a catalog entry at its minimal dimension padded with
+  identity (maps) or negated-identity (generators) coordinates, the
+  reference for the catalog's entries above their minimal dimension;
 - ``ring_jacobian``: Jacobians from Cauchy ring averages, the reference for
   the catalog's closed-form Jacobians;
 - ``scaled_transition``: the limit jet by RK4 to a finite horizon, the
@@ -415,6 +418,43 @@ def rotate_map(f: JetMap, angles: Sequence[float]) -> JetMap:
         out = {a: c * complex(p) for (a, c), p in zip(terms.items(), phases)}
         comps.append(MultiJet(f.dim, f.degree, out))
     return JetMap(tuple(comps), f.normalization)
+
+
+# -- catalog padding --------------------------------------------------------
+
+
+def padded_entry(entry, dim: int) -> tuple:
+    """A minimal-dimension catalog ``entry`` with coordinates appended up to ``dim``.
+
+    Each appended coordinate is the identity for a starlike map and the
+    negated identity for a generator, whose coefficient is -(1 + 0j) as
+    -z_j has: the jet gains the rows z_j (or -z_j), the evaluator passes
+    the appended coordinates through (or negates them), the Jacobian is
+    block diagonal with an identity block, and each appended margin
+    depends on no coordinate.  Returns (jet, evaluator, jacobian,
+    margin_deps), with None where the entry has no Jacobian or no margins.
+    """
+    m, degree = entry.dim, entry.degree
+    generator = entry.role == "generator"
+    zeros = (0,) * (dim - m)
+    rows = [{a + zeros: c for a, c in coeffs(comp).items()} for comp in components(entry.jet)]
+    for j in range(m, dim):
+        rows.append({tuple(int(v == j) for v in range(dim)): -(1 + 0j) if generator else 1 + 0j})
+    jet = JetMap(tuple(MultiJet(dim, degree, row) for row in rows), entry.jet.normalization)
+
+    def evaluator(w):
+        tail = -w[..., m:] if generator else w[..., m:]
+        return np.concatenate([entry.evaluator(w[..., :m]), tail], axis=-1)
+
+    def jacobian(w):
+        out = np.zeros(w.shape[:-1] + (dim, dim), dtype=np.complex128)
+        out[..., :m, :m] = entry.jacobian(w[..., :m])
+        tail = np.arange(m, dim)
+        out[..., tail, tail] = 1.0
+        return out
+
+    deps = None if entry.margin_deps is None else entry.margin_deps + (frozenset(),) * (dim - m)
+    return jet, evaluator, None if generator else jacobian, deps
 
 
 # -- Jacobians by Cauchy integrals ----------------------------------------

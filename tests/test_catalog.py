@@ -1,6 +1,7 @@
 """The named extremal maps and their generator identities."""
 
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from polyloewner import (
     verify_catalog,
 )
 from polyloewner import catalog, fourier
-from oracles import catalog_jet, coeffs, components, ring_jacobian
+from oracles import catalog_jet, coeffs, components, padded_entry, ring_jacobian
 
 PAIRS = [(f"F{j}", f"H{j}") for j in range(1, 8)]
 
@@ -101,6 +102,74 @@ def test_extension_fills_with_identity_or_dilation():
     assert H4.evaluator(z)[0, 3] == 0.4
     assert F4.jet.coefficient(2, (0, 0, 1, 0)) == 1.0
     assert H4.jet.coefficient(3, (0, 0, 0, 1)) == -1.0
+
+
+def _padding_shapes(name):
+    """Each dim from the minimal one to 4 at degrees 2, 4 and 8 (and 12 at
+    dim 3), then dims 5 and 6, whose torus is past the mesh limit, at 2 and 3."""
+    shapes = [
+        (dim, degree)
+        for dim in range(minimal_dimension(name), 5)
+        for degree in (2, 4, 8) + (12,) * (dim == 3)
+    ]
+    return shapes + [(dim, degree) for dim in (5, 6) for degree in (2, 3)]
+
+
+def _padding_points(make_interior_points, rng, dim):
+    """200 points of the polydisc, 20 with exact zeros, then 20 within 1e-6 of each pole.
+
+    The signs of the zeros tell a copied or negated coordinate from one
+    multiplied by +-1.0.  The poles are z_0 = -1 (H1), z_1 = 1 (F3, F5),
+    z_1 = -1 (H2, H3, F7) and z_2 = -1 (F7); F7's log quotient also gets
+    points near z_1 = z_2 (pole None).
+    """
+    zeros = make_interior_points(20, dim, radius=0.95) * rng.integers(0, 2, size=(20, dim))
+    sets = [make_interior_points(200, dim, radius=0.95), zeros]
+    for j, pole in ((0, -1.0), (1, 1.0), (1, -1.0), (2, -1.0), (2, None)):
+        if j < dim:
+            w = make_interior_points(20, dim, radius=0.95)
+            gap = 10.0 ** rng.uniform(-15, -6.01, 20) * np.exp(2j * np.pi * rng.uniform(size=20))
+            w[:, j] = (w[:, 1] if pole is None else pole) + gap
+            sets.append(w)
+    return np.concatenate(sets)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_an_entry_above_its_minimal_dim_is_the_padded_minimal_entry(
+    make_interior_points, rng, name
+):
+    # only the minimal entry is torus-checked, so every larger entry must be
+    # it padded, bit for bit: jet (signed zeros included), evaluator and
+    # Jacobian (at the poles' jet fallbacks too) and margin dependencies
+    for dim, degree in _padding_shapes(name):
+        entry = catalog_get(name, dim, degree)
+        jet, evaluator, jacobian, deps = padded_entry(catalog_get(name, None, degree), dim)
+        assert entry.jet.normalization is jet.normalization
+        assert entry.jet.array.shape == jet.array.shape
+        assert entry.jet.array.tobytes() == jet.array.tobytes(), (dim, degree)
+        w = _padding_points(make_interior_points, rng, dim)
+        assert entry.evaluator(w).tobytes() == evaluator(w).tobytes(), (dim, degree)
+        if jacobian is not None:
+            assert entry.jacobian(w).tobytes() == jacobian(w).tobytes(), (dim, degree)
+        assert entry.margin_deps == deps
+
+
+def test_only_the_minimal_entry_is_torus_checked(monkeypatch):
+    checked = []
+    real = catalog.torus_error
+
+    def counted(evaluator, arr, tables):
+        checked.append(tables.dim)
+        return real(evaluator, arr, tables)
+
+    monkeypatch.setattr(catalog, "torus_error", counted)
+    # fresh caches, so that each lookup builds its entry
+    for cached in ("_cached_entry", "_cached_generator"):
+        monkeypatch.setattr(catalog, cached, lru_cache(getattr(catalog, cached).__wrapped__))
+    catalog_generator("H2", 3, 4)
+    catalog_get("F2", 3, 4)
+    catalog_get("H1", 4, 3)
+    assert checked == [2, 2, 2]
 
 
 def test_lookup_validation():

@@ -8,8 +8,10 @@ steps >= 0.05) so that every run is quick; the extreme ones must be
 refused or handled without a traceback.  ``catalog --dump``, ``bounds
 --name`` and ``check-generator`` run at the edge degrees: below the
 catalog's least degree (-1, 0, 1) and at it (2), at each step of the
-torus grids (12, 13, 17, 43, 44), and far past the basis cap (10**9);
-``catalog --dump`` also runs at dim 5, past the torus mesh limit.
+torus grids (12, 13, 17, 43, 44), and far past the basis cap (10**9).
+At dim 5, past the torus mesh limit, ``check-generator`` refuses a
+polynomial description and ``catalog --dump`` answers, since a catalog
+entry is checked at its minimal dimension.
 ``--dim`` on ``catalog`` and ``search``, ``verify-catalog`` and
 ``caratheodory`` run over edge dimensions, degrees, tolerances and atom
 texts, with search budgets of at most 4.
@@ -168,15 +170,35 @@ def test_catalog_and_generator_verbs_at_every_edge_degree(generator_files, degre
         assert codes == [0, 0, dim3, dim3, 0, dim3, 0, 0, 0]
 
 
-def test_a_torus_past_the_mesh_limit_is_refused_before_it_is_built():
-    # dim 5 at 32 samples would mesh 2.5 GiB of points and values
+def _traced(argv):
+    """The contract's exit code of ``argv`` and the peak of traced memory while it runs."""
     tracemalloc.start()
     try:
-        code = _assert_contract(["catalog", "--dump", "F1", "--dim", "5", "--degree", "2"])
+        code = _assert_contract(argv)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return code, peak
+
+
+def test_a_torus_past_the_mesh_limit_is_refused_before_it_is_built(tmp_path):
+    # a dim-5 polynomial generator is probed on the torus, and dim 5 at 32
+    # samples would mesh 2.5 GiB of points and values
+    n = 5
+    components = [
+        {"dim": n, "degree": 2, "coeffs": [{"alpha": [int(v == j) for v in range(n)], "re": -1.0}]}
+        for j in range(n)
+    ]
+    path = tmp_path / "dim5.json"
+    path.write_text(json.dumps({"kind": "polynomial", "components": components}))
+    code, peak = _traced(["check-generator", "--file", str(path), "--degree", "2"])
     assert code == 2
+    assert peak < 16 * 2**20
+
+
+def test_a_catalog_entry_past_the_mesh_limit_is_checked_at_its_minimal_dim():
+    code, peak = _traced(["catalog", "--dump", "F1", "--dim", "5", "--degree", "2"])
+    assert code == 0
     assert peak < 16 * 2**20
 
 

@@ -37,6 +37,7 @@ from polyloewner import (
     torus_array,
 )
 from polyloewner import fourier, generators
+from polyloewner.descriptions import generator_from_json
 from polyloewner.kernels import basis_tables
 from oracles import (
     add,
@@ -257,6 +258,36 @@ class TestRotation:
     def test_rotation_keeps_trust(self):
         h1 = catalog_generator("H1")
         assert rotate_generator(h1, (1.0, 2.0)).admission is Admission.TRUSTED
+
+    def test_rotation_of_a_probed_generator_runs_no_probe(self, monkeypatch):
+        # the base passed its probe, and a rotation is its array times unit
+        # phases with its evaluator conjugated by the same rotation
+        n = 3
+        rows = [{_unit(n, j): -1.0, _unit(n, (j + 1) % n, 2): 0.25} for j in range(n)]
+        desc = {
+            "kind": "polynomial",
+            "components": [
+                {
+                    "dim": n,
+                    "degree": 4,
+                    "coeffs": [{"alpha": list(a), "re": c} for a, c in row.items()],
+                }
+                for row in rows
+            ],
+        }
+        probes = []
+        real = generators.torus_error
+
+        def counted(evaluator, arr, tables):
+            probes.append(tables.dim)
+            return real(evaluator, arr, tables)
+
+        monkeypatch.setattr(generators, "torus_error", counted)
+        base = generator_from_json(desc)
+        assert base.admission is Admission.TORUS and len(probes) == 1
+        rot = rotate_generator(base, (0.4, -1.1, 2.3))
+        assert rot.admission is Admission.TORUS
+        assert len(probes) == 1
 
     def test_rotated_arrays_are_views_of_the_jet(self, rng):
         for k in range(1, 8):
