@@ -23,8 +23,10 @@ chain stays on the generators' (n, B) coefficient arrays, and each
 result's jet is a read-only view of the array the chain ends with.
 
 RK4 remains where no closed form is used.  ``evolve_jet`` and
-``evolve_point`` integrate transition maps with classic RK4 on truncated
-jets and on points; the jet path is the chain's test oracle.
+``evolve_point`` integrate transition maps with one classic RK4 stepper
+(``_rk4_steps``) that takes the velocity as a function: h o y, four
+jet compositions a step, on truncated jets, and h(y) on points.  The jet
+path is the chain's test oracle.
 ``limit_evaluator`` integrates RK4 only up to the last breakpoint T_last
 and finishes with the tail's pointwise Koenigs map F where the tail
 knows it (DF.h = -F, so F(phi_{T_last,T}(w)) = e^-(T-T_last) F(w)):
@@ -44,13 +46,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .generators import Generator, require_admissible
+from .generators import Generator, _lu_solve, require_admissible
 from .jets import DomainError, JetMap, Normalization, map_to_json
-from .kernels import BasisTables, basis_tables, compose_arrays, identity_array, rk4_jet_arrays
+from .kernels import BasisTables, basis_tables, compose_arrays, identity_array
 
 __all__ = [
     "IntegrationError",
@@ -193,6 +195,31 @@ def _step_times(s: float, t: float, step: float, breakpoints: Sequence[float]) -
     return np.array(out, dtype=np.float64)
 
 
+def _rk4_steps(
+    field: HerglotzField,
+    s: float,
+    t: float,
+    step: float,
+    y: np.ndarray,
+    velocity: Callable[[Generator, np.ndarray], np.ndarray],
+) -> Iterator[tuple[float, np.ndarray]]:
+    """Classic RK4 for y' = velocity(h, y) on the nodes of ``_step_times``.
+
+    h is the field's generator at the midpoint of each step.  Yields the
+    node and the new state after every step; s == t yields nothing.
+    """
+    times = _step_times(s, t, step, field.breakpoints)
+    for a, b in zip(times[:-1], times[1:]):
+        h = b - a
+        g = field.generator_at(0.5 * (a + b))
+        k1 = velocity(g, y)
+        k2 = velocity(g, y + 0.5 * h * k1)
+        k3 = velocity(g, y + 0.5 * h * k2)
+        k4 = velocity(g, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        yield float(b), y
+
+
 def evolve_point(
     field: HerglotzField,
     s: float,
@@ -209,51 +236,14 @@ def evolve_point(
     norms = np.max(np.abs(w), axis=-1)
     if np.any(norms >= 1.0):
         raise DomainError("initial points must lie strictly inside the polydisc")
-    times = _step_times(s, t, step, field.breakpoints)
-    for a, b in zip(times[:-1], times[1:]):
-        h = b - a
-        g = field.generator_at(0.5 * (a + b))
-        k1 = g.evaluate(w)
-        k2 = g.evaluate(w + 0.5 * h * k1)
-        k3 = g.evaluate(w + 0.5 * h * k2)
-        k4 = g.evaluate(w + h * k3)
-        w = w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    for b, w in _rk4_steps(field, s, t, step, w, Generator.evaluate):
         new_norms = np.max(np.abs(w), axis=-1)
         if np.any(new_norms > norms + _NORM_SLACK) or np.any(new_norms >= 1.0):
             raise IntegrationError(
-                "trajectory sup-norm stopped decreasing; evolution diverged", time=float(b)
+                "trajectory sup-norm stopped decreasing; evolution diverged", time=b
             )
         norms = new_norms
     return w[0] if single else w
-
-
-def _evolve_state(
-    field: HerglotzField,
-    s: float,
-    t: float,
-    state: np.ndarray,
-    degree: int,
-    step: float,
-) -> np.ndarray:
-    tables = basis_tables(field.dim, degree)
-    times = _step_times(s, t, step, field.breakpoints)
-    if len(times) < 2:
-        return state.copy()
-    mids = 0.5 * (times[:-1] + times[1:])
-    hs = np.diff(times)
-    # batch consecutive segments that share a generator into one kernel call;
-    # the kernel needs h(0) = 0, and a description may leave |h(0)| <= 1e-8
-    start = 0
-    while start < len(mids):
-        gen = field.generator_at(mids[start])
-        stop = start + 1
-        while stop < len(mids) and field.generator_at(mids[stop]) is gen:
-            stop += 1
-        arr = gen.jet_array(degree).copy()
-        arr[:, 0] = 0.0
-        state = rk4_jet_arrays(arr, state, hs[start:stop], tables)
-        start = stop
-    return state
 
 
 def evolve_jet(
@@ -263,11 +253,26 @@ def evolve_jet(
     degree: int = 4,
     step: float = 1e-2,
 ) -> JetMap:
-    """Truncated jet of the transition map phi_{s,t} at the origin."""
+    """Truncated jet of the transition map phi_{s,t} at the origin.
+
+    RK4 on the (n, B) arrays with the velocity h o y, each generator's
+    array read once, on the first step it drives.  A description may leave
+    |h(0)| <= 1e-8 and a composition needs y(0) = 0, so that constant term
+    is dropped; y(0) then stays 0 exactly.
+    """
     tables = basis_tables(field.dim, degree)
+    zeroed: dict[int, np.ndarray] = {}
+
+    def velocity(g: Generator, y: np.ndarray) -> np.ndarray:
+        if id(g) not in zeroed:
+            zeroed[id(g)] = np.where(tables.degrees > 0, g.jet_array(degree), 0.0)
+        return compose_arrays(zeroed[id(g)], y, tables)
+
+    state = identity_array(tables)
     # a step past RK4's stability limit ends in a non-finite state, rejected below
     with np.errstate(over="ignore", invalid="ignore"):
-        state = _evolve_state(field, s, t, identity_array(tables), degree, step)
+        for _, state in _rk4_steps(field, s, t, step, state, velocity):
+            pass
     dev = np.max(np.abs(state[:, tables.linear] - math.exp(s - t) * np.eye(field.dim)))
     if not (dev <= 1e-6 and np.all(np.isfinite(state))):
         raise IntegrationError(
@@ -387,8 +392,7 @@ def parametric_limit(
     """
     if not (math.isfinite(horizon) and horizon > 1.0):
         raise DomainError("horizon must be finite and exceed 1 to estimate the tail")
-    if not 0.0 < step < math.inf:
-        raise DomainError("step must be positive")
+    _check_window(0.0, horizon, step)
     tables = basis_tables(field.dim, degree)
     (mid, end), _ = _scaled_flow(field, 0.0, (horizon - 1.0, horizon), tables, horizon)
     tail = float(np.max(np.abs(end - mid)))
@@ -406,8 +410,10 @@ def _exact_tail(
     accepted once its residual |F(v) - u|, u = s F(w), is finite and at
     most ``_NEWTON_RTOL`` |u| with v inside the polydisc; a row whose
     Jacobian is singular or not finite, or that is not accepted within
-    ``_NEWTON_STEPS``, is refused.  Tails past ``_TAIL_CAP`` are solved at
-    the cap, which keeps s a normal float and changes x below roundoff.
+    ``_NEWTON_STEPS``, is refused.  One ``generators._lu_solve`` per
+    Newton step gives both the step and det DF.  Tails past ``_TAIL_CAP``
+    are solved at the cap, which keeps s a normal float and changes x
+    below roundoff.
     """
     s = math.exp(-min(tail, _TAIL_CAP))
     target = np.asarray(F(w), dtype=np.complex128)
@@ -426,11 +432,10 @@ def _exact_tail(
             if k == _NEWTON_STEPS or not going.any():
                 break
             rows, v, res = rows[going], v[going], res[going]
-            J = np.asarray(DF(v), dtype=np.complex128)
-            det = np.linalg.det(J)
+            delta, det = _lu_solve(np.asarray(DF(v), dtype=np.complex128), res)
             regular = np.isfinite(det) & (det != 0)
-            rows, J, res = rows[regular], J[regular], res[regular]
-            x[rows] -= np.linalg.solve(J, res[..., None])[..., 0]
+            rows = rows[regular]
+            x[rows] -= delta[regular]
     return x, accepted
 
 

@@ -28,7 +28,8 @@ det Df vanishes inside the polydisc, and the torus can miss it (for
 f(z) = z + 2z^3 the pole sits at |z| = 1/sqrt(6) while every torus margin
 is negative).  Such generators are scanned on ``SHELL_GRID`` instead:
 ten sup-norm shells from 0.1 to 0.95, the other coordinates at moduli 0,
-r/2 and r, each mesh evaluated in slices of ``_SCAN_SLICE`` points.
+r/2 and r.  Every mesh is built in slabs of about ``MAX_TORUS_POINTS``
+points and evaluated in slices of ``_SCAN_SLICE`` points.
 
 Constructions whose margins provably depend on only a few coordinates
 declare those dependency sets, and the scan then meshes only the
@@ -50,12 +51,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
 from . import kernels
-from .fourier import torus_error
+from .fourier import MAX_TORUS_POINTS, torus_error
 from .jets import (
     DomainError,
     JetMap,
@@ -411,9 +412,15 @@ def _solve_koenigs_pair(
 # -- membership -----------------------------------------------------------
 
 
-def _membership_mesh(
+def _membership_slices(
     dim: int, j: int, deps: frozenset, r: float, grid: GridSpec
-) -> np.ndarray:
+) -> Iterator[np.ndarray]:
+    """The (j, r) mesh of ``membership_check`` in order, ``_SCAN_SLICE`` points at a time.
+
+    The mesh is built one slab at a time: a range of the first axis times
+    every point of the trailing axes, at most ``MAX_TORUS_POINTS`` points
+    when one trailing run fits.
+    """
     theta = 2.0 * np.pi * np.arange(grid.angle_count) / grid.angle_count
     circle = np.exp(1j * theta)
     axes_coords: list[int] = []
@@ -429,12 +436,25 @@ def _membership_mesh(
             continue
         axes_coords.append(k)
         axes_vals.append(v)
-    # the "ij" mesh, axis 0 slowest, written by broadcasting with no copies of its axes
-    shape = tuple(len(v) for v in axes_vals)
-    pts = np.zeros(shape + (dim,), dtype=np.complex128)
-    for axis, (coord, v) in enumerate(zip(axes_coords, axes_vals)):
-        pts[..., coord] = v.reshape((-1,) + (1,) * (len(shape) - 1 - axis))
-    return pts.reshape(-1, dim)
+    trailing = tuple(len(v) for v in axes_vals[1:])
+    rows = max(1, MAX_TORUS_POINTS // math.prod(trailing))
+    for lo in range(0, len(axes_vals[0]), rows):
+        vals = [axes_vals[0][lo : lo + rows]] + axes_vals[1:]
+        # the "ij" mesh, axis 0 slowest, written by broadcasting with no copies of its axes
+        shape = (len(vals[0]),) + trailing
+        pts = np.zeros(shape + (dim,), dtype=np.complex128)
+        for axis, (coord, v) in enumerate(zip(axes_coords, vals)):
+            pts[..., coord] = v.reshape((-1,) + (1,) * (len(shape) - 1 - axis))
+        slab = pts.reshape(-1, dim)
+        for start in range(0, len(slab), _SCAN_SLICE):
+            yield slab[start : start + _SCAN_SLICE]
+
+
+def _membership_mesh(
+    dim: int, j: int, deps: frozenset, r: float, grid: GridSpec
+) -> np.ndarray:
+    """The whole (j, r) mesh: its slices joined."""
+    return np.concatenate(list(_membership_slices(dim, j, deps, r, grid)))
 
 
 def membership_check(
@@ -450,8 +470,9 @@ def membership_check(
 
     The scan is deterministic; the witness is the first grid point (in
     coordinate, radius, mesh order) attaining the worst margin, whatever
-    the slices the mesh is evaluated in.  A margin that is not finite
-    raises ``SingularityError`` naming its point.
+    the slabs the mesh is built in and the slices they are evaluated in.
+    A margin that is not finite raises ``SingularityError`` naming its
+    point.
     """
     if g.admission is Admission.SHELLS and grid == REFERENCE_GRID:
         grid = SHELL_GRID
@@ -462,9 +483,7 @@ def membership_check(
     for j in range(n):
         deps = g.margin_deps[j] if g.margin_deps is not None else frozenset(range(n))
         for r in grid.radii:
-            mesh = _membership_mesh(n, j, deps, r, grid)
-            for start in range(0, len(mesh), _SCAN_SLICE):
-                pts = mesh[start : start + _SCAN_SLICE]
+            for pts in _membership_slices(n, j, deps, r, grid):
                 margins = np.real(g.evaluate(pts)[:, j] / pts[:, j])
                 finite = np.isfinite(margins)
                 if not finite.all():

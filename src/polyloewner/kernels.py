@@ -8,7 +8,8 @@ total degree <= D, sorted by k.  It gathers a[i] * b[j] over the pairs
 and sums each run of equal k, so it costs O(pairs), not O(B^3).
 
 Composition builds the monomial matrix M[k] = inner**alpha_k and
-finishes with one matrix product; an RK4 step is four compositions.
+finishes with one matrix product; an RK4 step of ``evolution.evolve_jet``
+is four compositions.
 Since inner(0) = 0, the row of a monomial of degree d vanishes below
 degree d, so M is built layer by layer over restricted pair lists, kept
 once per shape (``BasisTables.monomial_layers``):
@@ -26,9 +27,8 @@ The layer tables hold 9306 pairs at (3, 8) and 186,472 at (4, 10) (2.9
 MB of indices).  One composition forms 132,220 products at (3, 8) and
 9.3 million at (4, 10), against 492,492 and 43.8 million when every row
 of degree >= 1 gathers the full table.  The precondition inner(0) = 0 is
-checked on entry: ``compose_arrays`` and ``rk4_jet_arrays`` raise
-``DomainError`` without it.  ``mul_arrays`` and ``compose_arrays`` (with
-``rk4_jet_arrays`` built on the latter) are the only jet products in the
+checked on entry: ``compose_arrays`` raises ``DomainError`` without it.
+``mul_arrays`` and ``compose_arrays`` are the only jet products in the
 program: the catalog writes its jets as coefficient tables, and ``jets``
 holds values only.  A ``JetMap`` is a read-only view of one such (n, B)
 array, so ``compose`` runs the engine on its operands' arrays and wraps
@@ -45,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .jets import DomainError, JetMap, JetShapeError, check_jet_shape, multiindices
+from .jets import DomainError, JetMap, JetShapeError, _basis, check_jet_shape
 
 __all__ = [
     "BasisTables",
@@ -56,7 +56,6 @@ __all__ = [
     "jacobian_times",
     "compose_arrays",
     "compose",
-    "rk4_jet_arrays",
 ]
 
 
@@ -138,8 +137,7 @@ def basis_tables(dim: int, degree: int) -> BasisTables:
     if dim < 1 or degree < 1:
         raise JetShapeError(f"need dim >= 1 and degree >= 1, got ({dim}, {degree})")
     check_jet_shape(dim, degree)
-    alphas = tuple(multiindices(dim, degree))
-    index = {a: k for k, a in enumerate(alphas)}
+    alphas, index = _basis(dim, degree)
     B = len(alphas)
     alpha_matrix = np.array(alphas, dtype=np.int64)
     degrees = alpha_matrix.sum(axis=1)
@@ -243,14 +241,10 @@ def _monomials(inner: np.ndarray, t: BasisTables) -> np.ndarray:
     return M
 
 
-def _require_zero_constant(arr: np.ndarray, what: str) -> None:
-    if arr[:, 0].any():
-        raise DomainError(f"{what} must have zero constant term")
-
-
 def compose_arrays(outer: np.ndarray, inner: np.ndarray, tables: BasisTables) -> np.ndarray:
     """Truncated jet of outer o inner, both (n, B) arrays, with inner(0) = 0."""
-    _require_zero_constant(inner, "inner map of a composition")
+    if inner[:, 0].any():
+        raise DomainError("inner map of a composition must have zero constant term")
     return outer @ _monomials(inner, tables)
 
 
@@ -267,23 +261,3 @@ def compose(outer: JetMap, inner: JetMap) -> JetMap:
     tables = basis_tables(outer.dim, min(outer.degree, inner.degree))
     cols = slice(tables.size)
     return JetMap.from_array(compose_arrays(outer.array[:, cols], inner.array[:, cols], tables))
-
-
-def rk4_jet_arrays(
-    gen: np.ndarray, state: np.ndarray, hs: np.ndarray, tables: BasisTables
-) -> np.ndarray:
-    """Advance the jet ODE state' = gen o state through the given steps.
-
-    Both ``gen`` and ``state`` must vanish at 0; the state then stays at
-    state(0) = 0 exactly, as every stage's monomial matrix needs.
-    """
-    _require_zero_constant(gen, "generator of a jet evolution")
-    _require_zero_constant(state, "state of a jet evolution")
-    y = state.copy()
-    for h in np.asarray(hs, dtype=np.float64):
-        k1 = gen @ _monomials(y, tables)
-        k2 = gen @ _monomials(y + (0.5 * h) * k1, tables)
-        k3 = gen @ _monomials(y + (0.5 * h) * k2, tables)
-        k4 = gen @ _monomials(y + h * k3, tables)
-        y += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return y

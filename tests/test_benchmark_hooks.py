@@ -22,7 +22,6 @@ def _params(fn):
 
 def test_benchmark_hooks_keep_their_names():
     assert {"g", "grid"} <= set(_params(generators.membership_check))
-    assert "hs" in _params(kernels.rk4_jet_arrays)
     assert _params(evolution.evolve_point)[:5] == ["field", "s", "t", "z", "step"]
     assert "points" in _params(bounds.koebe_check)
     assert isinstance(evolution.HerglotzField.__dict__["build"], staticmethod)

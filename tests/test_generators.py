@@ -1,6 +1,7 @@
 """Generator constructions and the grid admissibility certificate."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -76,6 +77,41 @@ def cubic_starlike_map(dim):
     first = MultiJet(dim, 3, {_unit(dim, 0): 1.0, _unit(dim, 0, 3): 2.0})
     rest = tuple(MultiJet(dim, 3, {_unit(dim, k): 1.0}) for k in range(1, dim))
     return JetMap((first,) + rest, Normalization.UNIVALENT)
+
+
+def _unsliced_scan(g, grid):
+    """(worst margin, witness, coordinate) of one whole-mesh evaluation per (j, r).
+
+    The mesh is ``np.meshgrid`` of the scanned axes, "ij" order; coordinates
+    off ``margin_deps`` are pinned to 0, and z_j to r when j is off it.
+    """
+    n = g.dim
+    circle = np.exp(2j * np.pi * np.arange(grid.angle_count) / grid.angle_count)
+    best = (-math.inf, None, None)
+    for j in range(n):
+        deps = g.margin_deps[j] if g.margin_deps is not None else range(n)
+        for r in grid.radii:
+            axes, coords = [], []
+            for k in range(n):
+                if k == j:
+                    axes.append(r * circle if j in deps else np.array([r + 0j]))
+                elif k in deps:
+                    axes.append(
+                        np.concatenate(
+                            [f * r * circle if f else [0j] for f in grid.companion_factors]
+                        )
+                    )
+                else:
+                    continue
+                coords.append(k)
+            pts = np.zeros((math.prod(len(a) for a in axes), n), dtype=complex)
+            for k, mesh in zip(coords, np.meshgrid(*axes, indexing="ij")):
+                pts[:, k] = mesh.reshape(-1)
+            margins = np.real(g.evaluate(pts)[:, j] / pts[:, j])
+            k = int(np.argmax(margins))
+            if margins[k] > best[0]:
+                best = (float(margins[k]), tuple(complex(c) for c in pts[k]), j)
+    return best
 
 
 def cubic_starlike_inverse(dim):
@@ -171,6 +207,44 @@ class TestMembership:
         monkeypatch.setattr(generators, "_SCAN_SLICE", 7)
         assert [membership_check(g) for g in subjects] == whole
         assert whole[2].grid == SHELL_GRID and not whole[2].passed
+
+    @pytest.mark.parametrize("slab", [1, 500, 2**20])
+    @pytest.mark.parametrize("name", ["H6", "H7", "product-form", "starlike-F2"])
+    def test_slabs_leave_the_certificates_unchanged(self, monkeypatch, slab, name):
+        # a slab of 1 point still holds one whole run of the trailing axes
+        measure = AtomicMeasure(((0.4, 0.3), (2.1, 0.7)))
+        g = {
+            "H6": lambda: catalog_generator("H6", dim=3),
+            "H7": lambda: catalog_generator("H7", dim=3),
+            "product-form": lambda: product_form([1, 2, 0], [measure, None, measure]),
+            "starlike-F2": lambda: from_starlike(catalog_get("F2")),
+        }[name]()
+        monkeypatch.setattr(generators, "MAX_TORUS_POINTS", slab)
+        cert = membership_check(g)
+        assert cert.grid == (SHELL_GRID if name == "starlike-F2" else REFERENCE_GRID)
+        worst, witness, coord = _unsliced_scan(g, cert.grid)
+        assert cert.worst_margin == worst
+        assert cert.witness_point == witness
+        assert cert.witness_coordinate == coord
+
+    def test_a_scan_holds_one_slab_of_the_mesh_at_a_time(self, monkeypatch):
+        # each (j, r) mesh of a full dim-3 torus scan is 64**3 points, 12 MiB
+        n = 3
+        components = [
+            {"dim": n, "degree": 2, "coeffs": [{"alpha": [int(v == j) for v in range(n)], "re": -1.0}]}
+            for j in range(n)
+        ]
+        components[0]["coeffs"].append({"alpha": [1, 1, 0], "re": 0.1})
+        g = generator_from_json({"kind": "polynomial", "components": components})
+        monkeypatch.setattr(generators, "MAX_TORUS_POINTS", 2**12)
+        tracemalloc.start()
+        try:
+            cert = membership_check(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cert.passed
+        assert peak < 2**21
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_pole_inside_is_found_by_the_shells(self, dim):

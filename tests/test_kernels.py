@@ -3,7 +3,8 @@
 The dict-jet ring of ``tests/oracles.py`` (``oracles.mul`` and the
 composition ``oracles.compose`` built on it) computes every product
 independently of the pair table, so it is the oracle here.  ``polyloewner.compose`` runs the array engine,
-so it is checked against that oracle too.
+so it is checked against that oracle too, and so is the RK4 of
+``evolve_jet``, whose steps are array compositions.
 """
 
 import math
@@ -12,25 +13,30 @@ import numpy as np
 import pytest
 
 from polyloewner import (
+    Admission,
     DomainError,
+    Generator,
+    HerglotzField,
     JetMap,
     JetShapeError,
     MultiJet,
     Normalization,
     basis_tables,
     compose,
+    dilation_generator,
+    evolve_jet,
     jet_distance,
     map_distance,
     multiindices,
 )
 from polyloewner import kernels
+from polyloewner.evolution import _step_times
 from polyloewner.jets import MAX_BASIS_SIZE, check_jet_shape
 from polyloewner.kernels import (
     compose_arrays,
     default_backend,
     identity_array,
     mul_arrays,
-    rk4_jet_arrays,
 )
 import oracles
 
@@ -158,7 +164,7 @@ def test_basis_cap_is_checked_before_building(monkeypatch):
     # the largest dimension the cap admits enumerates without deep recursion
     assert len(multiindices(1000, 1)) == 1001
 
-    monkeypatch.setattr(kernels, "multiindices", no_build)
+    monkeypatch.setattr(kernels, "_basis", no_build)
     for dim, degree in ((4, 30), (10**9, 10**9), (1000, 2)):
         with pytest.raises(JetShapeError, match="monomials"):
             basis_tables(dim, degree)
@@ -273,7 +279,7 @@ def test_compose_refuses_what_the_engine_refuses():
         compose(big, big)
 
 
-def test_compose_and_rk4_refuse_a_nonzero_constant_term(rng):
+def test_compose_refuses_a_nonzero_constant_term(rng):
     # the monomial layers drop the pairs that only a constant term would fill
     tables = basis_tables(2, 4)
     shifted = random_map_array(rng, tables, zero_constant=True)
@@ -282,53 +288,67 @@ def test_compose_and_rk4_refuse_a_nonzero_constant_term(rng):
     message = "inner map of a composition must have zero constant term"
     with pytest.raises(DomainError, match=message):
         compose_arrays(ident, shifted, tables)
-    with pytest.raises(DomainError, match="zero constant term"):
-        rk4_jet_arrays(shifted, ident, np.full(2, 0.1), tables)
-    with pytest.raises(DomainError, match="zero constant term"):
-        rk4_jet_arrays(-ident, shifted, np.full(2, 0.1), tables)
     # the outer map may have one
     outer = random_map_array(rng, tables)
     assert np.array_equal(compose_arrays(outer, ident, tables), outer)
 
 
+def _trusted_field(arr):
+    """A constant field of the polynomial generator with array ``arr``, unscanned."""
+    jet = JetMap.from_array(arr)
+    return HerglotzField.constant(
+        Generator(arr, jet, {"kind": "polynomial"}, admission=Admission.TRUSTED)
+    )
+
+
+def test_rk4_drops_the_constant_term_of_h(rng):
+    # a description may leave |h(0)| <= 1e-8; evolve_jet integrates h - h(0)
+    tables = basis_tables(2, 4)
+    gen = 0.1 * random_map_array(rng, tables, zero_constant=True)
+    gen[:, tables.linear] = -np.eye(2)
+    shifted = gen.copy()
+    shifted[:, 0] = [1e-9, -1e-9j]
+    want = evolve_jet(_trusted_field(gen), 0.0, 0.5, degree=4, step=0.05)
+    got = evolve_jet(_trusted_field(shifted), 0.0, 0.5, degree=4, step=0.05)
+    assert np.array_equal(got.array, want.array)
+    assert not got.array[:, 0].any()
+
+
 @pytest.mark.parametrize("dim,degree", [(2, 3), (3, 4), (3, 6)])
 def test_backends_agree_on_rk4(rng, dim, degree):
-    """Array RK4 against the same scheme with dict-jet compositions."""
+    """evolve_jet's array RK4 against the same scheme with dict-jet compositions."""
     tables = basis_tables(dim, degree)
     gen = random_map_array(rng, tables, zero_constant=True)
-    gen[:, 1 : 1 + dim] = -np.eye(dim)  # generator-normalized linear part
-    # to t = 1; (3, 6) in 5 steps, as one dict composition there takes 0.2 s
-    steps = 5 if (dim, degree) == (3, 6) else 20
-    hs = np.full(steps, 1.0 / steps)
+    gen[:, tables.linear] = -np.eye(dim)  # generator-normalized linear part
+    # (3, 6) in 5 steps, as one dict composition there takes 0.2 s; they end
+    # at t = 0.5, since at step 0.2 RK4's linear part strays 6e-6 from e^-t,
+    # past evolve_jet's 1e-6 invariant check
+    t, step = (0.5, 0.1) if (dim, degree) == (3, 6) else (1.0, 0.05)
     outer = JetMap.from_array(gen)
 
     def field(y):
         return oracles.compose(outer, JetMap.from_array(y)).array
 
     y = identity_array(tables)
-    for h in hs:
+    for h in np.diff(_step_times(0.0, t, step, ())):
         k1 = field(y)
         k2 = field(y + (0.5 * h) * k1)
         k3 = field(y + (0.5 * h) * k2)
         k4 = field(y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    got = rk4_jet_arrays(gen, identity_array(tables), hs, tables)
-    assert np.max(np.abs(got - y)) < 1e-11
+    got = evolve_jet(_trusted_field(gen), 0.0, t, degree=degree, step=step)
+    assert np.max(np.abs(got.array - y)) < 1e-11
 
 
 def test_rk4_dilation_gives_exponential_contraction():
     # h(z) = -z evolves the identity jet to e^{-t} * identity
     tables = basis_tables(2, 3)
-    gen = -identity_array(tables)
-    hs = np.full(100, 0.01)
-    out = rk4_jet_arrays(gen, identity_array(tables), hs, tables)
+    out = evolve_jet(HerglotzField.constant(dilation_generator(2, 3)), 0.0, 1.0, 3, 0.01)
     want = np.exp(-1.0) * identity_array(tables)
-    assert np.max(np.abs(out - want)) < 1e-10
+    assert np.max(np.abs(out.array - want)) < 1e-10
 
 
-def test_rk4_empty_steps_is_identity_copy():
+def test_rk4_from_s_to_s_is_the_identity():
     tables = basis_tables(2, 3)
-    state = identity_array(tables)
-    out = rk4_jet_arrays(-state, state, np.array([]), tables)
-    assert np.array_equal(out, state)
-    assert out is not state
+    out = evolve_jet(HerglotzField.constant(dilation_generator(2, 3)), 0.7, 0.7, degree=3)
+    assert np.array_equal(out.array, identity_array(tables))
