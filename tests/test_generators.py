@@ -79,34 +79,38 @@ def cubic_starlike_map(dim):
     return JetMap((first,) + rest, Normalization.UNIVALENT)
 
 
-def _unsliced_scan(g, grid):
-    """(worst margin, witness, coordinate) of one whole-mesh evaluation per (j, r).
+def _whole_mesh(g, j, r, grid):
+    """The (j, r) mesh of a scan as one ``np.meshgrid`` of the scanned axes, "ij" order.
 
-    The mesh is ``np.meshgrid`` of the scanned axes, "ij" order; coordinates
-    off ``margin_deps`` are pinned to 0, and z_j to r when j is off it.
+    Coordinates off ``margin_deps`` are pinned to 0, and z_j to r when j
+    is off it.
     """
     n = g.dim
     circle = np.exp(2j * np.pi * np.arange(grid.angle_count) / grid.angle_count)
+    deps = g.margin_deps[j] if g.margin_deps is not None else range(n)
+    axes, coords = [], []
+    for k in range(n):
+        if k == j:
+            axes.append(r * circle if j in deps else np.array([r + 0j]))
+        elif k in deps:
+            axes.append(
+                np.concatenate([f * r * circle if f else [0j] for f in grid.companion_factors])
+            )
+        else:
+            continue
+        coords.append(k)
+    pts = np.zeros((math.prod(len(a) for a in axes), n), dtype=complex)
+    for k, mesh in zip(coords, np.meshgrid(*axes, indexing="ij")):
+        pts[:, k] = mesh.reshape(-1)
+    return pts
+
+
+def _unsliced_scan(g, grid):
+    """(worst margin, witness, coordinate) of one whole-mesh evaluation per (j, r)."""
     best = (-math.inf, None, None)
-    for j in range(n):
-        deps = g.margin_deps[j] if g.margin_deps is not None else range(n)
+    for j in range(g.dim):
         for r in grid.radii:
-            axes, coords = [], []
-            for k in range(n):
-                if k == j:
-                    axes.append(r * circle if j in deps else np.array([r + 0j]))
-                elif k in deps:
-                    axes.append(
-                        np.concatenate(
-                            [f * r * circle if f else [0j] for f in grid.companion_factors]
-                        )
-                    )
-                else:
-                    continue
-                coords.append(k)
-            pts = np.zeros((math.prod(len(a) for a in axes), n), dtype=complex)
-            for k, mesh in zip(coords, np.meshgrid(*axes, indexing="ij")):
-                pts[:, k] = mesh.reshape(-1)
+            pts = _whole_mesh(g, j, r, grid)
             margins = np.real(g.evaluate(pts)[:, j] / pts[:, j])
             k = int(np.argmax(margins))
             if margins[k] > best[0]:
@@ -226,6 +230,12 @@ class TestMembership:
         assert cert.worst_margin == worst
         assert cert.witness_point == witness
         assert cert.witness_coordinate == coord
+        # every slab is scanned, once and in mesh order
+        for j in range(g.dim):
+            deps = g.margin_deps[j] if g.margin_deps is not None else frozenset(range(g.dim))
+            for r in cert.grid.radii:
+                mesh = generators._membership_mesh(g.dim, j, deps, r, cert.grid)
+                assert np.array_equal(mesh, _whole_mesh(g, j, r, cert.grid))
 
     def test_a_scan_holds_one_slab_of_the_mesh_at_a_time(self, monkeypatch):
         # each (j, r) mesh of a full dim-3 torus scan is 64**3 points, 12 MiB
