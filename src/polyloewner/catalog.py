@@ -15,10 +15,11 @@ F/H pairs extend to larger dimensions by appending identity (maps) or
 negated-identity (generators) coordinates: the builders' tail rows and
 each evaluator's ``out = +-w.copy()`` are that padding.  So an entry is
 consistency-checked (evaluator against jet on the torus of
-``fourier.torus_grid``, at 1e-10) only at its minimal dimension: every
-build, at any dim, builds and checks the minimal entry afresh, and the
-tests prove that the entry at a larger dim is the padded minimal one, bit
-for bit.  Entries of dim 5 or more, whose torus would be too large to
+``fourier.torus_grid``, at 1e-10) only at its minimal dimension, once:
+a build at a larger dim first reads the minimal entry through the entry
+cache, which builds and checks it if it is not there yet, and the tests
+prove that the entry at a larger dim is the padded minimal one, bit for
+bit.  Entries of dim 5 or more, whose torus would be too large to
 mesh, exist for that reason.
 """
 
@@ -471,17 +472,18 @@ def catalog_get(name: str, dim: Optional[int] = None, degree: int = 4) -> NamedM
 
 @lru_cache(maxsize=None)
 def _cached_entry(key: str, n: int, degree: int) -> NamedMap:
-    """Entry ``key`` at (n, degree); the check runs on the minimal entry, built afresh."""
+    """Entry ``key`` at (n, degree); only the minimal entry is checked, once, through this cache."""
     starlike = key.startswith("F")
     build = _build_starlike if starlike else _build_generator
     minimal = _MINIMAL_DIM[key]
-    jet, evaluator, extra = build(key, minimal, degree)
-    assert_normalization(jet, tol=1e-12)
-    err = torus_error(evaluator, jet.array, kernels.basis_tables(minimal, degree))
-    if not err <= 1e-10:
-        raise DomainError(f"catalog entry {key} failed its consistency check: {err:.3e}")
     if n > minimal:
-        jet, evaluator, extra = build(key, n, degree)
+        _cached_entry(key, minimal, degree)
+    jet, evaluator, extra = build(key, n, degree)
+    if n == minimal:
+        assert_normalization(jet, tol=1e-12)
+        err = torus_error(evaluator, jet.array, kernels.basis_tables(minimal, degree))
+        if not err <= 1e-10:
+            raise DomainError(f"catalog entry {key} failed its consistency check: {err:.3e}")
     return NamedMap(
         name=key,
         role="starlike" if starlike else "generator",

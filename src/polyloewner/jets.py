@@ -127,6 +127,13 @@ def _fill(obj: "_Jet", array: np.ndarray, **fields) -> None:
     obj.__dict__.update(array=array, **fields)  # past the read-only __setattr__
 
 
+def _refilled(cls: type, fields: dict) -> "_Jet":
+    """A copy of a jet of type ``cls``, filled through ``_fill`` like the original."""
+    out = object.__new__(cls)
+    _fill(out, **fields)
+    return out
+
+
 def _basis_degree(shape: tuple[int, ...]) -> int:
     """The degree D of an (n, B) array on the graded-lex basis: B = C(n + D, n)."""
     if len(shape) == 2 and shape[0] >= 1:
@@ -160,6 +167,10 @@ class _Jet:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def __reduce__(self):
+        # pickle and deepcopy rebuild through _fill, so a copy stays read-only
+        return _refilled, (type(self), dict(self.__dict__))
 
     def __eq__(self, other) -> bool:
         return (

@@ -19,6 +19,14 @@ catalog entries first, then seeded random restarts refined by coordinate
 ascent with shrinking steps, optionally finished by a Nelder-Mead polish
 on the continuous parameters.  Repeated parameter vectors are served
 from a cache and do not consume budget.
+
+A parameter vector is a pair (ints, floats).  Each family declares once
+how one schedule piece lays out its ints and the kinds of its floats
+(``_piece_layout``), and the breakpoints close the float vector.  The
+decoder, the canonical sweep, the random starts and the length check all
+read that declaration, and one table per float kind (``_kind_table``)
+holds its sampling range, its clip rule and the first and smallest step
+of coordinate ascent, which also sizes the Nelder-Mead simplex.
 """
 
 from __future__ import annotations
@@ -107,68 +115,57 @@ class SearchSpace:
 
 # -- parameter layout --------------------------------------------------------
 #
-# Params are a pair (ints, floats) with a family-specific fixed layout:
-#   catalog-rotation: ints  = name index per piece
-#                     floats = dim angles per piece, then pieces-1 breaks
-#   product-form:     ints  = dim selectors per piece
-#                     floats = per piece, per coordinate, _ATOMS * (angle, raw
-#                              weight); then breaks
-#   convex-combo:     ints  = _COMBO_SIZE name indices per piece
-#                     floats = per piece, per part, dim angles then one raw
-#                              weight; then breaks
+# Params are a pair (ints, floats).  Every piece of the schedule takes the
+# same block of ints and floats, which ``_piece_layout`` declares once per
+# family; the pieces - 1 breakpoints close the float vector.  Per piece:
+#   catalog-rotation: ints  = one name index
+#                     floats = dim angles
+#   product-form:     ints  = dim selectors
+#                     floats = per coordinate, _ATOMS * (angle, raw weight)
+#   convex-combo:     ints  = _COMBO_SIZE name indices
+#                     floats = per part, dim angles then one raw weight
+
+
+def _piece_layout(space: SearchSpace) -> tuple[int, tuple[str, ...]]:
+    """How many ints one piece takes, and the kinds of its floats."""
+    n = space.dim
+    if space.family == "catalog-rotation":
+        return 1, ("angle",) * n
+    if space.family == "product-form":
+        return n, ("angle", "weight") * (n * _ATOMS)
+    return _COMBO_SIZE, (("angle",) * n + ("weight",)) * _COMBO_SIZE
 
 
 def _float_kinds(space: SearchSpace) -> tuple[str, ...]:
-    kinds: list[str] = []
-    for _ in range(space.pieces):
-        if space.family == "catalog-rotation":
-            kinds.extend(["angle"] * space.dim)
-        elif space.family == "product-form":
-            for _coord in range(space.dim):
-                for _atom in range(_ATOMS):
-                    kinds.extend(["angle", "weight"])
-        else:
-            for _part in range(_COMBO_SIZE):
-                kinds.extend(["angle"] * space.dim)
-                kinds.append("weight")
-    kinds.extend(["break"] * (space.pieces - 1))
-    return tuple(kinds)
+    return _piece_layout(space)[1] * space.pieces + ("break",) * (space.pieces - 1)
 
 
 def _int_count(space: SearchSpace) -> int:
-    if space.family == "catalog-rotation":
-        return space.pieces
-    if space.family == "product-form":
-        return space.pieces * space.dim
-    return space.pieces * _COMBO_SIZE
+    return _piece_layout(space)[0] * space.pieces
 
 
 def _int_options(space: SearchSpace) -> int:
     return space.dim if space.family == "product-form" else len(space.names)
 
 
-def _clip_float(space: SearchSpace, kind: str, x: float) -> float:
-    if kind == "angle":
+def _kind_table(space: SearchSpace) -> dict[str, tuple]:
+    """Per float kind: (sampling range, clip range, first step, smallest step).
+
+    A clip range of None wraps the value modulo 2 pi.  A breakpoint's
+    ranges and steps scale with the horizon.
+    """
+    h = space.horizon
+    return {
+        "angle": ((0.0, 2.0 * math.pi), None, 0.8, 1e-3),
+        "weight": ((0.05, 1.0), (0.05, 1.0), 0.25, 5e-3),
+        "break": ((0.05 * h, 0.95 * h), (0.02 * h, 0.98 * h), h / 8.0, 1e-3 * h),
+    }
+
+
+def _clip_float(clip: Optional[tuple[float, float]], x: float) -> float:
+    if clip is None:
         return float(x % (2.0 * math.pi))
-    if kind == "weight":
-        return float(min(1.0, max(0.05, x)))
-    return float(min(0.98 * space.horizon, max(0.02 * space.horizon, x)))
-
-
-_DELTA0 = {"angle": 0.8, "weight": 0.25}
-_DELTA_MIN = {"angle": 1e-3, "weight": 5e-3}
-
-
-def _initial_deltas(space: SearchSpace, kinds: Sequence[str]) -> np.ndarray:
-    return np.array(
-        [_DELTA0.get(k, space.horizon / 8.0) for k in kinds], dtype=np.float64
-    )
-
-
-def _min_deltas(space: SearchSpace, kinds: Sequence[str]) -> np.ndarray:
-    return np.array(
-        [_DELTA_MIN.get(k, 1e-3 * space.horizon) for k in kinds], dtype=np.float64
-    )
+    return float(min(clip[1], max(clip[0], x)))
 
 
 def _normalized(raw: Sequence[float]) -> list[float]:
@@ -176,7 +173,7 @@ def _normalized(raw: Sequence[float]) -> list[float]:
     return [r / total for r in raw]
 
 
-def _decode_breaks(space: SearchSpace, tail: Sequence[float]) -> list[float]:
+def _decode_breaks(tail: Sequence[float]) -> list[float]:
     breaks = sorted(float(b) for b in tail)
     for i in range(1, len(breaks)):
         if breaks[i] <= breaks[i - 1]:
@@ -184,43 +181,42 @@ def _decode_breaks(space: SearchSpace, tail: Sequence[float]) -> list[float]:
     return breaks
 
 
+def _chunks(seq: Sequence, size: int, count: int) -> list:
+    """The first ``count`` consecutive slices of ``seq``, each ``size`` long."""
+    return [seq[k * size : (k + 1) * size] for k in range(count)]
+
+
+def _rotated(space: SearchSpace, index: int, angles: Sequence[float]) -> Generator:
+    name = space.names[index % len(space.names)]
+    return rotate_generator(catalog_generator(name, dim=space.dim, degree=space.degree), angles)
+
+
+def _decode_piece(space: SearchSpace, ints: Sequence[int], floats: Sequence[float]) -> Generator:
+    """The generator of one piece, from that piece's ints and floats."""
+    n = space.dim
+    if space.family == "catalog-rotation":
+        return _rotated(space, ints[0], floats)
+    if space.family == "product-form":
+        measures = [
+            AtomicMeasure(tuple(zip(c[0::2], _normalized(c[1::2]))))
+            for c in _chunks(floats, 2 * _ATOMS, n)
+        ]
+        return product_form([i % n for i in ints], measures, degree=space.degree)
+    parts = _chunks(floats, n + 1, _COMBO_SIZE)
+    gens = [_rotated(space, i, part[:n]) for i, part in zip(ints, parts)]
+    return convex_combination(gens, _normalized([part[n] for part in parts]))
+
+
 def decode_field(space: SearchSpace, params: Params) -> HerglotzField:
     """Instantiate the schedule a parameter vector describes."""
     ints, floats = params
     if len(ints) != _int_count(space) or len(floats) != len(_float_kinds(space)):
         raise DomainError("parameter vector does not match the space layout")
-    n, deg, m = space.dim, space.degree, space.pieces
-    gens: list[Generator] = []
-    pos = 0
-    for piece in range(m):
-        if space.family == "catalog-rotation":
-            name = space.names[ints[piece] % len(space.names)]
-            angles = floats[pos : pos + n]
-            pos += n
-            gens.append(rotate_generator(catalog_generator(name, dim=n, degree=deg), angles))
-        elif space.family == "product-form":
-            selectors = [ints[piece * n + k] % n for k in range(n)]
-            measures = []
-            for _coord in range(n):
-                chunk = floats[pos : pos + 2 * _ATOMS]
-                pos += 2 * _ATOMS
-                angles = chunk[0::2]
-                weights = _normalized(chunk[1::2])
-                measures.append(AtomicMeasure(tuple(zip(angles, weights))))
-            gens.append(product_form(selectors, measures, degree=deg))
-        else:
-            parts = []
-            raw_weights = []
-            for part in range(_COMBO_SIZE):
-                name = space.names[ints[piece * _COMBO_SIZE + part] % len(space.names)]
-                angles = floats[pos : pos + n]
-                pos += n
-                raw_weights.append(floats[pos])
-                pos += 1
-                parts.append(rotate_generator(catalog_generator(name, dim=n, degree=deg), angles))
-            gens.append(convex_combination(parts, _normalized(raw_weights)))
-    breaks = _decode_breaks(space, floats[pos:])
-    return HerglotzField.build(gens, breaks)
+    ni, kinds = _piece_layout(space)
+    m, nf = space.pieces, len(kinds)
+    pieces = zip(_chunks(ints, ni, m), _chunks(floats, nf, m))
+    gens = [_decode_piece(space, piece_ints, piece_floats) for piece_ints, piece_floats in pieces]
+    return HerglotzField.build(gens, _decode_breaks(floats[m * nf :]))
 
 
 def objective(space: SearchSpace, params: Params) -> float:
@@ -285,41 +281,27 @@ class SearchResult:
 
 
 def _canonical_params(space: SearchSpace) -> list[Params]:
-    kinds = _float_kinds(space)
+    """The starts of the canonical sweep, every piece alike, breaks evenly spaced."""
+    ni, kinds = _piece_layout(space)
     m = space.pieces
-    even_breaks = tuple(space.horizon * k / m for k in range(1, m))
-
-    def floats_with_breaks(values: Sequence[float]) -> tuple[float, ...]:
-        return tuple(values) + even_breaks
-
-    out: list[Params] = []
-    body = len(kinds) - (m - 1)
+    breaks = tuple(space.horizon * k / m for k in range(1, m))
     if space.family == "product-form":
-        for shift in range(space.dim):
-            ints = tuple((k + shift) % space.dim for _p in range(m) for k in range(space.dim))
-            for phase in (0.0, math.pi):
-                vals = [phase if k == "angle" else 1.0 for k in kinds[:body]]
-                out.append((ints, floats_with_breaks(vals)))
-    else:
-        vals = [1.0 if k == "weight" else 0.0 for k in kinds[:body]]
-        for idx in range(len(space.names)):
-            ints = tuple([idx] * _int_count(space))
-            out.append((ints, floats_with_breaks(vals)))
-    return out
+        return [
+            (
+                tuple((k + shift) % space.dim for k in range(ni)) * m,
+                tuple(phase if k == "angle" else 1.0 for k in kinds) * m + breaks,
+            )
+            for shift in range(space.dim)
+            for phase in (0.0, math.pi)
+        ]
+    floats = tuple(1.0 if k == "weight" else 0.0 for k in kinds) * m + breaks
+    return [((idx,) * ni * m, floats) for idx in range(len(space.names))]
 
 
 def _sample_params(space: SearchSpace, rng: np.random.Generator) -> Params:
-    kinds = _float_kinds(space)
+    table = _kind_table(space)
     ints = tuple(int(v) for v in rng.integers(0, _int_options(space), size=_int_count(space)))
-    floats = []
-    for k in kinds:
-        if k == "angle":
-            floats.append(float(rng.uniform(0.0, 2.0 * math.pi)))
-        elif k == "weight":
-            floats.append(float(rng.uniform(0.05, 1.0)))
-        else:
-            floats.append(float(rng.uniform(0.05 * space.horizon, 0.95 * space.horizon)))
-    return ints, tuple(floats)
+    return ints, tuple(float(rng.uniform(*table[k][0])) for k in _float_kinds(space))
 
 
 def maximize(
@@ -334,6 +316,8 @@ def maximize(
     if budget < 1:
         raise DomainError("budget must be positive")
     kinds = _float_kinds(space)
+    table = _kind_table(space)
+    clips, first_steps, last_steps = zip(*(table[k][1:] for k in kinds))
     rng = np.random.default_rng(seed)
     cache: dict[Params, float] = {}
     evals = 0
@@ -375,14 +359,14 @@ def maximize(
 
     def clipped(floats: tuple[float, ...], j: int, x: float) -> tuple[float, ...]:
         out = list(floats)
-        out[j] = _clip_float(space, kinds[j], x)
+        out[j] = _clip_float(clips[j], x)
         return tuple(out)
 
     def ascent(start: Params):
         cur = start
         cur_val = run(cur)
-        deltas = _initial_deltas(space, kinds)
-        floor = _min_deltas(space, kinds)
+        deltas = np.array(first_steps, dtype=np.float64)
+        floor = np.array(last_steps, dtype=np.float64)
         options = _int_options(space)
         while True:
             improved = False
@@ -415,20 +399,15 @@ def maximize(
 
     def polish(start: Params):
         # Nelder-Mead on the continuous block, categorical part frozen.
-        nfloat = len(kinds)
-        if nfloat == 0:
-            return
         ints = start[0]
 
         def f(x: np.ndarray) -> float:
-            pt = tuple(_clip_float(space, kinds[j], x[j]) for j in range(nfloat))
-            return run((ints, pt))
+            return run((ints, tuple(_clip_float(c, xj) for c, xj in zip(clips, x))))
 
-        scale = _initial_deltas(space, kinds)
         simplex = [np.array(start[1], dtype=np.float64)]
-        for j in range(nfloat):
+        for j in range(len(kinds)):
             v = simplex[0].copy()
-            v[j] += 0.5 * scale[j]
+            v[j] += 0.5 * first_steps[j]
             simplex.append(v)
         vals = [f(v) for v in simplex]
         for _ in range(4 * budget):

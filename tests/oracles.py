@@ -29,7 +29,11 @@ its jet values (``MultiJet``, ``JetMap``), read as dicts:
   the catalog's closed-form Jacobians;
 - ``scaled_transition``: the limit jet by RK4 to a finite horizon, the
   reference for the exact Koenigs chain of ``parametric_limit``;
-- ``map_from_json``: parses the jet maps that the command line prints.
+- ``map_from_json``: parses the jet maps that the command line prints;
+- ``decode_field``: the search's decoder as it was written before each
+  family declared its layout once, with its own position counter and
+  its own ``_float_kinds`` and ``_int_count``: the reference for
+  ``search.decode_field`` and the layout it reads.
 """
 
 from __future__ import annotations
@@ -41,18 +45,26 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from polyloewner import (
+    AtomicMeasure,
     DomainError,
+    Generator,
     HerglotzField,
     JetMap,
     JetShapeError,
     MultiJet,
     Normalization,
+    SearchSpace,
     SingularityError,
+    catalog_generator,
+    convex_combination,
     evolve_jet,
     jet_from_json,
     multiindices,
+    product_form,
+    rotate_generator,
 )
 from polyloewner.jets import grlex_key, rotation_phases
+from polyloewner.search import _ATOMS, _COMBO_SIZE, Params
 
 
 # -- dict jets --------------------------------------------------------------
@@ -522,3 +534,83 @@ def map_from_json(obj: Mapping) -> JetMap:
         return JetMap(comps, norm)
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed jet map object: {exc}") from exc
+
+
+# -- the search decoder with its own layout --------------------------------
+
+
+def _float_kinds(space: SearchSpace) -> tuple[str, ...]:
+    kinds: list[str] = []
+    for _ in range(space.pieces):
+        if space.family == "catalog-rotation":
+            kinds.extend(["angle"] * space.dim)
+        elif space.family == "product-form":
+            for _coord in range(space.dim):
+                for _atom in range(_ATOMS):
+                    kinds.extend(["angle", "weight"])
+        else:
+            for _part in range(_COMBO_SIZE):
+                kinds.extend(["angle"] * space.dim)
+                kinds.append("weight")
+    kinds.extend(["break"] * (space.pieces - 1))
+    return tuple(kinds)
+
+
+def _int_count(space: SearchSpace) -> int:
+    if space.family == "catalog-rotation":
+        return space.pieces
+    if space.family == "product-form":
+        return space.pieces * space.dim
+    return space.pieces * _COMBO_SIZE
+
+
+def _normalized(raw: Sequence[float]) -> list[float]:
+    total = sum(raw)
+    return [r / total for r in raw]
+
+
+def _decode_breaks(space: SearchSpace, tail: Sequence[float]) -> list[float]:
+    breaks = sorted(float(b) for b in tail)
+    for i in range(1, len(breaks)):
+        if breaks[i] <= breaks[i - 1]:
+            breaks[i] = breaks[i - 1] + 1e-6
+    return breaks
+
+
+def decode_field(space: SearchSpace, params: Params) -> HerglotzField:
+    """Instantiate the schedule a parameter vector describes."""
+    ints, floats = params
+    if len(ints) != _int_count(space) or len(floats) != len(_float_kinds(space)):
+        raise DomainError("parameter vector does not match the space layout")
+    n, deg, m = space.dim, space.degree, space.pieces
+    gens: list[Generator] = []
+    pos = 0
+    for piece in range(m):
+        if space.family == "catalog-rotation":
+            name = space.names[ints[piece] % len(space.names)]
+            angles = floats[pos : pos + n]
+            pos += n
+            gens.append(rotate_generator(catalog_generator(name, dim=n, degree=deg), angles))
+        elif space.family == "product-form":
+            selectors = [ints[piece * n + k] % n for k in range(n)]
+            measures = []
+            for _coord in range(n):
+                chunk = floats[pos : pos + 2 * _ATOMS]
+                pos += 2 * _ATOMS
+                angles = chunk[0::2]
+                weights = _normalized(chunk[1::2])
+                measures.append(AtomicMeasure(tuple(zip(angles, weights))))
+            gens.append(product_form(selectors, measures, degree=deg))
+        else:
+            parts = []
+            raw_weights = []
+            for part in range(_COMBO_SIZE):
+                name = space.names[ints[piece * _COMBO_SIZE + part] % len(space.names)]
+                angles = floats[pos : pos + n]
+                pos += n
+                raw_weights.append(floats[pos])
+                pos += 1
+                parts.append(rotate_generator(catalog_generator(name, dim=n, degree=deg), angles))
+            gens.append(convex_combination(parts, _normalized(raw_weights)))
+    breaks = _decode_breaks(space, floats[pos:])
+    return HerglotzField.build(gens, breaks)

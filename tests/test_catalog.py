@@ -172,6 +172,21 @@ def test_only_the_minimal_entry_is_torus_checked(monkeypatch):
     assert checked == [2, 2, 2]
 
 
+def test_an_entry_above_its_minimal_dim_reads_the_cached_minimal_entry(monkeypatch):
+    monkeypatch.setattr(catalog, "_cached_entry", lru_cache(catalog._cached_entry.__wrapped__))
+    catalog_get("H6", 3, 4)  # H6's minimal entry, built and checked
+    builds = []
+    real = catalog._build_generator
+
+    def counted(*args):
+        builds.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(catalog, "_build_generator", counted)
+    catalog_get("H6", 4, 4)
+    assert builds == [("H6", 4, 4)]
+
+
 def test_lookup_validation():
     with pytest.raises(DomainError):
         catalog_get("F9")
@@ -278,6 +293,8 @@ def test_check_catches_a_top_coefficient_moved_by_1e_8(monkeypatch, name, dim, d
         return (_moved_top_coefficient(jet, 1e-8), *rest)
 
     monkeypatch.setattr(catalog, build.__name__, moved)
+    # a fresh entry cache, so that the moved build of the minimal entry is checked
+    monkeypatch.setattr(catalog, "_cached_entry", lru_cache(build_entry))
     with pytest.raises(DomainError, match="consistency check"):
         build_entry(name, dim, degree)
 

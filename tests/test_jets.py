@@ -5,8 +5,10 @@ oracles of ``tests/oracles.py`` (products, composition, the matrix solve
 and rotations) are checked here against closed forms as well.
 """
 
+import copy
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -223,6 +225,19 @@ def test_shape_errors():
         JetMap((variable_jet(2, 2, 0),), Normalization.GENERAL)
     with pytest.raises(JetShapeError):
         JetMap((variable_jet(2, 2, 0), variable_jet(2, 3, 1)), Normalization.GENERAL)
+
+
+@pytest.mark.parametrize(
+    "copied", [lambda j: pickle.loads(pickle.dumps(j)), copy.deepcopy], ids=["pickle", "deepcopy"]
+)
+def test_a_copied_jet_stays_read_only(copied):
+    jet = catalog_get("H3").jet
+    for original in (jet, jet.component(1)):
+        twin = copied(original)
+        assert type(twin) is type(original) and twin == original
+        assert twin.array.flags.writeable is False
+        with pytest.raises(AttributeError):
+            twin.degree = 5
 
 
 def test_json_round_trip_is_exact():

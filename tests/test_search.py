@@ -18,7 +18,8 @@ from polyloewner import (
     parametric_limit,
 )
 from polyloewner import search
-from polyloewner.search import _sample_params
+from polyloewner.search import _canonical_params, _sample_params
+import oracles
 
 
 class TestSpace:
@@ -96,6 +97,47 @@ class TestDecode:
         field = decode_field(space, params)
         assert abs(objective(space, params)) < 1e-8
         assert field.dim == 2
+
+
+def _outcome(fn, *args):
+    """The float ``fn`` returns, by its bits, or the exception it raises."""
+    try:
+        return fn(*args).hex()
+    except (DomainError, IntegrationError) as exc:
+        return type(exc), str(exc)
+
+
+class TestLayout:
+    """Every layout reader agrees with the decoder that kept its own counter."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("pieces", [1, 2, 3])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_decode_matches_the_counter_decoder(self, monkeypatch, family, pieces, dim):
+        space = SearchSpace(dim=dim, alpha=(1, 1, 0)[:dim], family=family, pieces=pieces)
+        rng = np.random.default_rng(100 * pieces + dim)
+        vectors = _canonical_params(space) + [_sample_params(space, rng) for _ in range(30)]
+        values = [_outcome(objective, space, p) for p in vectors]
+        for p in vectors:
+            assert decode_field(space, p).to_json() == oracles.decode_field(space, p).to_json()
+        monkeypatch.setattr(search, "decode_field", oracles.decode_field)
+        assert values == [_outcome(objective, space, p) for p in vectors]
+
+    @pytest.mark.parametrize("method", ["coordinate-ascent", "coordinate-ascent+polish"])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_maximize_is_unchanged_under_the_counter_decoder(self, monkeypatch, family, method):
+        space = SearchSpace(dim=2, alpha=(1, 1), family=family, pieces=2)
+        want = maximize(space, budget=60, seed=4, method=method).to_json()
+        monkeypatch.setattr(search, "decode_field", oracles.decode_field)
+        assert maximize(space, budget=60, seed=4, method=method).to_json() == want
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_a_vector_of_the_wrong_length_is_refused(self, family):
+        space = SearchSpace(dim=2, alpha=(1, 1), family=family, pieces=2)
+        ints, floats = _canonical_params(space)[0]
+        for params in [(ints[1:], floats), (ints, floats + (1.0,)), (ints + (0,), floats)]:
+            with pytest.raises(DomainError, match="does not match the space layout"):
+                decode_field(space, params)
 
 
 class TestExactObjective:
