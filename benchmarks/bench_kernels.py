@@ -37,10 +37,13 @@ evaluator and Jacobian on its 32**3-point probe torus, the vectorized LU
 that solves Df x = f there and gives det Df (``generators._lu_solve``)
 against the per-point LAPACK route ``np.linalg.det`` plus
 ``np.linalg.solve`` on the same Jacobians, and ``verify_catalog()``.
-Last, a catalog entry built cold (``catalog._cached_entry`` past its
+Then a catalog entry built cold (``catalog._cached_entry`` past its
 cache): H2 at (2, 4) and (3, 4), F2 at (3, 4) and H1 at (4, 3), each
 torus-checked at its minimal dimension 2, and F7 at (3, 4), built at its
-minimal dimension, as the control.  Run from the repo root:
+minimal dimension, as the control.  Last, the search objective at degree
+3: microseconds per call for each family at 1, 2 and 3 pieces, dims 2
+and 3, over fixed sampled parameter vectors with the caches warm.  Run
+from the repo root:
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py
 """
@@ -56,6 +59,7 @@ import numpy as np
 from polyloewner.catalog import _cached_entry, catalog_generator, catalog_get, verify_catalog
 from polyloewner.evolution import (
     HerglotzField,
+    _field_schedule,
     _scaled_flow,
     evolve_jet,
     evolve_point,
@@ -76,6 +80,7 @@ from polyloewner.generators import (
 )
 from polyloewner.jets import JetMap, MultiJet, map_distance, multiindices
 from polyloewner.kernels import basis_tables, compose_arrays, identity_array
+from polyloewner.search import FAMILIES, SearchSpace, _sample_params, objective
 
 SHAPES = ((2, 4), (2, 6), (3, 4), (3, 6), (3, 8))
 LARGE_SHAPE = (4, 10)
@@ -90,6 +95,7 @@ EVOLVE_FIELD = (("H1", "H2", "H4"), (0.7, 1.3))
 EVOLVE_WINDOW = (0.5, 1.5)
 EVOLVE_STEP = 1e-2
 CATALOG_COLD = (("H2", 2, 4), ("H2", 3, 4), ("F2", 3, 4), ("H1", 4, 3), ("F7", 3, 4))
+OBJECTIVE_VECTORS = 40
 
 
 def _best_of(repeats: int, fn) -> float:
@@ -175,11 +181,13 @@ def main() -> None:
                 [4.0],
             ),
         ):
-            _scaled_flow(field, 0.0, (math.inf,), tables, 12.0)  # cache the rotations' pairs
             for limit in (
                 lambda: parametric_limit(field, horizon=12.0, degree=degree),
-                lambda: _scaled_flow(field, 0.0, (math.inf,), tables, 12.0),
+                lambda: _scaled_flow(
+                    _field_schedule(field, tables), 0.0, (math.inf,), tables, 12.0
+                ),
             ):
+                limit()  # cache the rotations' pairs
                 limits_us.append(1e6 * _best_of(args.repeats, limit))
         print(
             f"{dim:>3} {degree:>3} {tables.size:>4} {tables.mul_k.size:>6} {_layer_kb(tables):>11.1f} "
@@ -308,6 +316,7 @@ def main() -> None:
         print(f"{name:>3} " + " ".join(f"{ms:>{w}.2f}" for ms, w in zip(times, (19, 7, 8, 8, 15))))
     print(f"verify_catalog(): {1e3 * _best_of(args.repeats, verify_catalog):.1f} ms")
     _catalog_cold(args.repeats)
+    _objective_calls(args.repeats)
 
 
 def _catalog_cold(repeats: int) -> None:
@@ -319,6 +328,34 @@ def _catalog_cold(repeats: int) -> None:
     for name, dim, degree in CATALOG_COLD:
         ms = 1e3 * _best_of(repeats, lambda: _cached_entry.__wrapped__(name, dim, degree))
         print(f"{name:>4} {dim:>3} {degree:>3} {ms:>16.2f}")
+
+
+def _objective_calls(repeats: int) -> None:
+    """Microseconds per ``search.objective`` call, per family, dim and piece count.
+
+    Each row runs the same ``OBJECTIVE_VECTORS`` sampled parameter vectors
+    (``search._sample_params``, seed 0) after one warm pass, which fills
+    the catalog and Koenigs-pair caches as a search does; the best of
+    ``repeats`` passes, divided by the vector count, is reported.
+    """
+    header = f"{'family':>16} {'dim':>3} {'pieces':>6} {'objective (us/call)':>20}"
+    print("\nsearch objective, degree 3")
+    print(header)
+    print("-" * len(header))
+    for family in FAMILIES:
+        for dim in (2, 3):
+            for pieces in (1, 2, 3):
+                space = SearchSpace(dim=dim, alpha=(1, 1, 0)[:dim], family=family, pieces=pieces)
+                rng = np.random.default_rng(0)
+                vectors = [_sample_params(space, rng) for _ in range(OBJECTIVE_VECTORS)]
+
+                def calls(space=space, vectors=vectors):
+                    for params in vectors:
+                        objective(space, params)
+
+                calls()
+                us = 1e6 * _best_of(repeats, calls) / len(vectors)
+                print(f"{family:>16} {dim:>3} {pieces:>6} {us:>20.1f}")
 
 
 if __name__ == "__main__":

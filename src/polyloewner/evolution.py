@@ -14,13 +14,16 @@ with L = K^-1.  One chain of jet compositions over the pieces
 transition jet phi_{s,t} of ``evolve_report`` and the normalized map
 e^t phi_{0,t} of ``parametric_limit``; the limit itself, T = inf, is the
 same chain up to the tail's K (``search.objective`` reads it).  The
-Koenigs data belongs to the generator: this module reads the series pair
-(K, L) from ``Generator.koenigs_pair`` and the pointwise F from
-``Generator.koenigs_map``, and never looks inside a generator (a
-rotation's pair is its base's times phases, so a whole search over
-rotated catalog generators solves one pair per catalog entry).  The
-chain stays on the generators' (n, B) coefficient arrays, and each
-result's jet is a read-only view of the array the chain ends with.
+chain reads arrays, not generators: per piece, its end, its pair (K, L)
+and the linear part of h, asked for only when the piece is reached.
+The Koenigs data belongs to the generator, and a field feeds the chain
+from ``Generator.koenigs_pair`` (``_field_schedule``); the pointwise F
+comes from ``Generator.koenigs_map``.  This module never looks inside a
+generator.  A rotation's pair is its base's times phases, so a whole
+search over rotated catalog generators solves one pair per catalog
+entry, and ``search.objective`` feeds those products to the chain
+without building a generator.  Each result's jet is a read-only view of
+the array the chain ends with.
 
 RK4 remains where no closed form is used.  ``evolve_jet`` and
 ``evolve_point`` integrate transition maps with one classic RK4 stepper
@@ -46,7 +49,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -86,6 +89,15 @@ class IntegrationError(RuntimeError):
         self.time = time
 
 
+def _check_breakpoints(breakpoints: Sequence[float]) -> None:
+    """``DomainError`` unless the breakpoints are positive and strictly increasing."""
+    prev = 0.0
+    for until in breakpoints:
+        if not (until > prev):
+            raise DomainError("piece breakpoints must be positive and strictly increasing")
+        prev = until
+
+
 @dataclass(frozen=True)
 class HerglotzField:
     """Piecewise-constant generator schedule on [0, infinity).
@@ -100,13 +112,10 @@ class HerglotzField:
 
     def __post_init__(self):
         dim = self.tail.dim
-        prev = 0.0
-        for until, gen in self.pieces:
+        for _, gen in self.pieces:
             if gen.dim != dim:
                 raise DomainError(f"mixed dimensions in field: {gen.dim} vs {dim}")
-            if not (until > prev):
-                raise DomainError("piece breakpoints must be positive and strictly increasing")
-            prev = until
+        _check_breakpoints(self.breakpoints)
 
     @staticmethod
     def build(
@@ -317,14 +326,43 @@ def _rescaled(f: np.ndarray, tables: BasisTables, s: float) -> np.ndarray:
     return f * np.exp(-(np.maximum(tables.degrees, 1) - 1) * s)
 
 
+# what the chain reads of one piece: (K, L, linear part of h), asked for only when used
+_PieceArrays = Callable[[], tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+
+def _generator_arrays(gen: Generator, tables: BasisTables) -> _PieceArrays:
+    """The chain's feed from a generator: its Koenigs pair and linear part on ``tables``."""
+    degree = tables.degree
+    return lambda: (*gen.koenigs_pair(degree), gen.jet_array(degree)[:, tables.linear])
+
+
+def _field_schedule(
+    field: HerglotzField, tables: BasisTables
+) -> list[tuple[float, _PieceArrays]]:
+    """(end, arrays) per piece of the field, the tail ending at ``math.inf``."""
+    return [
+        (end, _generator_arrays(gen, tables))
+        for end, gen in field.pieces + ((math.inf, field.tail),)
+    ]
+
+
 def _scaled_flow(
-    field: HerglotzField,
+    schedule: Iterable[tuple[float, _PieceArrays]],
     s: float,
     times: Sequence[float],
     tables: BasisTables,
     drift_until: float,
 ) -> tuple[list[np.ndarray], float]:
     """Psi_t = e^(t-s) phi_{s,t} at increasing times t > s, piece by piece.
+
+    ``schedule`` lists each piece as (end, arrays) in order, the last
+    ending at ``math.inf``: the piece acts from the previous end (or 0)
+    up to its own, and arrays() returns its Koenigs pair (K, L) and the
+    linear part Dh(0) of its generator, on the basis of ``tables``.  A
+    field feeds it through ``_field_schedule``, and a search objective
+    with catalog rotations feeds arrays directly.  A piece that ends at or
+    before s is skipped without calling arrays(), so its pair is never
+    solved.
 
     On a piece [a, b) driven by h, phi_{a,t} = L(e^-(t-a) K), hence
     Psi_t = L^[t-s] o K^[a-s] o Psi_a.  The piece that holds s starts
@@ -333,8 +371,8 @@ def _scaled_flow(
     L^[t-s] tends to the identity, so it is the tail piece's
     K_tail^[T_last-s] o Psi_T_last, exact in the truncated jet ring
     (L^[inf] is never formed, since its rescaling would read 0 * inf).
-    The returned arrays may be a generator's cached K: read them, never
-    write to them.
+    The returned arrays may be a K that arrays() returned, which may be
+    a generator's cached pair: read them, never write to them.
 
     Also returns the first-order linear drift that taking Dh(0) = -I
     leaves out: the sum over pieces of |Dh(0) + I| times the time each
@@ -344,15 +382,14 @@ def _scaled_flow(
     is not finite.
     """
     pending = list(times)
-    eye = np.eye(field.dim)
+    eye = np.eye(tables.dim)
     psi: Optional[np.ndarray] = None  # None is the identity
     start, drift, out = s, 0.0, []
-    for end, gen in field.pieces + ((math.inf, field.tail),):
+    for end, arrays in schedule:
         if end <= s:
             continue
-        K, L = gen.koenigs_pair(tables.degree)
-        linear = gen.jet_array(tables.degree)[:, tables.linear]
-        drift += float(np.max(np.abs(linear + eye))) * max(0.0, min(end, drift_until) - start)
+        K, L, linear = arrays()
+        drift += float(np.abs(linear + eye).max()) * max(0.0, min(end, drift_until) - start)
         inner = K if psi is None else compose_arrays(_rescaled(K, tables, start - s), psi, tables)
         while pending and pending[0] <= end:
             t = pending.pop(0)
@@ -366,8 +403,8 @@ def _scaled_flow(
         psi = compose_arrays(_rescaled(L, tables, end - s), inner, tables)
         start = end
     last = out[-1]
-    dev = float(np.max(np.abs(last[:, tables.linear] - eye))) + drift
-    if not (dev <= 1e-6 and np.all(np.isfinite(last))):
+    dev = float(np.abs(last[:, tables.linear] - eye).max()) + drift
+    if not (dev <= 1e-6 and np.isfinite(last).all()):
         raise IntegrationError(
             f"scaled flow lost normalization (deviation {dev:.3e})", time=drift_until
         )
@@ -394,7 +431,8 @@ def parametric_limit(
         raise DomainError("horizon must be finite and exceed 1 to estimate the tail")
     _check_window(0.0, horizon, step)
     tables = basis_tables(field.dim, degree)
-    (mid, end), _ = _scaled_flow(field, 0.0, (horizon - 1.0, horizon), tables, horizon)
+    schedule = _field_schedule(field, tables)
+    (mid, end), _ = _scaled_flow(schedule, 0.0, (horizon - 1.0, horizon), tables, horizon)
     tail = float(np.max(np.abs(end - mid)))
     jet = JetMap.from_array(end, Normalization.UNIVALENT)
     return LimitResult(jet=jet, tail_bound=tail, horizon=horizon, degree=degree, step=step)
@@ -523,7 +561,7 @@ def evolve_report(
     if t == s:
         state, drift = identity_array(tables), 0.0
     else:
-        (psi,), drift = _scaled_flow(field, s, (t,), tables, t)
+        (psi,), drift = _scaled_flow(_field_schedule(field, tables), s, (t,), tables, t)
         state = math.exp(s - t) * psi
     return EvolutionResult(
         s=s,

@@ -258,6 +258,27 @@ def _require_torus_agreement(g: "Generator", message: str) -> None:
         raise DomainError(f"{message}: coefficient error {err:.3e}")
 
 
+def _screen_array(arr: np.ndarray, tables: kernels.BasisTables) -> None:
+    """The constructor's screen of an (n, B) array on ``tables``' basis.
+
+    ``DomainError`` if a coefficient is not finite, checked first, or if
+    h(0) = 0 or Dh(0) = -I fails by more than ``CHECK_TOL``.
+    """
+    if not np.isfinite(arr).all():
+        raise DomainError("generator jet has coefficients that are not finite")
+    check_normalization(arr[:, 0], arr[:, tables.linear], -1.0, CHECK_TOL)
+
+
+def _rotation_phases(tables: kernels.BasisTables, th: Sequence[float]) -> np.ndarray:
+    """``jets.rotation_phases`` on ``tables``' basis.
+
+    A phase that overflows (angles near 1e308) is left not finite, and
+    ``_screen_array`` refuses the rotated array.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return rotation_phases(tables.exponent_columns, th)
+
+
 class Generator:
     """An infinitesimal generator: coefficient array + evaluator + provenance.
 
@@ -279,7 +300,7 @@ class Generator:
     rotation.
 
     ``rotation`` is (base, angles, phases) for ``rotate_generator(base,
-    angles)``, phases the (n, B) array of ``rotation_phases``, and None
+    angles)``, phases the (n, B) array of ``jets.rotation_phases``, and None
     otherwise; a rotation derives its Koenigs data from its base's.  Its
     array is the base's times unit phases and its evaluator the base's
     conjugated by the same rotation, so the base's probe covers it.
@@ -305,10 +326,7 @@ class Generator:
         arr = np.array(jet.array if isinstance(jet, JetMap) else jet, dtype=np.complex128)
         self.jet = JetMap.from_array(arr, Normalization.GENERATOR)
         self.dim, self.degree = self.jet.dim, self.jet.degree
-        if not np.isfinite(arr).all():
-            raise DomainError("generator jet has coefficients that are not finite")
-        tables = kernels.basis_tables(self.dim, self.degree)
-        check_normalization(arr[:, 0], arr[:, tables.linear], -1.0, CHECK_TOL)
+        _screen_array(arr, kernels.basis_tables(self.dim, self.degree))
         self.rotation = rotation
         self._koenigs_source = koenigs_map
         self._koenigs_pairs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -686,7 +704,7 @@ def rotate_generator(g: Generator, angles: Sequence[float]) -> Generator:
     rotation by angles followed by its negation returns the base object
     itself, coefficient-for-coefficient identical.
 
-    The array is the base's array times ``rotation_phases``; a phase that
+    The array is the base's array times ``jets.rotation_phases``; a phase that
     is not finite (angles near 1e308) raises ``DomainError``.  The result
     keeps base, angles and phases as ``rotation``: K of R h R^-1 is
     R K R^-1, so ``koenigs_pair`` rotates the base's pair with the same
@@ -709,10 +727,7 @@ def rotate_generator(g: Generator, angles: Sequence[float]) -> Generator:
         return inv_phases * base.evaluate(phases * z)
 
     angles_out = tuple(float(a) for a in th)
-    alphas = kernels.basis_tables(base.dim, base.degree).alpha_matrix
-    # a phase that overflows is not finite, and the constructor refuses it
-    with np.errstate(over="ignore", invalid="ignore"):
-        rot_phases = rotation_phases(alphas, th)
+    rot_phases = _rotation_phases(kernels.basis_tables(base.dim, base.degree), th)
     return Generator(
         base.jet_array(base.degree) * rot_phases,
         evaluator,

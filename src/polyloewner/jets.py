@@ -306,20 +306,22 @@ def check_normalization(constant: np.ndarray, linear: np.ndarray, sign: float, t
 # -- rotations ------------------------------------------------------------
 
 
-def rotation_phases(alphas: np.ndarray, angles: Sequence[float]) -> np.ndarray:
+def rotation_phases(columns: np.ndarray, angles: Sequence[float]) -> np.ndarray:
     """Unit phases exp(i*(<alpha, angles> - angles[j])) of a torus rotation.
 
-    ``alphas`` is an (m, n) array of exponents; entry [j, k] of the (n, m)
-    result multiplies the coefficient of z^alphas[k] in component j.  The
-    sum <alpha, angles> runs over the coordinates left to right, so a
-    rotated array and a dict jet rotated with these phases get the same
-    bits.  The diagonal phase of the linear part, alpha = e_j in
-    component j, is exactly 1.
+    ``columns`` is an (n, m) float array of exponents, row v the powers of
+    z_v in m monomials (``kernels.BasisTables.exponent_columns`` holds it
+    per basis, so a rotation converts no types); entry [j, k] of the (n, m)
+    result multiplies the coefficient of monomial k in component j.  The
+    sum <alpha, angles> starts from 0.0 and runs over the coordinates left
+    to right, so a rotated array and a dict jet rotated with these phases
+    get the same bits.  The diagonal phase of the linear part, alpha = e_j
+    in component j, is exactly 1.
     """
     th = np.asarray(angles, dtype=np.float64)
-    total = np.zeros(len(alphas))
-    for v in range(th.size):
-        total = total + alphas[:, v] * th[v]
+    total = 0.0
+    for column, angle in zip(columns, th.tolist()):
+        total = total + column * angle
     return np.exp(1j * (total[None, :] - th[:, None]))
 
 

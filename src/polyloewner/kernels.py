@@ -113,6 +113,11 @@ class BasisTables:
         return len(self.alphas)
 
     @cached_property
+    def exponent_columns(self) -> np.ndarray:
+        """(dim, B) float exponents: row v holds the power of z_v in each basis monomial."""
+        return np.ascontiguousarray(self.alpha_matrix.T, dtype=np.float64)
+
+    @cached_property
     def deriv_gather(self) -> tuple[np.ndarray, np.ndarray]:
         """(dim, B) columns and factors: f[..., col[j]] * factor[j] is df/dz_j.
 

@@ -14,16 +14,26 @@ of the linear-drift check; ``certified_value`` re-evaluates the best
 field with ``parametric_limit`` at ``certify_horizon``, a finite-horizon
 cross-check whose ``certified_tail`` is its tail estimate.
 
+The objective decodes a catalog rotation straight into the arrays the
+chain reads, with no generator or field built: the catalog generator's
+cached Koenigs pair and array times the rotation phases, the array
+screened by the ``Generator`` constructor's own check.  Product forms
+and convex combinations need a Koenigs solve each, so they are built as
+generators and feed the chain from them.  ``decode_field`` builds the
+whole field, for ``best_field`` and the ``parametric_limit`` cross-check,
+and the tests hold the objective to it bit for bit.
+
 The optimizer is deterministic for a fixed seed: a canonical sweep over
 catalog entries first, then seeded random restarts refined by coordinate
-ascent with shrinking steps, optionally finished by a Nelder-Mead polish
-on the continuous parameters.  Repeated parameter vectors are served
-from a cache and do not consume budget.
+ascent with shrinking steps.  ``coordinate-ascent+polish`` stops those at
+four fifths of the budget and spends the rest on a Nelder-Mead polish of
+the continuous parameters of the best point.  Repeated parameter vectors
+are served from a cache and do not consume budget.
 
 A parameter vector is a pair (ints, floats).  Each family declares once
 how one schedule piece lays out its ints and the kinds of its floats
 (``_piece_layout``), and the breakpoints close the float vector.  The
-decoder, the canonical sweep, the random starts and the length check all
+decoders, the canonical sweep, the random starts and the length check all
 read that declaration, and one table per float kind (``_kind_table``)
 holds its sampling range, its clip rule and the first and smallest step
 of coordinate ascent, which also sizes the Nelder-Mead simplex.
@@ -38,8 +48,24 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .catalog import catalog_generator, catalog_names, minimal_dimension
-from .evolution import HerglotzField, IntegrationError, _scaled_flow, parametric_limit
-from .generators import AtomicMeasure, Generator, convex_combination, product_form, rotate_generator
+from .evolution import (
+    HerglotzField,
+    IntegrationError,
+    _check_breakpoints,
+    _generator_arrays,
+    _PieceArrays,
+    _scaled_flow,
+    parametric_limit,
+)
+from .generators import (
+    AtomicMeasure,
+    Generator,
+    _rotation_phases,
+    _screen_array,
+    convex_combination,
+    product_form,
+    rotate_generator,
+)
 from .jets import DomainError, check_jet_shape
 from .kernels import basis_tables
 
@@ -186,12 +212,16 @@ def _chunks(seq: Sequence, size: int, count: int) -> list:
     return [seq[k * size : (k + 1) * size] for k in range(count)]
 
 
-def _rotated(space: SearchSpace, index: int, angles: Sequence[float]) -> Generator:
+def _catalog_base(space: SearchSpace, index: int) -> Generator:
     name = space.names[index % len(space.names)]
-    return rotate_generator(catalog_generator(name, dim=space.dim, degree=space.degree), angles)
+    return catalog_generator(name, dim=space.dim, degree=space.degree)
 
 
-def _decode_piece(space: SearchSpace, ints: Sequence[int], floats: Sequence[float]) -> Generator:
+def _rotated(space: SearchSpace, index: int, angles: Sequence[float]) -> Generator:
+    return rotate_generator(_catalog_base(space, index), angles)
+
+
+def _piece_generator(space: SearchSpace, ints: Sequence[int], floats: Sequence[float]) -> Generator:
     """The generator of one piece, from that piece's ints and floats."""
     n = space.dim
     if space.family == "catalog-rotation":
@@ -207,28 +237,63 @@ def _decode_piece(space: SearchSpace, ints: Sequence[int], floats: Sequence[floa
     return convex_combination(gens, _normalized([part[n] for part in parts]))
 
 
-def decode_field(space: SearchSpace, params: Params) -> HerglotzField:
-    """Instantiate the schedule a parameter vector describes."""
+def _decode_piece(space: SearchSpace, ints: Sequence[int], floats: Sequence[float]) -> _PieceArrays:
+    """The Koenigs chain's feed for one piece, from that piece's ints and floats.
+
+    A catalog rotation builds no generator.  Its arrays are those of
+    ``_rotated``: for angles that are all zero, the catalog generator's
+    own; otherwise its array times the rotation phases, screened by the
+    ``Generator`` constructor's ``_screen_array``, with its cached Koenigs
+    pair times the same phases.  A product form or a convex combination
+    needs a Koenigs solve of its own, so it is built as a generator and
+    fed from it.
+    """
+    tables = basis_tables(space.dim, space.degree)
+    if space.family != "catalog-rotation":
+        return _generator_arrays(_piece_generator(space, ints, floats), tables)
+    base = _catalog_base(space, ints[0])
+    if not any(floats):
+        return _generator_arrays(base, tables)
+    phases = _rotation_phases(tables, floats)
+    h = base.jet_array(space.degree) * phases
+    _screen_array(h, tables)
+    K, L = base.koenigs_pair(space.degree)
+    return lambda: (K * phases, L * phases, h[:, tables.linear])
+
+
+def _decode(space: SearchSpace, params: Params, piece) -> tuple[list, list[float]]:
+    """``piece(space, ints, floats)`` of every schedule piece, and the breakpoints."""
     ints, floats = params
     if len(ints) != _int_count(space) or len(floats) != len(_float_kinds(space)):
         raise DomainError("parameter vector does not match the space layout")
     ni, kinds = _piece_layout(space)
     m, nf = space.pieces, len(kinds)
     pieces = zip(_chunks(ints, ni, m), _chunks(floats, nf, m))
-    gens = [_decode_piece(space, piece_ints, piece_floats) for piece_ints, piece_floats in pieces]
-    return HerglotzField.build(gens, _decode_breaks(floats[m * nf :]))
+    return [piece(space, i, f) for i, f in pieces], _decode_breaks(floats[m * nf :])
+
+
+def decode_field(space: SearchSpace, params: Params) -> HerglotzField:
+    """Instantiate the schedule a parameter vector describes."""
+    return HerglotzField.build(*_decode(space, params, _piece_generator))
 
 
 def objective(space: SearchSpace, params: Params) -> float:
     """Re A_alpha of component 1 of the limit map lim e^T phi_{0,T}, T = inf.
 
     The limit is exact: the Koenigs chain of the schedule up to its tail
-    generator, with no horizon.  ``space.horizon`` is only the window of
-    the linear-drift normalization check, which fails with
-    IntegrationError as ``parametric_limit`` does at that horizon.
+    generator, with no horizon.  The chain is fed per piece by
+    ``_decode_piece``, so catalog rotations build no objects; the
+    breakpoints pass the field's check.  Every generator a search decodes
+    is ``TRUSTED``, so the admissibility screen of ``decode_field`` has
+    nothing to scan.  ``space.horizon`` is only the window of the
+    linear-drift normalization check, which fails with IntegrationError
+    as ``parametric_limit`` does at that horizon.
     """
     tables = basis_tables(space.dim, space.degree)
-    (end,), _ = _scaled_flow(decode_field(space, params), 0.0, (math.inf,), tables, space.horizon)
+    feeds, breaks = _decode(space, params, _decode_piece)
+    _check_breakpoints(breaks)
+    schedule = zip(breaks + [math.inf], feeds)
+    (end,), _ = _scaled_flow(schedule, 0.0, (math.inf,), tables, space.horizon)
     return float(end[0, tables.index[space.alpha]].real)
 
 
@@ -320,6 +385,9 @@ def maximize(
     clips, first_steps, last_steps = zip(*(table[k][1:] for k in kinds))
     rng = np.random.default_rng(seed)
     cache: dict[Params, float] = {}
+    polished = method.endswith("polish")
+    # the sweep and the restarts stop here; a polish gets the last fifth of the budget
+    limit = budget - budget // 5 if polished else budget
     evals = 0
     last_error: Optional[Exception] = None
     best_val = -math.inf
@@ -345,7 +413,7 @@ def maximize(
         nonlocal evals, last_error
         if params in cache:
             return cache[params]
-        if evals >= budget:
+        if evals >= limit:
             raise _BudgetExhausted
         evals += 1
         try:
@@ -438,12 +506,16 @@ def maximize(
     try:
         for params in _canonical_params(space):
             run(params)
-        while evals < budget:
+        while evals < limit:
             ascent(_sample_params(space, rng))
-        if method.endswith("polish") and best_params is not None:
-            polish(best_params)
     except _BudgetExhausted:
         pass
+    if polished and best_params is not None:
+        limit = budget
+        try:
+            polish(best_params)
+        except _BudgetExhausted:
+            pass
 
     if best_params is None:
         # only a failed evaluation leaves best_params unset

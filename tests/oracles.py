@@ -425,8 +425,8 @@ def rotate_map(f: JetMap, angles: Sequence[float]) -> JetMap:
     comps = []
     for j, comp in enumerate(components(f)):
         terms = coeffs(comp)
-        exps = np.array(list(terms), dtype=np.int64).reshape(len(terms), f.dim)
-        phases = rotation_phases(exps, th)[j]
+        columns = np.array(list(terms), dtype=np.float64).reshape(len(terms), f.dim).T
+        phases = rotation_phases(columns, th)[j]
         out = {a: c * complex(p) for (a, c), p in zip(terms.items(), phases)}
         comps.append(MultiJet(f.dim, f.degree, out))
     return JetMap(tuple(comps), f.normalization)

@@ -613,6 +613,16 @@ class TestTransitionChain:
             assert np.array_equal(rep.jet.array, identity_array(tables))
             assert rep.error_estimate == 0.0
 
+    def test_pieces_before_s_are_never_solved(self, rng):
+        # the chain asks a piece for its arrays only when it reaches it
+        early = product_form([1, 0], [AtomicMeasure(((0.3, 1.0),)), None], degree=4)
+        field = HerglotzField.build([early, _rotated("H2", 2, rng)], [0.8])
+        evolve_report(field, 0.8, 2.0)
+        evolve_report(field, 1.0, 2.0)
+        assert not early._koenigs_pairs
+        evolve_report(field, 0.5, 2.0)
+        assert set(early._koenigs_pairs) == {4}
+
     def test_two_sided_semigroup_identity(self, rng):
         field = HerglotzField.build(
             [_rotated(name, 2, rng) for name in ("H1", "H2", "H4")], [0.7, 1.3]

@@ -17,8 +17,10 @@ from polyloewner import (
     objective,
     parametric_limit,
 )
-from polyloewner import search
-from polyloewner.search import _canonical_params, _sample_params
+from polyloewner import evolution, generators, search
+from polyloewner.evolution import _field_schedule, _scaled_flow
+from polyloewner.kernels import basis_tables
+from polyloewner.search import _canonical_params, _float_kinds, _sample_params
 import oracles
 
 
@@ -107,21 +109,35 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
+def _object_route(space, decode, params):
+    """The objective by objects: the Koenigs chain over ``decode(space, params)``, T = inf."""
+    tables = basis_tables(space.dim, space.degree)
+    schedule = _field_schedule(decode(space, params), tables)
+    (end,), _ = _scaled_flow(schedule, 0.0, (math.inf,), tables, space.horizon)
+    return float(end[0, tables.index[space.alpha]].real)
+
+
+def _with_angles(space, params, angle):
+    """``params`` with every angle set to ``angle``."""
+    kinds = _float_kinds(space)
+    return params[0], tuple(angle if k == "angle" else x for k, x in zip(kinds, params[1]))
+
+
 class TestLayout:
     """Every layout reader agrees with the decoder that kept its own counter."""
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("pieces", [1, 2, 3])
     @pytest.mark.parametrize("family", FAMILIES)
-    def test_decode_matches_the_counter_decoder(self, monkeypatch, family, pieces, dim):
+    def test_decode_matches_the_counter_decoder(self, family, pieces, dim):
         space = SearchSpace(dim=dim, alpha=(1, 1, 0)[:dim], family=family, pieces=pieces)
         rng = np.random.default_rng(100 * pieces + dim)
         vectors = _canonical_params(space) + [_sample_params(space, rng) for _ in range(30)]
         values = [_outcome(objective, space, p) for p in vectors]
         for p in vectors:
             assert decode_field(space, p).to_json() == oracles.decode_field(space, p).to_json()
-        monkeypatch.setattr(search, "decode_field", oracles.decode_field)
-        assert values == [_outcome(objective, space, p) for p in vectors]
+        assert values == [_outcome(_object_route, space, oracles.decode_field, p) for p in vectors]
+        assert any(isinstance(v, str) for v in values)  # some values are bits, not refusals
 
     @pytest.mark.parametrize("method", ["coordinate-ascent", "coordinate-ascent+polish"])
     @pytest.mark.parametrize("family", FAMILIES)
@@ -138,6 +154,52 @@ class TestLayout:
         for params in [(ints[1:], floats), (ints, floats + (1.0,)), (ints + (0,), floats)]:
             with pytest.raises(DomainError, match="does not match the space layout"):
                 decode_field(space, params)
+
+
+class TestArrayDecode:
+    """The objective decodes catalog rotations into arrays, bit for bit the object route."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("pieces", [1, 2, 3])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_objective_is_the_object_route(self, family, pieces, dim):
+        space = SearchSpace(dim=dim, alpha=(1, 1, 0)[:dim], family=family, pieces=pieces)
+        rng = np.random.default_rng(10 * pieces + dim)
+        samples = [_sample_params(space, rng) for _ in range(200)]
+        vectors = _canonical_params(space) + samples
+        # all-zero angles of either sign, and angles whose phases are not finite
+        for angle in (0.0, -0.0, -1e-300, math.nan, 1e308):
+            vectors += [_with_angles(space, p, angle) for p in samples[:5]]
+        if pieces > 1:
+            bad_breaks = (0.0, -1.0, math.nan)
+            vectors += [(p[0], p[1][:-1] + (b,)) for p in samples[:2] for b in bad_breaks]
+        values = [_outcome(objective, space, p) for p in vectors]
+        assert values == [_outcome(_object_route, space, decode_field, p) for p in vectors]
+        assert {type(v) for v in values} == {str, tuple}  # bits and refusals both compared
+
+    def test_a_rotation_objective_builds_no_objects(self, monkeypatch):
+        space = SearchSpace(dim=3, alpha=(0, 1, 1), pieces=3)
+        rng = np.random.default_rng(5)
+        vectors = [_sample_params(space, rng) for _ in range(20)]
+        objective(space, vectors[0])  # the catalog generators and their pairs are cached
+        built = []
+
+        def counting(cls):
+            init = cls.__init__
+
+            def counted(self, *args, **kwargs):
+                built.append(cls.__name__)
+                init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+
+        counting(generators.Generator)
+        counting(evolution.HerglotzField)
+        for p in vectors:
+            objective(space, p)
+        assert built == []
+        decode_field(space, vectors[0])  # the counters see the object route
+        assert built.count("Generator") == 3 and built.count("HerglotzField") == 1
 
 
 class TestExactObjective:
@@ -224,6 +286,36 @@ class TestMaximize:
         res = maximize(space, budget=40, seed=5, method="coordinate-ascent+polish")
         assert res.method == "coordinate-ascent+polish"
         assert res.certified_value <= 2.0 + 1e-4
+
+    def test_polish_spends_the_last_fifth_of_the_budget(self, monkeypatch):
+        space = SearchSpace(dim=2, alpha=(2, 1), pieces=2)
+        budget, limit = 100, 80
+        calls = []
+
+        def recording(space, params):
+            calls.append(params)
+            return objective(space, params)
+
+        monkeypatch.setattr(search, "objective", recording)
+        plain = maximize(space, budget=limit, seed=0)
+        ascent = calls[:]
+        calls.clear()
+        res = maximize(space, budget=budget, seed=0, method="coordinate-ascent+polish")
+        assert limit < res.evaluations == len(calls) <= budget
+        # up to the limit the sweep and the restarts run as without a polish
+        assert calls[:limit] == ascent
+        polish = calls[limit:]
+        # then Nelder-Mead starts from the best point so far, one vertex per float
+        start_ints, start = plain.best_params
+        table = search._kind_table(space)
+        vertices = []
+        for j, kind in enumerate(_float_kinds(space)):
+            clip, first = table[kind][1], table[kind][2]
+            moved = search._clip_float(clip, start[j] + 0.5 * first)
+            vertices.append((start_ints, start[:j] + (moved,) + start[j + 1 :]))
+        fresh = [v for v in vertices if v not in ascent]
+        assert polish[: len(fresh)] == fresh
+        assert all(p[0] == start_ints for p in polish)
 
     def test_unknown_method_rejected(self):
         space = SearchSpace(dim=2, alpha=(1, 1))
