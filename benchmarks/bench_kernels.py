@@ -208,7 +208,7 @@ def main() -> None:
         )
 
         def chain(field=field, degree=degree):
-            return evolve_report(field, s, t, degree=degree, step=EVOLVE_STEP)
+            return evolve_report(field, s, t, degree=degree)
 
         def rk4(field=field, degree=degree):
             return [evolve_jet(field, s, t, degree=degree, step=h) for h in (EVOLVE_STEP, EVOLVE_STEP / 2)]

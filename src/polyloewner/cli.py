@@ -10,6 +10,10 @@ file, overridden by explicit flags) is embedded for provenance.  The
 timestamp is omitted under --deterministic so identical configs produce
 byte-identical reports.  Exit status: 0 when all verdicts pass, 1 on
 verification failure, 2 on bad input.
+
+Each verb is one row of ``_VERBS``: its help line, runner, CSV header
+and options.  The parser, the config merge and ``main`` read that row;
+a flag's help text, the same on every verb, is in ``_FLAG_HELP``.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import json
 import math
 import sys
 from datetime import datetime, timezone
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -63,68 +67,6 @@ def _bool(text: str) -> bool:
     raise CliError(f"expected a boolean, got {text!r}")
 
 
-# per-verb option table: dest -> (type, default); None default means optional
-_VERB_OPTIONS: dict[str, dict[str, tuple]] = {
-    "verify-catalog": {
-        "degree": (int, 4),
-        "tol": (float, 1e-10),
-        "membership_tol": (float, 1e-9),
-    },
-    "check-generator": {
-        "file": (str, None),
-        "tol": (float, 1e-9),
-        "degree": (int, 4),
-    },
-    "evolve": {
-        "field": (str, None),
-        "s": (float, 0.0),
-        "t": (float, 1.0),
-        "step": (float, 1e-2),
-        "degree": (int, 4),
-    },
-    "limit": {
-        "field": (str, None),
-        "horizon": (float, 15.0),
-        "step": (float, 1e-2),
-        "degree": (int, 4),
-    },
-    "bounds": {
-        "name": (str, None),
-        "generator": (str, None),
-        "field": (str, None),
-        "horizon": (float, 15.0),
-        "step": (float, 1e-2),
-        "degree": (int, 4),
-        "tol": (float, 1e-6),
-        "equality_tol": (float, None),
-        "growth_points": (int, 50),
-        "seed": (int, 0),
-    },
-    "search": {
-        "alpha": (str, None),
-        "dim": (int, 2),
-        "family": (str, "catalog-rotation"),
-        "pieces": (int, 1),
-        "budget": (int, 500),
-        "seed": (int, 0),
-        "horizon": (float, 12.0),
-        "certify_horizon": (float, 15.0),
-        "degree": (int, 3),
-        "method": (str, "coordinate-ascent"),
-    },
-    "caratheodory": {
-        "file": (str, None),
-        "atoms": (str, "0:1"),
-        "degree": (int, 4),
-        "tol": (float, 1e-6),
-    },
-    "catalog": {
-        "dump": (str, None),
-        "dim": (int, None),
-        "degree": (int, 4),
-    },
-}
-
 _FLAG_HELP = {
     "degree": "jet truncation degree",
     "tol": "pass/fail tolerance",
@@ -135,7 +77,7 @@ _FLAG_HELP = {
     "name": "catalog entry name",
     "s": "evolution start time",
     "t": "evolution end time",
-    "step": "integration step",
+    "step": "RK4 step of the growth-bound points",
     "horizon": "time horizon for limits",
     "certify_horizon": "horizon for final re-evaluation",
     "alpha": "target multi-index, comma-separated (e.g. 2,0)",
@@ -159,18 +101,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    help_text = {
-        "verify-catalog": "check the starlike/generator catalog identities and bounds",
-        "check-generator": "grid admissibility check for a described generator",
-        "evolve": "transition jet of a field between two times",
-        "limit": "normalized limit map of a field",
-        "bounds": "coefficient and growth bound report",
-        "search": "maximize a limit coefficient over a schedule family",
-        "caratheodory": "coefficient bounds for an atomic-measure transform",
-        "catalog": "list or dump catalog entries",
-    }
-    for verb, options in _VERB_OPTIONS.items():
-        p = sub.add_parser(verb, help=help_text[verb])
+    for name, verb in _VERBS.items():
+        p = sub.add_parser(name, help=verb.help)
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--output", "-o", help="write the JSON report here (default stdout)")
         p.add_argument("--csv", help="also write the CSV projection here")
@@ -180,7 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
             default=argparse.SUPPRESS,
             help="omit the timestamp so identical runs are byte-identical",
         )
-        for dest, (typ, _default) in options.items():
+        for dest, (typ, _default) in verb.options.items():
             flag = "--" + dest.replace("_", "-")
             p.add_argument(flag, type=typ, default=argparse.SUPPRESS, help=_FLAG_HELP[dest])
     return parser
@@ -203,9 +135,8 @@ def _read_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def _effective_config(args: argparse.Namespace) -> dict:
+def _effective_config(args: argparse.Namespace, options: dict[str, tuple]) -> dict:
     """defaults < config file < explicit flags."""
-    options = _VERB_OPTIONS[args.command]
     config = {dest: default for dest, (_t, default) in options.items()}
     config["deterministic"] = False
     if args.config:
@@ -315,24 +246,13 @@ def _load_field_for(config, verb: str):
 
 def _run_evolve(config):
     field = _load_field_for(config, "evolve")
-    result = evolve_report(
-        field,
-        config["s"],
-        config["t"],
-        degree=config["degree"],
-        step=config["step"],
-    )
+    result = evolve_report(field, config["s"], config["t"], degree=config["degree"])
     return result.to_json(), True, None
 
 
 def _run_limit(config):
     field = _load_field_for(config, "limit")
-    result = parametric_limit(
-        field,
-        horizon=config["horizon"],
-        degree=config["degree"],
-        step=config["step"],
-    )
+    result = parametric_limit(field, horizon=config["horizon"], degree=config["degree"])
     return result.to_json(), True, None
 
 
@@ -341,13 +261,15 @@ def _bounds_subject(config) -> BoundReport:
     if len(chosen) != 1:
         raise CliError("bounds needs exactly one of --name, --generator, --field")
     mode = chosen[0]
+    eq = config["equality_tol"]
+    if eq is None:
+        eq = EQUALITY_TOL_EVOLVED if mode == "field" else EQUALITY_TOL_CLOSED_FORM
     if mode == "generator":
         gen = generator_from_json(
             _load_json(config["generator"]), default_degree=config["degree"]
         )
         # the sharp bounds hold for generators in the class M only
         require_admissible([gen])
-        eq = config["equality_tol"] or EQUALITY_TOL_CLOSED_FORM
         return generator_coeff_report(gen, tol=config["tol"], equality_tol=eq)
 
     # the growth check evaluates every point in one batch
@@ -357,20 +279,13 @@ def _bounds_subject(config) -> BoundReport:
     if mode == "name":
         entry = catalog_get(config["name"], degree=max(config["degree"], 2))
         jet, evaluator, subject = entry.jet, entry.evaluator, entry.name
-        eq = config["equality_tol"] or EQUALITY_TOL_CLOSED_FORM
         if entry.role == "generator":
             return generator_coeff_report(jet, tol=config["tol"], equality_tol=eq, subject=subject)
     else:
         field = _load_field_for(config, "bounds")
-        limit = parametric_limit(
-            field,
-            horizon=config["horizon"],
-            degree=config["degree"],
-            step=config["step"],
-        )
+        limit = parametric_limit(field, horizon=config["horizon"], degree=config["degree"])
         evaluator = limit_evaluator(field, horizon=config["horizon"], step=config["step"])
         jet, subject = limit.jet, "limit"
-        eq = config["equality_tol"] or EQUALITY_TOL_EVOLVED
 
     coeff = coeff_bound_report(jet, tol=config["tol"], equality_tol=eq, subject=subject)
     rng = np.random.default_rng(config["seed"])
@@ -443,31 +358,98 @@ def _run_catalog(config):
     return {"entries": entries}, True, None
 
 
-_RUNNERS = {
-    "verify-catalog": _run_verify_catalog,
-    "check-generator": _run_check_generator,
-    "evolve": _run_evolve,
-    "limit": _run_limit,
-    "bounds": _run_bounds,
-    "search": _run_search,
-    "caratheodory": _run_caratheodory,
-    "catalog": _run_catalog,
-}
+class _Verb(NamedTuple):
+    """One verb: its help line, runner, CSV header (None without a CSV
+    projection) and options, dest -> (type, default), a None default
+    meaning optional."""
 
-# the verbs with a CSV projection, and its header
-_CSV_HEADERS = {
-    "bounds": CSV_HEADER,
-    "caratheodory": CSV_HEADER,
-    "search": ("evaluation", "value"),
+    help: str
+    run: Callable[[dict], tuple]
+    csv_header: Optional[tuple]
+    options: dict[str, tuple]
+
+
+_VERBS = {
+    "verify-catalog": _Verb(
+        "check the starlike/generator catalog identities and bounds",
+        _run_verify_catalog,
+        None,
+        {"degree": (int, 4), "tol": (float, 1e-10), "membership_tol": (float, 1e-9)},
+    ),
+    "check-generator": _Verb(
+        "grid admissibility check for a described generator",
+        _run_check_generator,
+        None,
+        {"file": (str, None), "tol": (float, 1e-9), "degree": (int, 4)},
+    ),
+    "evolve": _Verb(
+        "transition jet of a field between two times",
+        _run_evolve,
+        None,
+        {"field": (str, None), "s": (float, 0.0), "t": (float, 1.0), "degree": (int, 4)},
+    ),
+    "limit": _Verb(
+        "normalized limit map of a field",
+        _run_limit,
+        None,
+        {"field": (str, None), "horizon": (float, 15.0), "degree": (int, 4)},
+    ),
+    "bounds": _Verb(
+        "coefficient and growth bound report",
+        _run_bounds,
+        CSV_HEADER,
+        {
+            "name": (str, None),
+            "generator": (str, None),
+            "field": (str, None),
+            "horizon": (float, 15.0),
+            "step": (float, 1e-2),
+            "degree": (int, 4),
+            "tol": (float, 1e-6),
+            "equality_tol": (float, None),
+            "growth_points": (int, 50),
+            "seed": (int, 0),
+        },
+    ),
+    "search": _Verb(
+        "maximize a limit coefficient over a schedule family",
+        _run_search,
+        ("evaluation", "value"),
+        {
+            "alpha": (str, None),
+            "dim": (int, 2),
+            "family": (str, "catalog-rotation"),
+            "pieces": (int, 1),
+            "budget": (int, 500),
+            "seed": (int, 0),
+            "horizon": (float, 12.0),
+            "certify_horizon": (float, 15.0),
+            "degree": (int, 3),
+            "method": (str, "coordinate-ascent"),
+        },
+    ),
+    "caratheodory": _Verb(
+        "coefficient bounds for an atomic-measure transform",
+        _run_caratheodory,
+        CSV_HEADER,
+        {"file": (str, None), "atoms": (str, "0:1"), "degree": (int, 4), "tol": (float, 1e-6)},
+    ),
+    "catalog": _Verb(
+        "list or dump catalog entries",
+        _run_catalog,
+        None,
+        {"dump": (str, None), "dim": (int, None), "degree": (int, 4)},
+    ),
 }
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    verb = _VERBS[args.command]
     try:
-        config = _effective_config(args)
-        if args.csv and args.command not in _CSV_HEADERS:
+        config = _effective_config(args, verb.options)
+        if args.csv and verb.csv_header is None:
             raise CliError(f"{args.command} does not define a CSV projection")
         envelope = {
             "schema": SCHEMA,
@@ -477,7 +459,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if not config["deterministic"]:
             envelope["timestamp"] = datetime.now(timezone.utc).isoformat()
         try:
-            report, passed, csv_rows = _RUNNERS[args.command](config)
+            report, passed, csv_rows = verb.run(config)
         except MembershipError as exc:
             report = {"error": str(exc), "certificate": exc.certificate.to_json()}
             passed, csv_rows = False, []
@@ -490,7 +472,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         else:
             sys.stdout.write(text)
         if args.csv:
-            _write_csv(args.csv, _CSV_HEADERS[args.command], csv_rows)
+            _write_csv(args.csv, verb.csv_header, csv_rows)
         return 0 if passed else 1
     # a RecursionError comes from a description nested past the interpreter's limit
     except (

@@ -170,9 +170,12 @@ class HerglotzField:
         return {"dim": self.dim, "schedule": entries}
 
 
-def _check_window(s: float, t: float, step: float) -> None:
+def _check_step(step: float) -> None:
     if not 0.0 < step < math.inf:
         raise DomainError("step must be positive and finite")
+
+
+def _check_window(s: float, t: float) -> None:
     if not (math.isfinite(s) and math.isfinite(t)):
         raise DomainError(f"evolution times must be finite, got s={s}, t={t}")
     if s < 0.0:
@@ -182,7 +185,8 @@ def _check_window(s: float, t: float, step: float) -> None:
 
 
 def _step_times(s: float, t: float, step: float, breakpoints: Sequence[float]) -> np.ndarray:
-    _check_window(s, t, step)
+    _check_step(step)
+    _check_window(s, t)
     if (t - s) / step > _MAX_STEPS:
         raise DomainError(
             f"evolving from {s} to {t} at step {step} takes more than {_MAX_STEPS} steps"
@@ -297,16 +301,13 @@ class LimitResult:
     ``tail_bound`` is the coefficientwise distance between the scaled
     jets at horizon-1 and horizon; the scaled family converges at rate
     e^-t, so this overestimates the remaining drift roughly e-fold.
-    ``step`` is the RK4 step the caller asked for; it is recorded but
-    does not enter the Koenigs construction of the jet.  ``jet`` is a
-    read-only view of the chain's array at the horizon.
+    ``jet`` is a read-only view of the chain's array at the horizon.
     """
 
     jet: JetMap
     tail_bound: float
     horizon: float
     degree: int
-    step: float
 
     def to_json(self) -> dict:
         return {
@@ -314,7 +315,6 @@ class LimitResult:
             "tail_bound": self.tail_bound,
             "horizon": self.horizon,
             "degree": self.degree,
-            "step": self.step,
         }
 
 
@@ -422,20 +422,19 @@ def parametric_limit(
     Built exactly from the Koenigs linearization of each constant piece
     (see the module docstring), so its cost does not grow with the
     horizon and e^T is never formed; ``tail_bound`` compares it with the
-    same jet one time unit earlier.  ``step`` is validated and
-    recorded but does not change the result; e^T times ``evolve_jet``
-    from 0 to T is the RK4 route to the same jet, and the tests keep it
-    as the oracle.
+    same jet one time unit earlier.  ``step`` is validated but does not
+    change the result; e^T times ``evolve_jet`` from 0 to T at that step
+    is the RK4 route to the same jet, and the tests keep it as the oracle.
     """
     if not (math.isfinite(horizon) and horizon > 1.0):
         raise DomainError("horizon must be finite and exceed 1 to estimate the tail")
-    _check_window(0.0, horizon, step)
+    _check_step(step)
     tables = basis_tables(field.dim, degree)
     schedule = _field_schedule(field, tables)
     (mid, end), _ = _scaled_flow(schedule, 0.0, (horizon - 1.0, horizon), tables, horizon)
     tail = float(np.max(np.abs(end - mid)))
     jet = JetMap.from_array(end, Normalization.UNIVALENT)
-    return LimitResult(jet=jet, tail_bound=tail, horizon=horizon, degree=degree, step=step)
+    return LimitResult(jet=jet, tail_bound=tail, horizon=horizon, degree=degree)
 
 
 def _exact_tail(
@@ -524,16 +523,13 @@ class EvolutionResult:
     ``error_estimate`` is the linear drift that the chain leaves out by
     taking Dh(0) = -I on every piece, the sum over pieces of
     |Dh(0) + I| times the time each acts in [s, t]; it is 0 for catalog
-    pieces.  ``step`` is the RK4 step the caller asked for; it is
-    validated and recorded but does not enter the chain, and
-    ``evolve_jet`` at that step is the RK4 route to the same jet.
-    ``jet`` is a read-only view of the chain's array at t.
+    pieces.  ``evolve_jet`` is the RK4 route to the same jet.  ``jet``
+    is a read-only view of the chain's array at t.
     """
 
     s: float
     t: float
     degree: int
-    step: float
     jet: JetMap
     error_estimate: float
 
@@ -542,7 +538,6 @@ class EvolutionResult:
             "s": self.s,
             "t": self.t,
             "degree": self.degree,
-            "step": self.step,
             "jet": map_to_json(self.jet),
             "error_estimate": self.error_estimate,
         }
@@ -553,11 +548,10 @@ def evolve_report(
     s: float,
     t: float,
     degree: int = 4,
-    step: float = 1e-2,
 ) -> EvolutionResult:
     """phi_{s,t} = e^-(t-s) Psi_t from the Koenigs chain started at s; s == t is the identity."""
     tables = basis_tables(field.dim, degree)
-    _check_window(s, t, step)
+    _check_window(s, t)
     if t == s:
         state, drift = identity_array(tables), 0.0
     else:
@@ -567,7 +561,6 @@ def evolve_report(
         s=s,
         t=t,
         degree=degree,
-        step=step,
         jet=JetMap.from_array(state),
         error_estimate=drift,
     )

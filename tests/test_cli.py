@@ -296,9 +296,7 @@ class TestEvolveAndLimit:
         assert payload["report"]["tail_bound"] < 1e-2
 
     def test_limit_at_extreme_horizon(self, run, field_file):
-        code, out, err = run(
-            "limit", "--field", field_file, "--horizon", "800", "--step", "100"
-        )
+        code, out, err = run("limit", "--field", field_file, "--horizon", "800")
         assert code == 0 and err == ""
         report = json.loads(out)["report"]
         assert report["horizon"] == 800.0
@@ -354,11 +352,11 @@ class TestEvolveAndLimit:
     def test_runaway_step_evolves_exactly(self, run_json, field_file):
         # the Koenigs chain takes no steps and forms no e^(t-s): the jet is
         # finite and its linear part e^(s-t) I underflows to 0.0
-        for t, step in (("1e9", "1e8"), ("1e12", "1e11")):
-            code, payload, err = run_json("evolve", "--field", field_file, "--t", t, "--step", step)
+        for t in ("1e9", "1e12"):
+            code, payload, err = run_json("evolve", "--field", field_file, "--t", t)
             assert code == 0 and err == ""
             report = payload["report"]
-            assert report["error_estimate"] == 0.0 and report["step"] == float(step)
+            assert report["error_estimate"] == 0.0
             jet = map_from_json(report["jet"])
             assert np.array_equal(jet.linear_part(), math.exp(-float(t)) * np.eye(2))
             coeffs = [c for comp in report["jet"]["components"] for c in comp["coeffs"]]
@@ -426,6 +424,20 @@ class TestBounds:
         )
         assert code == 0
         assert payload["report"]["subject"] == "limit"
+
+    def test_an_equality_tol_of_zero_is_a_tolerance(self, run_json, tmp_path):
+        # 0.0 is not an unset option: it flags what 1e-300 flags, not what the default does
+        field = tmp_path / "h1.json"
+        field.write_text(json.dumps([{"generator": {"kind": "catalog", "name": "H1"}}]))
+        subject = ("bounds", "--field", str(field), "--degree", "3", "--growth-points", "4")
+
+        def equalities(*flags):
+            code, payload, err = run_json(*subject, *flags, "--deterministic")
+            assert (code, err) == (0, "")
+            return payload["report"]["equalities"]
+
+        assert equalities() == ["A[0](2,0)"]
+        assert equalities("--equality-tol", "0") == equalities("--equality-tol", "1e-300") == []
 
     def test_horizon_too_large_for_the_evaluator(self, run, field_file):
         for horizon in ("800", "inf", "nan"):
@@ -513,16 +525,18 @@ class TestJetShapeCap:
 
 
 class TestSearchVerb:
-    def test_step_is_not_a_search_option(self, run, capsys, tmp_path):
-        # limits are built from Koenigs maps, so search has no RK4 step to set;
-        # `limit --step` stays (test_limit_at_extreme_horizon)
+    @pytest.mark.parametrize("verb", ["search", "limit", "evolve"])
+    def test_step_is_not_a_search_option(self, run, capsys, tmp_path, field_file, verb):
+        # limits and transition jets are built from Koenigs maps, so these verbs
+        # have no RK4 step to set; `bounds --step` stays, for the growth points
+        argv = [verb] + (["--alpha", "1,1"] if verb == "search" else ["--field", field_file])
         with pytest.raises(SystemExit) as exc:
-            main(["search", "--alpha", "1,1", "--step", "0.01"])
+            main(argv + ["--step", "0.01"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --step" in capsys.readouterr().err
         cfg = tmp_path / "run.cfg"
         cfg.write_text("step = 0.01\n")
-        code, out, err = run("search", "--alpha", "1,1", "--config", str(cfg))
+        code, out, err = run(*argv, "--config", str(cfg))
         assert code == 2 and out == ""
         assert err.startswith("polyloewner: error:") and "step" in err
         assert len(err.splitlines()) == 1

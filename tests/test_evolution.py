@@ -362,7 +362,6 @@ class TestLimit:
         payload = res.to_json()
         assert payload["horizon"] == 6.0
         assert payload["degree"] == 3
-        assert payload["step"] == pytest.approx(1e-2)
         assert payload["tail_bound"] == res.tail_bound
         assert "jet" in payload
 
@@ -561,7 +560,7 @@ class TestReport:
     def test_report_without_points(self):
         field = HerglotzField.constant(catalog_generator("H4"))
         rep = evolve_report(field, 0.0, 1.0, degree=3)
-        assert set(rep.to_json()) == {"s", "t", "degree", "step", "jet", "error_estimate"}
+        assert set(rep.to_json()) == {"s", "t", "degree", "jet", "error_estimate"}
 
 
 CHAIN_KINDS = {
@@ -662,13 +661,13 @@ class TestTransitionChain:
 
     def test_window_validation(self):
         field = HerglotzField.constant(catalog_generator("H1"))
-        for s, t, step in (
-            (0.0, 1.0, 0.0), (0.0, 1.0, -1e-2), (0.0, 1.0, math.nan), (0.0, 1.0, math.inf),
-            (0.0, math.nan, 1e-2), (0.0, math.inf, 1e-2), (1.0, 0.5, 1e-2),
-        ):
+        for s, t in ((0.0, math.nan), (0.0, math.inf), (1.0, 0.5)):
             with pytest.raises(DomainError):
-                evolve_report(field, s, t, step=step)
-        assert evolve_report(field, 0.0, 1.0, step=0.25).step == 0.25
+                evolve_report(field, s, t)
+        # the chain takes no step; RK4, which does, refuses a step out of range
+        for step in (0.0, -1e-2, math.nan, math.inf):
+            with pytest.raises(DomainError, match="step must be positive and finite"):
+                evolve_jet(field, 0.0, 1.0, step=step)
 
     def test_rk4_keeps_its_runaway_guard(self):
         # RK4 at a step past its stability limit ends in a non-finite state

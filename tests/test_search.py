@@ -18,9 +18,15 @@ from polyloewner import (
     parametric_limit,
 )
 from polyloewner import evolution, generators, search
-from polyloewner.evolution import _field_schedule, _scaled_flow
+from polyloewner.evolution import _field_schedule, _generator_arrays, _scaled_flow
 from polyloewner.kernels import basis_tables
-from polyloewner.search import _canonical_params, _float_kinds, _sample_params
+from polyloewner.search import (
+    _canonical_params,
+    _decode_piece,
+    _float_kinds,
+    _piece_generator,
+    _sample_params,
+)
 import oracles
 
 
@@ -117,6 +123,19 @@ def _object_route(space, decode, params):
     return float(end[0, tables.index[space.alpha]].real)
 
 
+def _recording(fn, evaluated):
+    """``fn`` that appends each vector and its ``_outcome`` to ``evaluated``."""
+
+    def run(space, params):
+        outcome = _outcome(fn, space, params)
+        evaluated.append((params, outcome))
+        if isinstance(outcome, tuple):
+            raise outcome[0](outcome[1])
+        return float.fromhex(outcome)
+
+    return run
+
+
 def _with_angles(space, params, angle):
     """``params`` with every angle set to ``angle``."""
     kinds = _float_kinds(space)
@@ -142,10 +161,20 @@ class TestLayout:
     @pytest.mark.parametrize("method", ["coordinate-ascent", "coordinate-ascent+polish"])
     @pytest.mark.parametrize("family", FAMILIES)
     def test_maximize_is_unchanged_under_the_counter_decoder(self, monkeypatch, family, method):
+        # every evaluation, best_field and the certification cross-check read the
+        # counter decoder, and each evaluated vector and outcome is compared, bits and all
         space = SearchSpace(dim=2, alpha=(1, 1), family=family, pieces=2)
-        want = maximize(space, budget=60, seed=4, method=method).to_json()
-        monkeypatch.setattr(search, "decode_field", oracles.decode_field)
-        assert maximize(space, budget=60, seed=4, method=method).to_json() == want
+        runs = []
+        for decode, fn in [
+            (decode_field, objective),
+            (oracles.decode_field, lambda sp, p: _object_route(sp, oracles.decode_field, p)),
+        ]:
+            evaluated = []
+            monkeypatch.setattr(search, "decode_field", decode)
+            monkeypatch.setattr(search, "objective", _recording(fn, evaluated))
+            runs.append((maximize(space, budget=60, seed=4, method=method).to_json(), evaluated))
+        assert runs[1] == runs[0]
+        assert len(runs[0][1]) == 60
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_a_vector_of_the_wrong_length_is_refused(self, family):
@@ -176,6 +205,19 @@ class TestArrayDecode:
         values = [_outcome(objective, space, p) for p in vectors]
         assert values == [_outcome(_object_route, space, decode_field, p) for p in vectors]
         assert {type(v) for v in values} == {str, tuple}  # bits and refusals both compared
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_a_rotation_feeds_the_rotated_generator_arrays(self, dim):
+        # the objective reads only Re A_alpha, which conjugating every phase of a
+        # real catalog entry leaves alone, so the feed's arrays are compared here
+        space = SearchSpace(dim=dim, alpha=(1, 1, 0)[:dim], pieces=1)
+        tables = basis_tables(space.dim, space.degree)
+        rng = np.random.default_rng(dim)
+        for _ in range(10):
+            ints, floats = _sample_params(space, rng)
+            fed = _decode_piece(space, ints, floats)()
+            built = _generator_arrays(_piece_generator(space, ints, floats), tables)()
+            assert all(np.array_equal(a, b) for a, b in zip(fed, built))
 
     def test_a_rotation_objective_builds_no_objects(self, monkeypatch):
         space = SearchSpace(dim=3, alpha=(0, 1, 1), pieces=3)

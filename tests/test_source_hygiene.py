@@ -218,3 +218,72 @@ def test_the_check_sees_a_read_of_jet_storage():
         "components = coeffs = 0\n"
     )
     assert _storage_reads(source) == ["1: map_to_array", "2: .components", "4: .coeffs"]
+
+
+# settable values in src/polyloewner after removing `limit --step`, `evolve --step`
+# and `evolve_report(step=)`; it read 102 before
+SETTABLE_VALUES = 99
+
+
+def _is_option(node: ast.expr) -> bool:
+    """A CLI option's ``(type, default)`` pair, such as ``(float, 1e-2)``."""
+    return (
+        isinstance(node, ast.Tuple)
+        and len(node.elts) == 2
+        and isinstance(node.elts[0], ast.Name)
+        and node.elts[0].id in ("int", "float", "str", "bool")
+        and isinstance(node.elts[1], ast.Constant)
+    )
+
+
+def _is_record(node: ast.ClassDef) -> bool:
+    """A dataclass or a NamedTuple, whose annotated class attributes are fields."""
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    return any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators) or any(
+        isinstance(b, ast.Name) and b.id == "NamedTuple" for b in node.bases
+    )
+
+
+def _settable_values(tree: ast.Module, cli: bool) -> int:
+    """Every parameter default, every dataclass or NamedTuple field default and,
+    in the CLI module, every option of the verb table."""
+    count = 0
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            count += len(node.args.defaults)
+            count += sum(d is not None for d in node.args.kw_defaults)
+        elif isinstance(node, ast.ClassDef) and _is_record(node):
+            count += sum(isinstance(s, ast.AnnAssign) and s.value is not None for s in node.body)
+        elif cli and isinstance(node, ast.Dict):
+            count += sum(_is_option(v) for v in node.values)
+    return count
+
+
+def test_no_settable_value_is_added_unnoticed():
+    count = sum(
+        _settable_values(ast.parse(p.read_text(), filename=str(p)), cli=p.name == "cli.py")
+        for p in sorted(PACKAGE.glob("*.py"))
+    )
+    assert count == SETTABLE_VALUES, (
+        f"src/polyloewner has {count} settable values, the pin says {SETTABLE_VALUES}: "
+        "update SETTABLE_VALUES and report the before and after counts in CHANGES.md"
+    )
+
+
+def test_the_check_counts_every_kind_of_settable_value():
+    source = (
+        "@dataclass(frozen=True)\n"
+        "class R:\n"
+        "    a: int\n"
+        "    b: float = 1.0\n"
+        "class T(NamedTuple):\n"
+        "    c: str = 'x'\n"
+        "class Plain:\n"
+        "    d: int = 0\n"
+        "def f(x, y=1, *, z=2, w):\n"
+        "    return lambda u=3: u\n"
+        "VERBS = {'v': {'tol': (float, 1e-6), 'file': (str, None)}, 'n': (int, ...)}\n"
+    )
+    tree = ast.parse(source)
+    assert _settable_values(tree, cli=False) == 5
+    assert _settable_values(tree, cli=True) == 8
